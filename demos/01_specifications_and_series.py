@@ -9,7 +9,6 @@ from juxtaspec import (
     classify,
     count_series,
     format_series,
-    infer_tracking,
     parse_spec,
     productivity_check,
     render_spec,
@@ -31,7 +30,7 @@ print()
 # Marker atoms ZL / ZR / ZLR single out the leftmost / rightmost entry of
 # each nonempty object.  Tracking is inferred, never declared:
 mono = parse_spec("M = ZLR + ZL Seq(Z) ZR")
-print("monotone line tracking:", infer_tracking(mono))
+print("monotone line tracking:", dict(mono.tracking))
 print()
 
 # Built-in specifications ship with the library:

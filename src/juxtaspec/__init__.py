@@ -21,12 +21,7 @@ from .expr import (
     ZLR,
     ZR,
     ZeroExpr,
-    atom,
     canonicalize,
-    product,
-    ref,
-    seq,
-    total,
 )
 from .spec import (
     Classification,
@@ -36,7 +31,6 @@ from .spec import (
     TrackingError,
     TrackingKind,
     classify,
-    infer_tracking,
     inline_seq,
     make_spec,
 )
@@ -51,10 +45,7 @@ from .dsl import (
     spec_to_json,
 )
 from .operators import (
-    DecoratedSymbol,
     INSERTION_TAGS,
-    OPERATOR_TAGS,
-    ZR_SENSITIVE,
     apply_atom,
     apply_expr,
     complement,
@@ -64,14 +55,12 @@ from .operators import (
     reverse,
 )
 from .juxtapose import (
-    JuxtaRequest,
     TRACK_BOTH,
     TRACK_MODES,
     TRACK_NONE,
     TRACK_RIGHT,
     build_grid,
     juxtapose,
-    juxtapose_request,
     juxtapose_right_inc,
     parse_grid_pattern,
 )

@@ -38,8 +38,9 @@ from .expr import (
     Sum,
     ZERO,
     ZeroExpr,
+    fold,
 )
-from .spec import Equation, Specification, make_spec
+from .spec import NAME, Equation, Specification, make_spec
 
 
 class ParseError(SpecError):
@@ -47,10 +48,6 @@ class ParseError(SpecError):
         super().__init__(f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column
-
-
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_NAME_CONT = _NAME_START | set("0123456789._")
 
 
 def _tokenize_line(text: str, lineno: int):
@@ -68,14 +65,12 @@ def _tokenize_line(text: str, lineno: int):
         if ch in "+=()":
             tokens.append((ch, ch, col))
             i += 1
-        elif ch in _NAME_START:
-            j = i + 1
-            while j < n and text[j] in _NAME_CONT:
-                j += 1
-            tokens.append(("NAME", text[i:j], col))
-            i = j
         else:
-            raise ParseError(f"unexpected character {ch!r}", lineno, col)
+            name = NAME.match(text, i)
+            if name is None:
+                raise ParseError(f"unexpected character {ch!r}", lineno, col)
+            tokens.append(("NAME", name.group(), col))
+            i = name.end()
     return tokens
 
 
@@ -156,53 +151,79 @@ def parse_spec(text: str) -> Specification:
         tokens = _tokenize_line(raw, lineno)
         if not tokens:
             continue
-        equations.append(_LineParser(tokens, lineno).parse_equation())
+        try:
+            equations.append(_LineParser(tokens, lineno).parse_equation())
+        except RecursionError:
+            raise ParseError("expression nested too deeply", lineno, 1) from None
     if not equations:
         raise SpecError("empty input: no equations found")
     return make_spec(equations, root=equations[0].lhs)
 
 
-def render_expr(expr: Expr) -> str:
-    if isinstance(expr, ZeroExpr):
+def _interleave(separator: str, parts: list) -> tuple:
+    out = [separator] * (2 * len(parts) - 1)
+    out[::2] = parts
+    return tuple(out)
+
+
+def _render_node(node, kids):
+    # a rope: nested tuples of strings, shared like the nodes, flattened once
+    if isinstance(node, ZeroExpr):
         raise SpecError("the empty class has no DSL form")
-    if isinstance(expr, AtomRef):
-        return expr.atom
-    if isinstance(expr, ClassRef):
-        return expr.name
-    if isinstance(expr, Seq):
-        return f"Seq({render_expr(expr.arg)})"
-    if isinstance(expr, Sum):
-        return " + ".join(render_expr(t) for t in expr.terms)
-    if isinstance(expr, Product):
-        parts = []
-        for f in expr.factors:
-            text = render_expr(f)
-            if isinstance(f, Sum):
-                text = f"({text})"
-            parts.append(text)
-        return " ".join(parts)
-    raise SpecError(f"not an expression: {expr!r}")
+    if isinstance(node, AtomRef):
+        return node.atom
+    if isinstance(node, ClassRef):
+        return node.name
+    if isinstance(node, Seq):
+        return ("Seq(", kids[0], ")")
+    if isinstance(node, Sum):
+        return _interleave(" + ", kids)
+    if isinstance(node, Product):
+        return _interleave(" ", [
+            ("(", kid, ")") if isinstance(f, Sum) else kid for f, kid in zip(node.factors, kids)
+        ])
+    raise SpecError(f"not an expression: {node!r}")
+
+
+def _flatten(rope) -> str:
+    out, stack = [], [rope]
+    while stack:
+        piece = stack.pop()
+        if isinstance(piece, str):
+            out.append(piece)
+        else:
+            stack.extend(reversed(piece))
+    return "".join(out)
+
+
+def render_expr(expr: Expr) -> str:
+    return _flatten(fold([expr], _render_node)[0])
 
 
 def render_spec(spec: Specification) -> str:
     """DSL text for a specification; parse_spec inverts it exactly."""
-    return "\n".join(f"{eq.lhs} = {render_expr(eq.rhs)}" for eq in spec.equations) + "\n"
+    ropes = fold([eq.rhs for eq in spec.equations], _render_node)
+    return "".join(f"{eq.lhs} = {_flatten(rope)}\n" for eq, rope in zip(spec.equations, ropes))
+
+
+def _json_node(node, kids) -> dict:
+    if isinstance(node, ZeroExpr):
+        return {"kind": "zero"}
+    if isinstance(node, AtomRef):
+        return {"kind": "atom", "name": node.atom}
+    if isinstance(node, ClassRef):
+        return {"kind": "ref", "name": node.name}
+    if isinstance(node, Sum):
+        return {"kind": "sum", "terms": kids}
+    if isinstance(node, Product):
+        return {"kind": "product", "factors": kids}
+    if isinstance(node, Seq):
+        return {"kind": "seq", "arg": kids[0]}
+    raise SpecError(f"not an expression: {node!r}")
 
 
 def expr_to_node(expr: Expr) -> dict:
-    if isinstance(expr, ZeroExpr):
-        return {"kind": "zero"}
-    if isinstance(expr, AtomRef):
-        return {"kind": "atom", "name": expr.atom}
-    if isinstance(expr, ClassRef):
-        return {"kind": "ref", "name": expr.name}
-    if isinstance(expr, Sum):
-        return {"kind": "sum", "terms": [expr_to_node(t) for t in expr.terms]}
-    if isinstance(expr, Product):
-        return {"kind": "product", "factors": [expr_to_node(f) for f in expr.factors]}
-    if isinstance(expr, Seq):
-        return {"kind": "seq", "arg": expr_to_node(expr.arg)}
-    raise SpecError(f"not an expression: {expr!r}")
+    return fold([expr], _json_node)[0]
 
 
 def expr_from_node(node: dict) -> Expr:
@@ -228,9 +249,11 @@ def expr_from_node(node: dict) -> Expr:
 
 
 def spec_to_dict(spec: Specification) -> dict:
+    # equal subexpressions share one (read-only) dict
+    nodes = fold([eq.rhs for eq in spec.equations], _json_node)
     return {
         "root": spec.root,
-        "equations": [{"lhs": eq.lhs, "rhs": expr_to_node(eq.rhs)} for eq in spec.equations],
+        "equations": [{"lhs": eq.lhs, "rhs": node} for eq, node in zip(spec.equations, nodes)],
     }
 
 
@@ -240,6 +263,8 @@ def spec_from_dict(doc: dict) -> Specification:
         root = doc["root"]
     except (KeyError, TypeError) as exc:
         raise SpecError(f"malformed specification document: {exc}") from None
+    except RecursionError:
+        raise SpecError("specification document nested too deeply") from None
     return make_spec(equations, root=root)
 
 
@@ -252,4 +277,6 @@ def spec_from_json(text: str) -> Specification:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SpecError("invalid JSON: nested too deeply") from None
     return spec_from_dict(doc)

@@ -4,12 +4,19 @@ Every equation right-hand side is an ``Expr``.  Product order is significant:
 factors are read in increasing value order of the permutation entries they
 stand for ("bottom to top"), so products are never reordered except by the
 explicit symmetry operators.
+
+Expressions are immutable and compared structurally.  Each compound node
+caches its hash at construction, and :func:`rewrite` hash-conses the
+expressions it returns (Filliatre & Conchon, "Type-safe modular
+hash-consing", 2006), so equal subexpressions of one specification are one
+object.  All traversals go through :func:`fold` (a :func:`plan` of the
+distinct nodes, then one :func:`evaluate` of it), which is iterative and
+visits each node once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
 
 # Atom kinds.  EMPTY is the neutral object of size 0; the other four all have
 # size 1.  ZL / ZR mark the positionally leftmost / rightmost entry, ZLR both.
@@ -28,8 +35,19 @@ class SpecError(Exception):
     """Invalid specification or expression."""
 
 
+class CycleError(SpecError):
+    """A fold reached a node that depends on itself."""
+
+    def __init__(self, node):
+        super().__init__(f"cycle through {node!r}")
+        self.node = node
+
+
 class Expr:
     __slots__ = ()
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -63,9 +81,23 @@ class ClassRef(Expr):
         return f"@{self.name}"
 
 
+# Compound nodes compare their cached hash first, so unequal nodes differ at
+# once and equal shared children compare by identity.  The hash is only valid
+# in the process that computed it, so unpickling rebuilds the node.
+
+
 @dataclass(frozen=True)
 class Product(Expr):
+    _hash: int = field(init=False, repr=False)
     factors: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((Product, self.factors)))
+
+    __hash__ = Expr.__hash__
+
+    def __reduce__(self):
+        return Product, (self.factors,)
 
     def __repr__(self):
         return "(" + " ".join(map(repr, self.factors)) + ")"
@@ -73,7 +105,16 @@ class Product(Expr):
 
 @dataclass(frozen=True)
 class Sum(Expr):
+    _hash: int = field(init=False, repr=False)
     terms: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((Sum, self.terms)))
+
+    __hash__ = Expr.__hash__
+
+    def __reduce__(self):
+        return Sum, (self.terms,)
 
     def __repr__(self):
         return "(" + " + ".join(map(repr, self.terms)) + ")"
@@ -81,7 +122,16 @@ class Sum(Expr):
 
 @dataclass(frozen=True)
 class Seq(Expr):
+    _hash: int = field(init=False, repr=False)
     arg: Expr
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((Seq, self.arg)))
+
+    __hash__ = Expr.__hash__
+
+    def __reduce__(self):
+        return Seq, (self.arg,)
 
     def __repr__(self):
         return f"Seq{self.arg!r}"
@@ -91,76 +141,168 @@ E_EXPR = AtomRef(EMPTY)
 Z_EXPR = AtomRef(Z)
 
 
-def atom(kind: str) -> AtomRef:
-    return AtomRef(kind)
+def children(node) -> tuple:
+    """Direct subexpressions of a node, in order."""
+    if isinstance(node, Sum):
+        return node.terms
+    if isinstance(node, Product):
+        return node.factors
+    if isinstance(node, Seq):
+        return (node.arg,)
+    return ()
 
 
-def ref(name: str) -> ClassRef:
-    return ClassRef(name)
+_PENDING = object()  # position of a node whose children are being planned
+_FINISH = object()  # stack marker: the two entries below it are a node and its children
 
 
-def product(*factors: Expr) -> Expr:
-    return canonicalize(Product(tuple(factors)))
+def plan(roots, children=children, known=(), key=id) -> tuple:
+    """The distinct nodes under ``roots``, each once and after its children.
+
+    Returns ``(steps, position)``: a step is ``(node, positions of its
+    children)``, or ``(node, None)`` for a node in ``known``, which is not
+    expanded; ``position`` maps ``key(node)`` to its step.  Nodes are told
+    apart by identity, which suits canonical expressions; pass ``key=None``
+    for any other graph, whose nodes are equal by value.  A cycle raises
+    :class:`CycleError`.  Iterative: depth is bounded by memory only.
+    """
+    key = key or _same
+    steps, position, stack = [], {}, list(reversed(roots))
+    while stack:
+        node = stack.pop()
+        if node is _FINISH:
+            kids = stack.pop()
+            node = stack.pop()
+        else:
+            seen = position.get(key(node), stack)  # the stack itself means "not seen"
+            if seen is not stack:
+                if seen is _PENDING:
+                    raise CycleError(node)
+                continue
+            if node in known:
+                position[key(node)] = len(steps)
+                steps.append((node, None))
+                continue
+            kids = children(node)
+            if kids:
+                position[key(node)] = _PENDING
+                stack += (node, kids, _FINISH)
+                stack.extend(reversed(kids))
+                continue
+        position[key(node)] = len(steps)
+        steps.append((node, [position[key(k)] for k in kids]))
+    return steps, position
 
 
-def total(*terms: Expr) -> Expr:
-    """Combinatorial sum of the given expressions, canonicalized."""
-    return canonicalize(Sum(tuple(terms)))
+def _same(node):
+    return node
 
 
-def seq(arg: Expr) -> Expr:
-    return canonicalize(Seq(arg))
+def evaluate(steps: list, fn, memo=None) -> list:
+    """``fn(node, values of its children)`` of every step, read from ``memo``
+    for known steps and stored there for the others."""
+    values = []
+    value_at = values.__getitem__
+    for node, kids in steps:
+        if kids is None:
+            value = memo[node]
+        else:
+            value = fn(node, list(map(value_at, kids)))
+            if memo is not None:
+                memo[node] = value
+        values.append(value)
+    return values
+
+
+def fold(roots, fn, memo=None, children=children, key=id) -> list:
+    """Bottom-up values of ``roots``: ``fn(node, values of its children)`` once
+    per distinct node under them all, children first and left to right.
+    ``memo`` maps nodes to values; one dict passed to several calls shares
+    their work."""
+    steps, position = plan(roots, children, () if memo is None else memo, key)
+    values = evaluate(steps, fn, memo)
+    return [values[position[(key or _same)(root)]] for root in roots]
+
+
+def nodes(expr: Expr) -> list:
+    """The distinct nodes of an expression, children first."""
+    return [node for node, _ in plan((expr,))[0]]
+
+
+def _intern(node: Expr, table) -> Expr:
+    return node if table is None else table.setdefault(node, node)
+
+
+# Canonical constructors.  Their arguments must already be canonical; the
+# result is too: no Sum directly inside a Sum, no Product inside a Product,
+# no Zero term in a Sum, no Empty factor in a Product, no Sum/Product of fewer
+# than two children, no Seq of Zero.
+
+
+def make_sum(terms, table=None) -> Expr:
+    flat = []
+    for t in terms:
+        if isinstance(t, Sum):
+            flat.extend(t.terms)
+        elif not isinstance(t, ZeroExpr):
+            flat.append(t)
+    if len(flat) < 2:
+        return flat[0] if flat else ZERO
+    return _intern(Sum(tuple(flat)), table)
+
+
+def make_product(factors, table=None) -> Expr:
+    flat = []
+    for f in factors:
+        if isinstance(f, ZeroExpr):
+            return ZERO
+        if isinstance(f, Product):
+            flat.extend(f.factors)
+        elif not (isinstance(f, AtomRef) and f.atom == EMPTY):
+            flat.append(f)
+    if len(flat) < 2:
+        return flat[0] if flat else _intern(E_EXPR, table)
+    return _intern(Product(tuple(flat)), table)
+
+
+def make_seq(arg, table=None) -> Expr:
+    if isinstance(arg, ZeroExpr):
+        # sequences over the empty class: only the empty sequence remains
+        return _intern(E_EXPR, table)
+    return _intern(Seq(arg), table)
+
+
+def rewrite(exprs, leaf=None, flip: bool = False) -> list:
+    """Rebuild expressions bottom-up through the canonical constructors.
+
+    ``leaf`` maps an atom or class reference to its canonical replacement;
+    ``flip`` reverses every product.  The results are hash-consed together:
+    equal subexpressions of all of them are one object.
+    """
+    table = {}
+
+    def build(node, kids):
+        if isinstance(node, Sum):
+            return make_sum(kids, table)
+        if isinstance(node, Product):
+            return make_product(kids[::-1] if flip else kids, table)
+        if isinstance(node, Seq):
+            return make_seq(kids[0], table)
+        if not isinstance(node, (ZeroExpr, AtomRef, ClassRef)):
+            raise SpecError(f"not an expression: {node!r}")
+        new = leaf(node) if leaf is not None else node
+        return table.setdefault(new, new)
+
+    return fold(exprs, build)
 
 
 def canonicalize(expr: Expr) -> Expr:
-    """Normal form: flattened, Zero-absorbed, Empty-unit.
+    """Normal form: flattened, Zero-absorbed, Empty-unit, hash-consed.
 
-    No Sum directly inside a Sum, no Product inside a Product, no Zero term
-    in a Sum, no Empty factor in a Product, no Sum/Product of fewer than two
-    children.  Counting semantics are preserved; term and factor order are
-    kept as given.  Idempotent.
+    Counting semantics and term and factor order are kept; equal
+    subexpressions of the result are one object.  Idempotent.
     """
-    if isinstance(expr, (ZeroExpr, AtomRef, ClassRef)):
-        return expr
-    if isinstance(expr, Seq):
-        arg = canonicalize(expr.arg)
-        if isinstance(arg, ZeroExpr):
-            # sequences over the empty class: only the empty sequence remains
-            return E_EXPR
-        return Seq(arg)
-    if isinstance(expr, Sum):
-        flat = []
-        for term in expr.terms:
-            term = canonicalize(term)
-            if isinstance(term, ZeroExpr):
-                continue
-            if isinstance(term, Sum):
-                flat.extend(term.terms)
-            else:
-                flat.append(term)
-        if not flat:
-            return ZERO
-        if len(flat) == 1:
-            return flat[0]
-        return Sum(tuple(flat))
-    if isinstance(expr, Product):
-        flat = []
-        for factor in expr.factors:
-            factor = canonicalize(factor)
-            if isinstance(factor, ZeroExpr):
-                return ZERO
-            if factor == E_EXPR:
-                continue
-            if isinstance(factor, Product):
-                flat.extend(factor.factors)
-            else:
-                flat.append(factor)
-        if not flat:
-            return E_EXPR
-        if len(flat) == 1:
-            return flat[0]
-        return Product(tuple(flat))
-    raise SpecError(f"not an expression: {expr!r}")
+    return rewrite([expr])[0]
 
 
 def terms(expr: Expr) -> tuple:
@@ -177,52 +319,5 @@ def factors(expr: Expr) -> tuple:
     return (expr,)
 
 
-def walk(expr: Expr) -> Iterator[Expr]:
-    """All nodes of the expression tree, preorder."""
-    yield expr
-    if isinstance(expr, Sum):
-        for t in expr.terms:
-            yield from walk(t)
-    elif isinstance(expr, Product):
-        for f in expr.factors:
-            yield from walk(f)
-    elif isinstance(expr, Seq):
-        yield from walk(expr.arg)
-
-
 def referenced_names(expr: Expr) -> set:
-    return {node.name for node in walk(expr) if isinstance(node, ClassRef)}
-
-
-def contains_seq(expr: Expr) -> bool:
-    return any(isinstance(node, Seq) for node in walk(expr))
-
-
-def substitute(expr: Expr, replacements: dict) -> Expr:
-    """Replace class references by name; result is canonicalized."""
-    if isinstance(expr, ClassRef):
-        return replacements.get(expr.name, expr)
-    if isinstance(expr, (ZeroExpr, AtomRef)):
-        return expr
-    if isinstance(expr, Seq):
-        return canonicalize(Seq(substitute(expr.arg, replacements)))
-    if isinstance(expr, Sum):
-        return canonicalize(Sum(tuple(substitute(t, replacements) for t in expr.terms)))
-    if isinstance(expr, Product):
-        return canonicalize(Product(tuple(substitute(f, replacements) for f in expr.factors)))
-    raise SpecError(f"not an expression: {expr!r}")
-
-
-def map_atoms(expr: Expr, mapping: dict) -> Expr:
-    """Rename atom kinds throughout; result is canonicalized."""
-    if isinstance(expr, AtomRef):
-        return AtomRef(mapping.get(expr.atom, expr.atom))
-    if isinstance(expr, (ZeroExpr, ClassRef)):
-        return expr
-    if isinstance(expr, Seq):
-        return canonicalize(Seq(map_atoms(expr.arg, mapping)))
-    if isinstance(expr, Sum):
-        return canonicalize(Sum(tuple(map_atoms(t, mapping) for t in expr.terms)))
-    if isinstance(expr, Product):
-        return canonicalize(Product(tuple(map_atoms(f, mapping) for f in expr.factors)))
-    raise SpecError(f"not an expression: {expr!r}")
+    return {node.name for node in nodes(expr) if isinstance(node, ClassRef)}

@@ -12,7 +12,6 @@ the complement and reverse symmetries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 from .expr import AtomRef, ClassRef, Product, Sum, Z, ZL, ZLR, ZR, E_EXPR, SpecError
@@ -20,6 +19,7 @@ from .operators import (
     _eliminate_zero_equations,
     _expand_equations,
     complement,
+    complement_reverse,
     forget_left,
     reverse,
 )
@@ -42,13 +42,6 @@ SIDE_LEFT = "left"
 SIDE_RIGHT = "right"
 DIR_INC = "inc"
 DIR_DEC = "dec"
-
-
-@dataclass(frozen=True)
-class JuxtaRequest:
-    side: str
-    direction: str
-    track_mode: str = TRACK_NONE
 
 
 def _sz() -> ClassRef:
@@ -159,14 +152,9 @@ def juxtapose(
             return juxtapose_right_inc(spec, track_mode)
         return complement(juxtapose_right_inc(complement(spec), track_mode))
     if direction == DIR_INC:
-        inner = complement(reverse(spec))
-        return complement(reverse(juxtapose_right_inc(inner, track_mode)))
+        return complement_reverse(juxtapose_right_inc(complement_reverse(spec), track_mode))
     inner = reverse(spec)
     return reverse(juxtapose_right_inc(inner, track_mode))
-
-
-def juxtapose_request(spec: Specification, request: JuxtaRequest) -> Specification:
-    return juxtapose(spec, request.side, request.direction, request.track_mode)
 
 
 CELL_CORE = "core"

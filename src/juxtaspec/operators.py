@@ -28,7 +28,6 @@ twice returns a structurally identical specification.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .expr import (
@@ -49,9 +48,11 @@ from .expr import (
     ZLR,
     ZR,
     ZeroExpr,
-    canonicalize,
-    map_atoms,
-    substitute,
+    fold,
+    make_product,
+    make_seq,
+    make_sum,
+    rewrite,
 )
 from .spec import (
     Equation,
@@ -59,26 +60,39 @@ from .spec import (
     SZ_NAME,
     TrackingKind,
     UNTRACKED,
-    _require_markerless,
     make_spec,
+    marked_content,
     prune_unreachable,
 )
 
-# The six insertion-operator tags; complement and reverse name the symmetry
-# operators.  Decorated symbols are rendered base "." tag, e.g. C.io.
+# The six insertion-operator tags.  Decorated symbols are rendered
+# base "." tag, e.g. C.io.
 INSERTION_TAGS = ("o", "i", "oo", "io", "oi", "ii")
-ZR_SENSITIVE = frozenset(("i", "io", "ii"))
-OPERATOR_TAGS = INSERTION_TAGS + ("complement", "reverse")
 
+# Product rule of the operators other than o and oo, which act factor by
+# factor: the "head rest" operators of each term.  For i, io and ii the last
+# term is dropped when the head carries the rightmost marker.
+_PRODUCT_RULE = {
+    "i": ("i o", "o i"),
+    "io": ("io oo", "o io"),
+    "oi": ("oi o", "oo oi"),
+    "ii": ("ii o", "io oi", "o ii"),
+}
+_ZR_SENSITIVE = ("i", "io", "ii")
 
-@dataclass(frozen=True)
-class DecoratedSymbol:
-    base: str
-    tag: str
-
-    @property
-    def name(self) -> str:
-        return f"{self.base}.{self.tag}"
+# Sequence rule: the terms of the image of Seq(A), over images of A.
+_SEQ_RULE = {
+    op: [[(f.startswith("Seq("), f.removeprefix("Seq(").removesuffix(")")) for f in t.split()]
+         for t in terms]
+    for op, terms in {
+        "o": ("Seq(o)",),
+        "oo": ("Seq(oo)",),
+        "i": ("Seq(o) i Seq(o)",),
+        "io": ("Seq(o) io Seq(oo)",),
+        "oi": ("Seq(oo) oi Seq(o)",),
+        "ii": ("Seq(o) io Seq(oo) oi Seq(o)", "Seq(o) ii Seq(o)"),
+    }.items()
+}
 
 
 def _sz() -> ClassRef:
@@ -110,21 +124,76 @@ def apply_atom(op: str, kind: str) -> Expr:
     return Product((AtomRef(Z), _sz(), AtomRef(ZR), tail))  # ii
 
 
-def expr_tracks_r(expr: Expr, tracking: Mapping[str, TrackingKind]) -> bool:
+def expr_tracks_r(expr: Expr, tracking: Mapping[str, TrackingKind], memo=None) -> bool:
     """True when every nonempty object of the expression carries one ZR."""
-    if isinstance(expr, AtomRef):
-        return expr.atom in R_ATOMS
-    if isinstance(expr, ClassRef):
-        return tracking.get(expr.name, UNTRACKED).has_r
-    if isinstance(expr, Product):
-        return any(expr_tracks_r(f, tracking) for f in expr.factors)
-    if isinstance(expr, Sum):
-        return any(expr_tracks_r(t, tracking) for t in expr.terms)
-    return False  # Zero, Seq
+
+    def visit(node, kids):
+        if isinstance(node, AtomRef):
+            return node.atom in R_ATOMS
+        if isinstance(node, ClassRef):
+            return tracking.get(node.name, UNTRACKED).has_r
+        return isinstance(node, (Product, Sum)) and any(kids)  # Zero, Seq: False
+
+    return fold([expr], visit, memo)[0]
 
 
-def _check_seq_operand(arg: Expr, tracking) -> None:
-    _require_markerless(arg, tracking, "operator applied to Seq")
+class _Insertion:
+    """Images of expressions under the insertion operators.
+
+    A job ``(op, node, k)`` is the image under ``op`` of the node or, for a
+    product, of its factors from the k-th on: a product is scanned right to
+    left through the suffix images its rule uses.  Jobs are folded with one
+    memo per instance, so each image is built once.  The class references met
+    are recorded in ``needed`` as (symbol, operator) pairs.
+    """
+
+    def __init__(self, tracking: Mapping[str, TrackingKind]):
+        self.tracking = tracking
+        self.images, self.tracks_r = {}, {}
+        self.needed = set()
+
+    def apply(self, op: str, expr: Expr, needed: set) -> Expr:
+        self.needed = needed
+        return fold([(op, expr, 0)], self._build, self.images, self._jobs, None)[0]
+
+    def _terms(self, job) -> list:
+        """Terms of a job's image: lists of (inside Seq, job) factors."""
+        op, node, k = job
+        if isinstance(node, Sum):
+            return [[(False, (op, t, 0))] for t in node.terms]
+        if isinstance(node, Seq):
+            return [[(seq, (o, node.arg, 0)) for seq, o in t] for t in _SEQ_RULE[op]]
+        if isinstance(node, Product):
+            if op in ("o", "oo"):
+                return [[(False, (op, f, 0)) for f in node.factors[k:]]]
+            head = node.factors[k]
+            rule = _PRODUCT_RULE[op]
+            if op in _ZR_SENSITIVE and expr_tracks_r(head, self.tracking, self.tracks_r):
+                rule = rule[:-1]
+            last = k + 2 == len(node.factors)
+            return [
+                [(False, (h, head, 0)), (False, (r, node.factors[-1], 0) if last else (r, node, k + 1))]
+                for h, r in map(str.split, rule)
+            ]
+        if isinstance(node, (ZeroExpr, AtomRef, ClassRef)):
+            return []
+        raise SpecError(f"not an expression: {node!r}")
+
+    def _jobs(self, job) -> list:
+        return [j for term in self._terms(job) for _, j in term]
+
+    def _build(self, job, kids) -> Expr:
+        op, node, _ = job
+        if isinstance(node, AtomRef):
+            return apply_atom(op, node.atom)
+        if isinstance(node, ClassRef):
+            self.needed.add((node.name, op))
+            return ClassRef(f"{node.name}.{op}")
+        values = iter(kids)
+        return make_sum([
+            make_product([make_seq(next(values)) if seq else next(values) for seq, _ in term])
+            for term in self._terms(job)
+        ])  # Zero has no terms
 
 
 def apply_expr(
@@ -141,102 +210,24 @@ def apply_expr(
     """
     if op not in INSERTION_TAGS:
         raise SpecError(f"unknown insertion operator {op!r}")
-
-    def rec(op: str, expr: Expr) -> Expr:
-        if isinstance(expr, ZeroExpr):
-            return ZERO
-        if isinstance(expr, AtomRef):
-            return apply_atom(op, expr.atom)
-        if isinstance(expr, ClassRef):
-            sym = DecoratedSymbol(expr.name, op)
-            if needed is not None:
-                needed.add((sym.base, sym.tag))
-            return ClassRef(sym.name)
-        if isinstance(expr, Sum):
-            return Sum(tuple(rec(op, t) for t in expr.terms))
-        if isinstance(expr, Seq):
-            _check_seq_operand(expr.arg, tracking)
-            a = expr.arg
-            if op == "o":
-                return Seq(rec("o", a))
-            if op == "oo":
-                return Seq(rec("oo", a))
-            if op == "i":
-                return Product((Seq(rec("o", a)), rec("i", a), Seq(rec("o", a))))
-            if op == "io":
-                return Product((Seq(rec("o", a)), rec("io", a), Seq(rec("oo", a))))
-            if op == "oi":
-                return Product((Seq(rec("oo", a)), rec("oi", a), Seq(rec("o", a))))
-            return Sum((  # ii
-                Product((
-                    Seq(rec("o", a)), rec("io", a), Seq(rec("oo", a)),
-                    rec("oi", a), Seq(rec("o", a)),
-                )),
-                Product((Seq(rec("o", a)), rec("ii", a), Seq(rec("o", a)))),
-            ))
-        if isinstance(expr, Product):
-            head = expr.factors[0]
-            rest: Expr
-            if len(expr.factors) == 2:
-                rest = expr.factors[1]
-            else:
-                rest = Product(expr.factors[1:])
-            if op == "o":
-                return Product((rec("o", head), rec("o", rest)))
-            if op == "oo":
-                return Product((rec("oo", head), rec("oo", rest)))
-            if op == "oi":
-                return Sum((
-                    Product((rec("oi", head), rec("o", rest))),
-                    Product((rec("oo", head), rec("oi", rest))),
-                ))
-            head_r = expr_tracks_r(head, tracking)
-            if op == "i":
-                parts = [Product((rec("i", head), rec("o", rest)))]
-                if not head_r:
-                    parts.append(Product((rec("o", head), rec("i", rest))))
-                return Sum(tuple(parts))
-            if op == "io":
-                parts = [Product((rec("io", head), rec("oo", rest)))]
-                if not head_r:
-                    parts.append(Product((rec("o", head), rec("io", rest))))
-                return Sum(tuple(parts))
-            parts = [  # ii
-                Product((rec("ii", head), rec("o", rest))),
-                Product((rec("io", head), rec("oi", rest))),
-            ]
-            if not head_r:
-                parts.append(Product((rec("o", head), rec("ii", rest))))
-            return Sum(tuple(parts))
-        raise SpecError(f"not an expression: {expr!r}")
-
-    return canonicalize(rec(op, expr))
-
-
-def _normalize_needed(needed) -> list:
-    out = []
-    for item in needed:
-        if isinstance(item, DecoratedSymbol):
-            out.append((item.base, item.tag))
-        else:
-            base, tag = item
-            out.append((str(base), str(tag)))
-    for base, tag in out:
-        if tag not in INSERTION_TAGS:
-            raise SpecError(f"unknown insertion operator {tag!r}")
-    return out
+    problem = fold([expr], marked_content(tracking))[0][1]
+    if problem:
+        raise SpecError(f"operator applied to Seq: {problem}")
+    return _Insertion(tracking).apply(op, expr, set() if needed is None else needed)
 
 
 def _expand_equations(spec: Specification, needed: Sequence[Tuple[str, str]]) -> list:
     """Equations for the transitive closure of the requested decorated symbols."""
+    images = _Insertion(spec.tracking)
     queue = deque(needed)
     seen = set(needed)
     out = []
     while queue:
         base, tag = queue.popleft()
-        rhs_src = spec.rhs(base)
+        # images memoized by an earlier equation add no pair that is not
+        # already seen, so the queue order matches a fresh expansion's
         discovered: set = set()
-        rhs = apply_expr(tag, rhs_src, spec.tracking, discovered)
+        rhs = images.apply(tag, spec.rhs(base), discovered)
         out.append((f"{base}.{tag}", rhs))
         for pair in sorted(discovered):
             if pair not in seen:
@@ -247,17 +238,17 @@ def _expand_equations(spec: Specification, needed: Sequence[Tuple[str, str]]) ->
 
 def _eliminate_zero_equations(named: list) -> list:
     """Drop empty-class equations, substituting Zero into their references."""
-    named = list(named)
     while True:
         zero_names = {name for name, rhs in named if isinstance(rhs, ZeroExpr)}
         if not zero_names:
             return named
-        replacements = {name: ZERO for name in zero_names}
-        named = [
-            (name, substitute(rhs, replacements))
-            for name, rhs in named
-            if name not in zero_names
-        ]
+
+        def leaf(node):
+            return ZERO if isinstance(node, ClassRef) and node.name in zero_names else node
+
+        names = [name for name, _ in named if name not in zero_names]
+        exprs = [rhs for name, rhs in named if name not in zero_names]
+        named = list(zip(names, rewrite(exprs, leaf)))
 
 
 def expand(spec: Specification, needed: Iterable) -> Specification:
@@ -268,7 +259,10 @@ def expand(spec: Specification, needed: Iterable) -> Specification:
     equation per reachable decorated symbol, over decorated references, SZ
     and atoms only.  Empty-class equations are eliminated.
     """
-    pairs = _normalize_needed(list(needed))
+    pairs = [(str(base), str(tag)) for base, tag in needed]
+    for _, tag in pairs:
+        if tag not in INSERTION_TAGS:
+            raise SpecError(f"unknown insertion operator {tag!r}")
     if not pairs:
         raise SpecError("expand requires at least one decorated symbol")
     named = _eliminate_zero_equations(_expand_equations(spec, pairs))
@@ -279,13 +273,20 @@ def expand(spec: Specification, needed: Iterable) -> Specification:
     return make_spec(eqs, root=root)
 
 
-def _map_spec(spec: Specification, fn) -> Specification:
-    # the reserved SZ equation stays canonical: runs of plain atoms are
-    # fixed by every symmetry
-    eqs = [
-        eq if eq.lhs == SZ_NAME else Equation(eq.lhs, fn(eq.rhs))
-        for eq in spec.equations
-    ]
+def _map_spec(spec: Specification, atoms: Mapping[str, str], flip: bool = False) -> Specification:
+    """One rewrite of every equation: atoms renamed, products reversed if flip.
+
+    The reserved SZ equation stays canonical: runs of plain atoms are fixed
+    by every symmetry.
+    """
+
+    def leaf(node):
+        if isinstance(node, AtomRef) and node.atom in atoms:
+            return AtomRef(atoms[node.atom])
+        return node
+
+    rhs = iter(rewrite([eq.rhs for eq in spec.equations if eq.lhs != SZ_NAME], leaf, flip))
+    eqs = [eq if eq.lhs == SZ_NAME else Equation(eq.lhs, next(rhs)) for eq in spec.equations]
     return make_spec(eqs, root=spec.root)
 
 
@@ -295,19 +296,7 @@ def complement(spec: Specification) -> Specification:
     Atoms are fixed, Seq maps through, tracking is unchanged, and the
     counting sequence is identical.  Involution.
     """
-
-    def flip(expr: Expr) -> Expr:
-        if isinstance(expr, (ZeroExpr, AtomRef, ClassRef)):
-            return expr
-        if isinstance(expr, Seq):
-            return Seq(flip(expr.arg))
-        if isinstance(expr, Sum):
-            return Sum(tuple(flip(t) for t in expr.terms))
-        if isinstance(expr, Product):
-            return Product(tuple(flip(f) for f in reversed(expr.factors)))
-        raise SpecError(f"not an expression: {expr!r}")
-
-    return _map_spec(spec, lambda rhs: canonicalize(flip(rhs)))
+    return _map_spec(spec, {}, flip=True)
 
 
 _REVERSE_ATOMS = {ZR: ZL, ZL: ZR}
@@ -319,7 +308,12 @@ def reverse(spec: Specification) -> Specification:
     Products and Seq are preserved, tracking swaps rightmost with leftmost,
     and the counting sequence is identical.  Involution.
     """
-    return _map_spec(spec, lambda rhs: map_atoms(rhs, _REVERSE_ATOMS))
+    return _map_spec(spec, _REVERSE_ATOMS)
+
+
+def complement_reverse(spec: Specification) -> Specification:
+    """complement(reverse(spec)) in one pass."""
+    return _map_spec(spec, _REVERSE_ATOMS, flip=True)
 
 
 _FORGET_LEFT = {ZL: Z, ZLR: ZR}
@@ -327,4 +321,4 @@ _FORGET_LEFT = {ZL: Z, ZLR: ZR}
 
 def forget_left(spec: Specification) -> Specification:
     """Erase leftmost markers (ZL -> Z, ZLR -> ZR); same class and series."""
-    return _map_spec(spec, lambda rhs: map_atoms(rhs, _FORGET_LEFT))
+    return _map_spec(spec, _FORGET_LEFT)

@@ -13,13 +13,16 @@ from typing import List, Optional, Sequence
 from .expr import (
     AtomRef,
     ClassRef,
+    CycleError,
     EMPTY,
-    Expr,
     Product,
     Seq,
     SpecError,
     Sum,
     ZeroExpr,
+    evaluate,
+    fold,
+    plan,
 )
 from .spec import Specification
 
@@ -59,69 +62,65 @@ def _poly_seq(a: Series, order: int) -> Series:
     return out
 
 
-def _eval_expr(expr: Expr, env: dict, order: int) -> Series:
-    if isinstance(expr, ZeroExpr):
-        return [0] * (order + 1)
-    if isinstance(expr, AtomRef):
+def _eval_expr(steps: list, env: dict, order: int) -> Series:
+    """Truncated series of a planned expression; env holds the symbols' series."""
+
+    def visit(node, kids):
+        if isinstance(node, ClassRef):
+            return env[node.name]
+        if isinstance(node, Sum):
+            out = [0] * (order + 1)
+            for kid in kids:
+                out = _poly_add(out, kid)
+            return out
+        if isinstance(node, Product):
+            out = kids[0]
+            for kid in kids[1:]:
+                out = _poly_mul(out, kid, order)
+            return out
+        if isinstance(node, Seq):
+            return _poly_seq(kids[0], order)
         out = [0] * (order + 1)
-        if expr.atom == EMPTY:
-            out[0] = 1
-        elif order >= 1:
-            out[1] = 1
+        if isinstance(node, AtomRef):
+            if node.atom == EMPTY:
+                out[0] = 1
+            elif order >= 1:
+                out[1] = 1
+        elif not isinstance(node, ZeroExpr):
+            raise SpecError(f"not an expression: {node!r}")
         return out
-    if isinstance(expr, ClassRef):
-        return list(env[expr.name])
-    if isinstance(expr, Sum):
-        out = [0] * (order + 1)
-        for t in expr.terms:
-            out = _poly_add(out, _eval_expr(t, env, order))
-        return out
-    if isinstance(expr, Product):
-        out = _eval_expr(expr.factors[0], env, order)
-        for f in expr.factors[1:]:
-            out = _poly_mul(out, _eval_expr(f, env, order), order)
-        return out
-    if isinstance(expr, Seq):
-        return _poly_seq(_eval_expr(expr.arg, env, order), order)
-    raise SpecError(f"not an expression: {expr!r}")
+
+    return evaluate(steps, visit)[-1]
 
 
-def _valuation(expr: Expr, vals: dict) -> Optional[int]:
-    """Minimal object size of an expression, or None while unresolved."""
-    if isinstance(expr, ZeroExpr):
-        return None
-    if isinstance(expr, AtomRef):
-        return 0 if expr.atom == EMPTY else 1
-    if isinstance(expr, ClassRef):
-        return vals[expr.name]
-    if isinstance(expr, Seq):
+def _valuation_step(node, kids: list, vals: dict) -> Optional[int]:
+    """Minimal object size of a node given its children's, None while unresolved."""
+    if isinstance(node, AtomRef):
+        return 0 if node.atom == EMPTY else 1
+    if isinstance(node, ClassRef):
+        return vals[node.name]
+    if isinstance(node, Seq):
         return 0
-    if isinstance(expr, Sum):
-        best = None
-        for t in expr.terms:
-            v = _valuation(t, vals)
-            if v is not None and (best is None or v < best):
-                best = v
-        return best
-    if isinstance(expr, Product):
-        total = 0
-        for f in expr.factors:
-            v = _valuation(f, vals)
-            if v is None:
-                return None
-            total += v
-        return total
-    raise SpecError(f"not an expression: {expr!r}")
+    if isinstance(node, Sum):
+        return min((v for v in kids if v is not None), default=None)
+    if isinstance(node, Product):
+        return None if None in kids else sum(kids)
+    return None  # Zero
 
 
 def _valuations(spec: Specification) -> dict:
     vals = {name: _UNKNOWN for name in spec.symbols}
+
+    def visit(node, kids):
+        return _valuation_step(node, kids, vals)
+
+    steps = [(eq.lhs, plan((eq.rhs,))[0]) for eq in spec.equations]
     for _ in range(len(vals) + 1):
         changed = False
-        for eq in spec.equations:
-            v = _valuation(eq.rhs, vals)
-            if v is not None and (vals[eq.lhs] is None or v < vals[eq.lhs]):
-                vals[eq.lhs] = v
+        for lhs, eq_steps in steps:
+            v = evaluate(eq_steps, visit)[-1]
+            if v is not None and (vals[lhs] is None or v < vals[lhs]):
+                vals[lhs] = v
                 changed = True
         if not changed:
             break
@@ -129,23 +128,18 @@ def _valuations(spec: Specification) -> dict:
 
 
 def _seq_argument_problems(spec: Specification, vals: dict) -> list:
+    """One problem per Seq occurrence whose argument contains the empty object."""
+
+    def visit(node, kids):
+        # (valuation, bad Seq occurrences in the expression tree)
+        bad = sum(k[1] for k in kids)
+        if isinstance(node, Seq) and kids[0][0] == 0:
+            bad += 1
+        return _valuation_step(node, [k[0] for k in kids], vals), bad
+
     problems = []
-
-    def scan(expr: Expr, lhs: str):
-        if isinstance(expr, Seq):
-            v = _valuation(expr.arg, vals)
-            if v == 0:
-                problems.append(f"{lhs}: Seq argument has nonzero constant term")
-            scan(expr.arg, lhs)
-        elif isinstance(expr, Sum):
-            for t in expr.terms:
-                scan(t, lhs)
-        elif isinstance(expr, Product):
-            for f in expr.factors:
-                scan(f, lhs)
-
-    for eq in spec.equations:
-        scan(eq.rhs, eq.lhs)
+    for eq, (_, bad) in zip(spec.equations, fold([eq.rhs for eq in spec.equations], visit)):
+        problems += [f"{eq.lhs}: Seq argument has nonzero constant term"] * bad
     return problems
 
 
@@ -171,26 +165,21 @@ def productivity_check(spec: Specification) -> ProductivityReport:
     return ProductivityReport(not unproductive and not problems, unproductive, problems)
 
 
-def _zero_lag_refs(expr: Expr, vals: dict) -> set:
-    """Symbols whose order-n coefficient feeds this expression's order n."""
-    if isinstance(expr, ClassRef):
-        return {expr.name}
-    if isinstance(expr, Sum):
-        out = set()
-        for t in expr.terms:
-            out |= _zero_lag_refs(t, vals)
-        return out
-    if isinstance(expr, Seq):
-        return _zero_lag_refs(expr.arg, vals)
-    if isinstance(expr, Product):
-        out = set()
-        fvals = [_valuation(f, vals) or 0 for f in expr.factors]
-        total = sum(fvals)
-        for i, f in enumerate(expr.factors):
-            if total - fvals[i] == 0:
-                out |= _zero_lag_refs(f, vals)
-        return out
-    return set()
+def _zero_lag_refs(exprs: list, vals: dict) -> list:
+    """Per expression, the symbols whose order-n coefficient feeds its order n."""
+
+    def visit(node, kids):
+        # (valuation, zero-lag references)
+        val = _valuation_step(node, [k[0] for k in kids], vals)
+        if isinstance(node, ClassRef):
+            return val, {node.name}
+        if isinstance(node, Product):
+            fvals = [k[0] or 0 for k in kids]
+            total = sum(fvals)
+            kids = [k for k, v in zip(kids, fvals) if total - v == 0]
+        return val, set().union(*(k[1] for k in kids))
+
+    return [refs for _, refs in fold(exprs, visit)]
 
 
 def _evaluation_order(spec: Specification, vals: dict) -> list:
@@ -200,27 +189,16 @@ def _evaluation_order(spec: Specification, vals: dict) -> list:
     the iteration below stabilizes within order+2 sweeps.  A zero-lag cycle
     means some coefficient depends on itself, i.e. a tautological system.
     """
-    deps = {eq.lhs: _zero_lag_refs(eq.rhs, vals) & set(spec.symbols) for eq in spec.equations}
+    symbols = set(spec.symbols)
+    refs = _zero_lag_refs([eq.rhs for eq in spec.equations], vals)
+    deps = {eq.lhs: sorted(r & symbols) for eq, r in zip(spec.equations, refs)}
     order = []
-    done = set()
-    temp = set()
-
-    def visit(name):
-        if name in done:
-            return
-        if name in temp:
-            raise EnumerationError(
-                f"non-productive system: {name!r} depends on itself at equal size"
-            )
-        temp.add(name)
-        for dep in sorted(deps[name]):
-            visit(dep)
-        temp.discard(name)
-        done.add(name)
-        order.append(name)
-
-    for name in spec.symbols:
-        visit(name)
+    try:
+        fold(spec.symbols, lambda name, kids: order.append(name), None, deps.__getitem__, None)
+    except CycleError as exc:
+        raise EnumerationError(
+            f"non-productive system: {exc.node!r} depends on itself at equal size"
+        ) from None
     return order
 
 
@@ -237,13 +215,13 @@ def _series_rounds(spec: Specification, order: int):
     if problems:
         raise EnumerationError("; ".join(problems))
 
-    sweep = _evaluation_order(spec, vals)
+    sweep = [(name, plan((spec.rhs(name),))[0]) for name in _evaluation_order(spec, vals)]
     env = {name: [0] * (order + 1) for name in spec.symbols}
     yield {name: list(series) for name, series in env.items()}
     for _ in range(order + 2):
         changed = False
-        for name in sweep:
-            new = _eval_expr(spec.rhs(name), env, order)
+        for name, steps in sweep:
+            new = _eval_expr(steps, env, order)
             if new != env[name]:
                 env[name] = new
                 changed = True

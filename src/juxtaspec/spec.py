@@ -9,6 +9,7 @@ the equations, never declared.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -16,6 +17,7 @@ from .expr import (
     ATOM_KINDS,
     AtomRef,
     ClassRef,
+    CycleError,
     E_EXPR,
     Expr,
     L_ATOMS,
@@ -26,17 +28,20 @@ from .expr import (
     Sum,
     Z_EXPR,
     ZeroExpr,
-    canonicalize,
-    contains_seq,
+    children,
+    evaluate,
+    plan,
     referenced_names,
-    substitute,
+    rewrite,
     terms,
-    walk,
 )
 
 SZ_NAME = "SZ"
 
 RESERVED_NAMES = frozenset(ATOM_KINDS) | {"Seq"}
+
+# The NAME rule of the DSL grammar: letter (letter | digit | "." | "_")*
+NAME = re.compile(r"[A-Za-z][A-Za-z0-9._]*")
 
 
 class TrackingError(SpecError):
@@ -89,16 +94,21 @@ class Specification:
 def make_spec(equations: Iterable[Equation], root: Optional[str] = None) -> Specification:
     """Canonicalize, validate and classify-track an equation system.
 
-    The SZ symbol is auto-injected when referenced but not defined; a
-    user-supplied SZ equation must match the reserved one.  The root defaults
-    to the first equation's left-hand side and its equation is moved first.
+    Equal subexpressions of all equations become one object.  The SZ symbol
+    is auto-injected when referenced but not defined; a user-supplied SZ
+    equation must match the reserved one.  The root defaults to the first
+    equation's left-hand side and its equation is moved first.
     """
-    eqs = [Equation(eq.lhs, canonicalize(eq.rhs)) for eq in equations]
+    equations = list(equations)
+    *rhs, sz_rhs = rewrite([eq.rhs for eq in equations] + [sz_equation().rhs])
+    eqs = [Equation(eq.lhs, expr) for eq, expr in zip(equations, rhs)]
     if not eqs:
         raise SpecError("specification has no equations")
 
     seen = set()
     for eq in eqs:
+        if not isinstance(eq.lhs, str) or not NAME.fullmatch(eq.lhs):
+            raise SpecError(f"invalid symbol name {eq.lhs!r}")
         if eq.lhs in RESERVED_NAMES:
             raise SpecError(f"{eq.lhs!r} is reserved and cannot be defined")
         if eq.lhs in seen:
@@ -107,13 +117,16 @@ def make_spec(equations: Iterable[Equation], root: Optional[str] = None) -> Spec
         if isinstance(eq.rhs, ZeroExpr):
             raise SpecError(f"{eq.lhs!r} defines an empty class; such equations are not representable")
 
+    # One plan of the whole system serves every check below.  The reserved
+    # SZ right-hand side is planned last, so the nodes reachable from the
+    # given equations are exactly the steps up to the last of their roots.
+    steps, position = plan([eq.rhs for eq in eqs] + [sz_rhs])
+    reachable = steps[: max(position[id(eq.rhs)] for eq in eqs) + 1]
+    used = {node.name for node, _ in reachable if isinstance(node, ClassRef)}
     defined = {eq.lhs for eq in eqs}
-    used = set()
-    for eq in eqs:
-        used |= referenced_names(eq.rhs)
     undefined = used - defined
     if SZ_NAME in undefined:
-        eqs.append(sz_equation())
+        eqs.append(Equation(SZ_NAME, sz_rhs))
         defined.add(SZ_NAME)
         undefined.discard(SZ_NAME)
     if undefined:
@@ -121,7 +134,7 @@ def make_spec(equations: Iterable[Equation], root: Optional[str] = None) -> Spec
         raise SpecError(f"undefined symbol(s): {missing}")
     if SZ_NAME in defined:
         given = next(eq.rhs for eq in eqs if eq.lhs == SZ_NAME)
-        if given != sz_equation().rhs:
+        if given != sz_rhs:
             raise SpecError(f"{SZ_NAME} is reserved and must equal E + {SZ_NAME} Z")
 
     if root is None:
@@ -130,80 +143,72 @@ def make_spec(equations: Iterable[Equation], root: Optional[str] = None) -> Spec
         raise SpecError(f"root symbol {root!r} has no equation")
     eqs.sort(key=lambda eq: 0 if eq.lhs == root else 1)
 
-    tracking = _infer_tracking(eqs)
-    _check_seq_arguments(eqs, tracking)
+    r_counts = _marker_fixpoint(eqs, steps, position, R_ATOMS, "rightmost")
+    l_counts = _marker_fixpoint(eqs, steps, position, L_ATOMS, "leftmost")
+    tracking = {
+        eq.lhs: TrackingKind(r_counts[eq.lhs] == 1, l_counts[eq.lhs] == 1) for eq in eqs
+    }
+    marks = evaluate(steps, marked_content(tracking))
+    for eq in eqs:
+        problem = marks[position[id(eq.rhs)]][1]
+        if problem:
+            raise SpecError(f"Seq argument in {eq.lhs!r}: {problem}")
     by_name = {eq.lhs: eq.rhs for eq in eqs}
     return Specification(tuple(eqs), root, tracking, by_name)
 
 
-def infer_tracking(spec: Specification) -> Mapping[str, TrackingKind]:
-    """Per-symbol marker tracking, as stored on the specification."""
-    return dict(spec.tracking)
-
-
-def _infer_tracking(eqs: Sequence[Equation]) -> dict:
-    r_counts = _marker_fixpoint(eqs, R_ATOMS, "rightmost")
-    l_counts = _marker_fixpoint(eqs, L_ATOMS, "leftmost")
-    return {
-        eq.lhs: TrackingKind(r_counts[eq.lhs] == 1, l_counts[eq.lhs] == 1)
-        for eq in eqs
-    }
-
-
-def _marker_fixpoint(eqs: Sequence[Equation], markers: frozenset, label: str) -> dict:
+def _marker_fixpoint(eqs, steps: list, position: dict, markers: frozenset, label: str) -> dict:
     """Least fixpoint of per-symbol marker counts, then exactness check.
 
     A term that is literally E describes the empty object and is exempt from
     the count (the empty permutation carries no markers); every other term of
-    a marker-carrying symbol must contain the marker exactly once.
+    a marker-carrying symbol must contain the marker exactly once.  Seq
+    content carries no markers.  Counts only grow, so iterating every
+    equation at once reaches the same least fixpoint as any other order.
     """
     counts = {eq.lhs: 0 for eq in eqs}
+    if not any(isinstance(node, AtomRef) and node.atom in markers for node, _ in steps):
+        return counts  # every count and every term is 0
+    roots = [(eq.lhs, position[id(eq.rhs)]) for eq in eqs]
 
-    def upper(expr: Expr) -> int:
-        if isinstance(expr, AtomRef):
-            return 1 if expr.atom in markers else 0
-        if isinstance(expr, ClassRef):
-            return counts[expr.name]
-        if isinstance(expr, Seq):
-            return 0
-        if isinstance(expr, Product):
-            return min(2, sum(upper(f) for f in expr.factors))
-        if isinstance(expr, Sum):
-            return max(upper(t) for t in expr.terms)
-        return 0  # Zero
+    def leaf(node) -> int:
+        if isinstance(node, AtomRef):
+            return 1 if node.atom in markers else 0
+        if isinstance(node, ClassRef):
+            return counts.get(node.name, 0)
+        return 0  # Zero, Seq
+
+    def upper(node, kids) -> int:
+        # an E term counts 0, which never raises the maximum of its equation
+        if isinstance(node, Product):
+            return min(2, sum(kids))
+        if isinstance(node, Sum):
+            return max(kids)
+        return leaf(node)
 
     for _ in range(2 * len(eqs) + 2):
-        changed = False
-        for eq in eqs:
-            top = [t for t in terms(eq.rhs) if t != E_EXPR]
-            value = max((upper(t) for t in top), default=0)
-            if value > counts[eq.lhs]:
-                counts[eq.lhs] = value
-                changed = True
-        if not changed:
+        values = evaluate(steps, upper)
+        grown = [(lhs, values[at]) for lhs, at in roots if values[at] > counts[lhs]]
+        if not grown:
             break
+        counts.update(grown)
 
-    def exact(expr: Expr) -> int:
-        if isinstance(expr, AtomRef):
-            return 1 if expr.atom in markers else 0
-        if isinstance(expr, ClassRef):
-            return counts[expr.name]
-        if isinstance(expr, Seq):
-            return 0
-        if isinstance(expr, Product):
-            return sum(exact(f) for f in expr.factors)
-        if isinstance(expr, Sum):
-            values = {exact(t) for t in expr.terms}
-            if len(values) > 1:
-                raise TrackingError(f"mixed {label}-marker counts inside a factor")
-            return values.pop()
-        return 0
+    def exact(node, kids) -> int:
+        # -1: a sum whose terms differ, or a product with one inside
+        if isinstance(node, Product):
+            return -1 if -1 in kids else sum(kids)
+        if isinstance(node, Sum):
+            return kids[0] if len(set(kids)) == 1 else -1
+        return leaf(node)
 
+    values = evaluate(steps, exact)
     for eq in eqs:
         for t in terms(eq.rhs):
             if t == E_EXPR:
                 continue
-            value = exact(t)
+            value = values[position[id(t)]]
+            if value < 0:
+                raise TrackingError(f"mixed {label}-marker counts inside a factor")
             if value > 1:
                 raise TrackingError(
                     f"term of {eq.lhs!r} carries the {label} marker more than once"
@@ -215,24 +220,29 @@ def _marker_fixpoint(eqs: Sequence[Equation], markers: frozenset, label: str) ->
     return counts
 
 
-def _check_seq_arguments(eqs: Sequence[Equation], tracking: dict) -> None:
-    for eq in eqs:
-        for node in walk(eq.rhs):
-            if isinstance(node, Seq):
-                _require_markerless(node.arg, tracking, f"Seq argument in {eq.lhs!r}")
+def marked_content(tracking: Mapping[str, TrackingKind]):
+    """Fold function: (first marked leaf, first Seq with marked content).
 
+    Both are error texts, found in preorder, or None.  Marked atoms and
+    classes that carry a marker can never appear inside Seq.
+    """
 
-def _require_markerless(expr: Expr, tracking: Mapping[str, TrackingKind], where: str) -> None:
-    """Marked atoms can never appear inside Seq: reject ZL/ZR/ZLR content."""
-    for node in walk(expr):
-        if isinstance(node, AtomRef) and node.atom in (R_ATOMS | L_ATOMS):
-            raise SpecError(f"{where}: marked atom {node.atom} cannot appear inside Seq")
+    def visit(node, kids):
+        if isinstance(node, AtomRef):
+            if node.atom in R_ATOMS | L_ATOMS:
+                return f"marked atom {node.atom} cannot appear inside Seq", None
+            return None, None
         if isinstance(node, ClassRef):
             kind = tracking.get(node.name, UNTRACKED)
             if kind.has_r or kind.has_l:
-                raise SpecError(
-                    f"{where}: class {node.name!r} carries a marker and cannot appear inside Seq"
-                )
+                return f"class {node.name!r} carries a marker and cannot appear inside Seq", None
+            return None, None
+        if isinstance(node, Seq):
+            return kids[0][0], kids[0][0]
+        marked = next((k[0] for k in kids if k[0]), None)
+        return marked, next((k[1] for k in kids if k[1]), None)
+
+    return visit
 
 
 @dataclass(frozen=True)
@@ -253,30 +263,24 @@ def classify(spec: Specification) -> Classification:
     """Constructor-restriction flags of the system.
 
     context-free: no Seq node anywhere (class references are fine).
-    regular: after replacing SZ by Seq(Z) and repeatedly inlining every
-    non-root symbol whose right-hand side is reference-free, the root's
-    equation uses atoms only.  Recursive symbols never inline, so genuinely
-    recursive systems are not regular.  Both flags may hold at once.
+    regular: no cycle of class references is reachable from the root, so
+    inlining every reachable symbol leaves an expression over atoms and Seq.
+    SZ counts as Seq(Z), a leaf, unless it is the root.  Both flags may hold
+    at once.
     """
-    context_free = not any(contains_seq(eq.rhs) for eq in spec.equations)
+    steps, _ = plan([eq.rhs for eq in spec.equations])
+    context_free = not any(isinstance(node, Seq) for node, _ in steps)
 
-    inlined = inline_seq(spec)
-    defs = {eq.lhs: eq.rhs for eq in inlined.equations}
-    for _ in range(len(defs)):
-        closed = {
-            name: rhs
-            for name, rhs in defs.items()
-            if name != inlined.root and not referenced_names(rhs)
-        }
-        if not closed:
-            break
-        replacements = {name: rhs for name, rhs in closed.items()}
-        defs = {
-            name: substitute(rhs, replacements)
-            for name, rhs in defs.items()
-            if name not in closed
-        }
-    regular = not referenced_names(defs[inlined.root])
+    def through_refs(node):
+        if isinstance(node, ClassRef) and (node.name != SZ_NAME or spec.root == SZ_NAME):
+            return (spec.rhs(node.name),)
+        return children(node)
+
+    try:
+        plan((spec.rhs(spec.root),), through_refs)
+        regular = True
+    except CycleError:
+        regular = False
     return Classification(regular=regular, context_free=context_free)
 
 
@@ -284,12 +288,13 @@ def inline_seq(spec: Specification) -> Specification:
     """Replace every SZ reference by Seq(Z) and drop the SZ equation."""
     if SZ_NAME not in spec._by_name or spec.root == SZ_NAME:
         return spec
-    replacement = {SZ_NAME: Seq(Z_EXPR)}
-    eqs = [
-        Equation(eq.lhs, substitute(eq.rhs, replacement))
-        for eq in spec.equations
-        if eq.lhs != SZ_NAME
-    ]
+    seq_z = Seq(Z_EXPR)
+
+    def leaf(node):
+        return seq_z if isinstance(node, ClassRef) and node.name == SZ_NAME else node
+
+    kept = [eq for eq in spec.equations if eq.lhs != SZ_NAME]
+    eqs = [Equation(eq.lhs, rhs) for eq, rhs in zip(kept, rewrite([eq.rhs for eq in kept], leaf))]
     return make_spec(eqs, root=spec.root)
 
 

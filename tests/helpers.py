@@ -1,9 +1,10 @@
 """Independent instruments for the test suite.
 
-Everything here is deliberately written without reusing the library's series
-evaluator: a bivariate marker-counting enumerator (plain Jacobi iteration
+Everything here is deliberately written without reusing the library's
+traversals: a bivariate marker-counting enumerator (plain Jacobi iteration
 over polynomials in a marker variable), an exact rational-series expander,
-and the geometric substitution z -> z/(1-z) via binomial coefficients.
+the geometric substitution z -> z/(1-z) via binomial coefficients, and a
+regularity check by repeated substitution.
 """
 
 from __future__ import annotations
@@ -190,3 +191,61 @@ def random_markerless_spec(rng: random.Random, n_symbols=3, depth=3):
         eqs.append(Equation(name, Sum((AtomRef("Z"), body))))
     eqs.reverse()
     return make_spec(eqs, root=names[-1])
+
+
+def random_recursive_spec(rng: random.Random, n_symbols=4, depth=3):
+    """A random, valid, untracked specification whose equations may reference
+    any symbol, themselves and SZ included (used to cross-check classify)."""
+    from juxtaspec.spec import Equation, make_spec
+
+    names = [f"R{i}" for i in range(n_symbols)]
+    eqs = [
+        Equation(name, random_expr(rng, names + ["SZ"], depth, allow_marks=False))
+        for name in names
+    ]
+    return make_spec(eqs, root=names[0])
+
+
+# ---------------------------------------------------------------------------
+# regularity by repeated substitution
+
+
+def _refs(expr):
+    if isinstance(expr, ClassRef):
+        return {expr.name}
+    if isinstance(expr, Sum):
+        return set().union(*map(_refs, expr.terms))
+    if isinstance(expr, Product):
+        return set().union(*map(_refs, expr.factors))
+    if isinstance(expr, Seq):
+        return _refs(expr.arg)
+    return set()
+
+
+def _substitute(expr, replacements):
+    if isinstance(expr, ClassRef):
+        return replacements.get(expr.name, expr)
+    if isinstance(expr, Sum):
+        return Sum(tuple(_substitute(t, replacements) for t in expr.terms))
+    if isinstance(expr, Product):
+        return Product(tuple(_substitute(f, replacements) for f in expr.factors))
+    if isinstance(expr, Seq):
+        return Seq(_substitute(expr.arg, replacements))
+    return expr
+
+
+def regular_by_inlining(spec):
+    """True when the root becomes reference-free after replacing SZ by Seq(Z)
+    (unless SZ is the root) and repeatedly inlining every non-root symbol
+    whose right-hand side is reference-free.  Recursive symbols never inline.
+    """
+    defs = {eq.lhs: eq.rhs for eq in spec.equations}
+    if "SZ" in defs and spec.root != "SZ":
+        seq_z = Seq(AtomRef("Z"))
+        defs = {n: _substitute(r, {"SZ": seq_z}) for n, r in defs.items() if n != "SZ"}
+    for _ in range(len(defs)):
+        closed = {n: r for n, r in defs.items() if n != spec.root and not _refs(r)}
+        if not closed:
+            break
+        defs = {n: _substitute(r, closed) for n, r in defs.items() if n not in closed}
+    return not _refs(defs[spec.root])

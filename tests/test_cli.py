@@ -1,3 +1,5 @@
+import json
+
 from juxtaspec.builtins import builtin_spec
 from juxtaspec.cli import main
 from juxtaspec.dsl import parse_spec, render_spec
@@ -168,3 +170,34 @@ def test_json_spec_input(tmp_path, capsys):
 
 def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_json_name_outside_the_dsl_grammar_rejected(tmp_path, capsys):
+    # the reverse of this spec would render "A B = ..." which no parser reads
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "root": "A B",
+        "equations": [{"lhs": "A B", "rhs": {"kind": "atom", "name": "ZR"}}],
+    }))
+    code, out, err = run(capsys, "reverse", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "'A B'" in err
+
+
+def test_deeply_nested_dsl_rejected(tmp_path, capsys):
+    path = tmp_path / "deep.txt"
+    path.write_text("A = " + "(" * 3000 + "Z" + ")" * 3000 + "\n")
+    code, _, err = run(capsys, "enumerate", "--spec", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "nested too deeply" in err
+
+
+def test_deeply_nested_json_rejected(tmp_path, capsys):
+    z = '{"kind": "atom", "name": "Z"}'
+    rhs = '{"kind": "product", "factors": [%s, ' % z * 3000 + z + "]}" * 3000
+    path = tmp_path / "deep.json"
+    path.write_text('{"root": "A", "equations": [{"lhs": "A", "rhs": %s}]}' % rhs)
+    code, _, err = run(capsys, "enumerate", "--spec", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "nested too deeply" in err

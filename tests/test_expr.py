@@ -1,6 +1,13 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import juxtaspec
 
 from juxtaspec.expr import (
     AtomRef,
@@ -14,10 +21,9 @@ from juxtaspec.expr import (
     ZERO,
     canonicalize,
     factors,
-    map_atoms,
-    substitute,
+    nodes,
+    rewrite,
     terms,
-    walk,
 )
 from helpers import random_expr
 
@@ -59,7 +65,7 @@ def test_product_order_preserved():
 
 
 def _well_formed(expr):
-    for node in walk(expr):
+    for node in nodes(expr):
         if isinstance(node, Sum):
             assert len(node.terms) >= 2
             assert not any(isinstance(t, (Sum,)) for t in node.terms)
@@ -81,16 +87,24 @@ def test_canonicalize_idempotent_and_well_formed():
             _well_formed(c)
 
 
-def test_substitute_replaces_and_canonicalizes():
+def test_rewrite_replaces_refs_and_canonicalizes():
     e = Product((ClassRef("A"), Z_EXPR))
-    assert substitute(e, {"A": E_EXPR}) == Z_EXPR
-    assert substitute(e, {"A": ZERO}) == ZERO
+
+    def to(replacement):
+        return lambda node: replacement if node == ClassRef("A") else node
+
+    assert rewrite([e, e], to(E_EXPR)) == [Z_EXPR, Z_EXPR]
+    assert rewrite([e], to(ZERO)) == [ZERO]
 
 
-def test_map_atoms():
+def test_rewrite_maps_atoms():
     e = Product((AtomRef("ZL"), AtomRef("ZLR"), Z_EXPR))
-    out = map_atoms(e, {"ZL": "Z", "ZLR": "ZR"})
-    assert out == Product((Z_EXPR, AtomRef("ZR"), Z_EXPR))
+    mapping = {"ZL": "Z", "ZLR": "ZR"}
+
+    def rename(node):
+        return AtomRef(mapping.get(node.atom, node.atom)) if isinstance(node, AtomRef) else node
+
+    assert rewrite([e], rename) == [Product((Z_EXPR, AtomRef("ZR"), Z_EXPR))]
 
 
 def test_terms_and_factors_of_non_compound():
@@ -101,3 +115,20 @@ def test_terms_and_factors_of_non_compound():
 def test_unknown_atom_rejected():
     with pytest.raises(SpecError):
         AtomRef("Q")
+
+
+def test_unpickled_node_equals_a_fresh_one_in_another_process(tmp_path):
+    # hashes differ between processes, so a node must not carry its hash over
+    expr = canonicalize(Sum((Z_EXPR, Product((ClassRef("A"), Seq(Z_EXPR))))))
+    path = tmp_path / "expr.pickle"
+    path.write_bytes(pickle.dumps(expr))
+    check = (
+        "import pickle, sys\n"
+        "from juxtaspec.expr import ClassRef, Product, Seq, Sum, Z_EXPR\n"
+        f"loaded = pickle.loads(open({str(path)!r}, 'rb').read())\n"
+        "fresh = Sum((Z_EXPR, Product((ClassRef('A'), Seq(Z_EXPR)))))\n"
+        "sys.exit(0 if loaded == fresh and {loaded: 1}.get(fresh) == 1 else 1)\n"
+    )
+    src = str(Path(juxtaspec.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="12345")
+    assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0

@@ -4,13 +4,11 @@ from juxtaspec.builtins import BUILTIN_BASES, builtin_names, builtin_spec
 from juxtaspec.dsl import parse_spec, render_expr
 from juxtaspec.expr import SpecError
 from juxtaspec.juxtapose import (
-    JuxtaRequest,
     TRACK_BOTH,
     TRACK_NONE,
     TRACK_RIGHT,
     build_grid,
     juxtapose,
-    juxtapose_request,
     juxtapose_right_inc,
     parse_grid_pattern,
 )
@@ -159,12 +157,6 @@ def test_every_builtin_juxtaposition_matches_oracle():
                 out = juxtapose(spec, side, direction, TRACK_NONE)
                 oracle = [count_class(cells, n) for n in range(7)]
                 assert count_series(out, 6) == oracle, (name, side, direction)
-
-
-def test_juxtapose_request_wrapper():
-    spec = builtin_spec("monotone")
-    request = JuxtaRequest("right", "inc", TRACK_NONE)
-    assert juxtapose_request(spec, request) == juxtapose(spec, "right", "inc", TRACK_NONE)
 
 
 def test_symmetry_consistency_without_oracle():

@@ -4,13 +4,13 @@ from juxtaspec.builtins import builtin_names, builtin_spec
 from juxtaspec.dsl import parse_spec
 from juxtaspec.expr import L_ATOMS, R_ATOMS
 from juxtaspec.juxtapose import juxtapose
-from juxtaspec.spec import TrackingError, infer_tracking
+from juxtaspec.spec import TrackingError
 from helpers import marker_series
 
 
 def test_av321_classic_pair():
     spec = parse_spec("C.R = C C.R Z + C ZR\nC = E + C C Z\n")
-    tracking = infer_tracking(spec)
+    tracking = spec.tracking
     assert (tracking["C.R"].has_r, tracking["C.R"].has_l) == (True, False)
     assert (tracking["C"].has_r, tracking["C"].has_l) == (False, False)
 
