@@ -36,11 +36,13 @@ class SpecError(Exception):
 
 
 class CycleError(SpecError):
-    """A fold reached a node that depends on itself."""
+    """A fold reached a node that depends on itself; ``cycle`` lists the
+    nodes of that cycle, starting with ``node``."""
 
-    def __init__(self, node):
+    def __init__(self, node, cycle=()):
         super().__init__(f"cycle through {node!r}")
         self.node = node
+        self.cycle = cycle
 
 
 class Expr:
@@ -86,6 +88,24 @@ class ClassRef(Expr):
 # in the process that computed it, so unpickling rebuilds the node.
 
 
+def _equal(a, b) -> bool:
+    """Structural equality of two expressions, iteratively: depth is bounded
+    by memory only, and each pair of shared nodes is compared once."""
+    stack, done = [(a, b)], set()
+    while stack:
+        x, y = stack.pop()
+        if x is y or (id(x), id(y)) in done:
+            continue
+        if type(x) is not type(y) or hash(x) != hash(y):
+            return False
+        kx, ky = children(x), children(y)
+        if (not kx and x != y) or len(kx) != len(ky):
+            return False
+        done.add((id(x), id(y)))
+        stack.extend(zip(kx, ky))
+    return True
+
+
 @dataclass(frozen=True)
 class Product(Expr):
     _hash: int = field(init=False, repr=False)
@@ -95,6 +115,7 @@ class Product(Expr):
         object.__setattr__(self, "_hash", hash((Product, self.factors)))
 
     __hash__ = Expr.__hash__
+    __eq__ = _equal
 
     def __reduce__(self):
         return Product, (self.factors,)
@@ -112,6 +133,7 @@ class Sum(Expr):
         object.__setattr__(self, "_hash", hash((Sum, self.terms)))
 
     __hash__ = Expr.__hash__
+    __eq__ = _equal
 
     def __reduce__(self):
         return Sum, (self.terms,)
@@ -129,6 +151,7 @@ class Seq(Expr):
         object.__setattr__(self, "_hash", hash((Seq, self.arg)))
 
     __hash__ = Expr.__hash__
+    __eq__ = _equal
 
     def __reduce__(self):
         return Seq, (self.arg,)
@@ -177,7 +200,10 @@ def plan(roots, children=children, known=(), key=id) -> tuple:
             seen = position.get(key(node), stack)  # the stack itself means "not seen"
             if seen is not stack:
                 if seen is _PENDING:
-                    raise CycleError(node)
+                    # the nodes still being expanded are the path to this one
+                    path = [stack[i - 2] for i, item in enumerate(stack) if item is _FINISH]
+                    keys = [key(p) for p in path]
+                    raise CycleError(node, path[keys.index(key(node)):])
                 continue
             if node in known:
                 position[key(node)] = len(steps)

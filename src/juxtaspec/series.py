@@ -1,13 +1,18 @@
-"""Exact counting sequences by truncated power-series fixpoint iteration.
+"""Exact counting sequences, computed online one coefficient at a time.
 
-Every atom contributes z (E contributes 1), Seq(A) contributes 1/(1-A), and
-the equation system is iterated from zero until stable.  Coefficients are
-Python integers, so arbitrarily large counts are exact.
+Every atom contributes z (E contributes 1), a product the product of its
+factors' series, and Seq(A) contributes 1/(1-A).  The equation system is
+planned once into a flat schedule of cells; coefficient n of every cell is
+then computed, exactly once, from coefficients already settled, before any
+coefficient n + 1.  Products convolve only between the factors'
+valuations, so the cost is O(order²) big-integer products per cell.
+Coefficients are Python integers, so arbitrarily large counts are exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import List, Optional, Sequence
 
 from .expr import (
@@ -35,64 +40,6 @@ class EnumerationError(SpecError):
     """The system cannot be enumerated (unproductive or ill-formed)."""
 
 
-def _poly_add(a: Series, b: Series) -> Series:
-    return [x + y for x, y in zip(a, b)]
-
-
-def _poly_mul(a: Series, b: Series, order: int) -> Series:
-    out = [0] * (order + 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        top = order - i
-        for j, bj in enumerate(b[: top + 1]):
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
-def _poly_seq(a: Series, order: int) -> Series:
-    """1/(1-a) truncated; requires a[0] == 0."""
-    if a[0] != 0:
-        raise EnumerationError("Seq argument has a nonzero constant term")
-    out = [0] * (order + 1)
-    out[0] = 1
-    for n in range(1, order + 1):
-        out[n] = sum(a[j] * out[n - j] for j in range(1, n + 1))
-    return out
-
-
-def _eval_expr(steps: list, env: dict, order: int) -> Series:
-    """Truncated series of a planned expression; env holds the symbols' series."""
-
-    def visit(node, kids):
-        if isinstance(node, ClassRef):
-            return env[node.name]
-        if isinstance(node, Sum):
-            out = [0] * (order + 1)
-            for kid in kids:
-                out = _poly_add(out, kid)
-            return out
-        if isinstance(node, Product):
-            out = kids[0]
-            for kid in kids[1:]:
-                out = _poly_mul(out, kid, order)
-            return out
-        if isinstance(node, Seq):
-            return _poly_seq(kids[0], order)
-        out = [0] * (order + 1)
-        if isinstance(node, AtomRef):
-            if node.atom == EMPTY:
-                out[0] = 1
-            elif order >= 1:
-                out[1] = 1
-        elif not isinstance(node, ZeroExpr):
-            raise SpecError(f"not an expression: {node!r}")
-        return out
-
-    return evaluate(steps, visit)[-1]
-
-
 def _valuation_step(node, kids: list, vals: dict) -> Optional[int]:
     """Minimal object size of a node given its children's, None while unresolved."""
     if isinstance(node, AtomRef):
@@ -109,21 +56,32 @@ def _valuation_step(node, kids: list, vals: dict) -> Optional[int]:
 
 
 def _valuations(spec: Specification) -> dict:
+    """Each symbol's minimal object size, None if it has no objects.
+
+    One pass evaluates every distinct node once and lowers a symbol's value
+    as soon as its right-hand side is evaluated; passes repeat until none
+    changes, at most once per symbol plus one.
+    """
     vals = {name: _UNKNOWN for name in spec.symbols}
+    owners = {}  # right-hand side -> the symbols it defines
+    for eq in spec.equations:
+        owners.setdefault(id(eq.rhs), []).append(eq.lhs)
+    changed = True
 
     def visit(node, kids):
-        return _valuation_step(node, kids, vals)
+        nonlocal changed
+        v = _valuation_step(node, kids, vals)
+        for lhs in owners.get(id(node), ()) if v is not None else ():
+            if vals[lhs] is None or v < vals[lhs]:
+                vals[lhs], changed = v, True
+        return v
 
-    steps = [(eq.lhs, plan((eq.rhs,))[0]) for eq in spec.equations]
+    steps, _ = plan([eq.rhs for eq in spec.equations])
     for _ in range(len(vals) + 1):
-        changed = False
-        for lhs, eq_steps in steps:
-            v = evaluate(eq_steps, visit)[-1]
-            if v is not None and (vals[lhs] is None or v < vals[lhs]):
-                vals[lhs] = v
-                changed = True
         if not changed:
             break
+        changed = False
+        evaluate(steps, visit)
     return vals
 
 
@@ -165,45 +123,88 @@ def productivity_check(spec: Specification) -> ProductivityReport:
     return ProductivityReport(not unproductive and not problems, unproductive, problems)
 
 
-def _zero_lag_refs(exprs: list, vals: dict) -> list:
-    """Per expression, the symbols whose order-n coefficient feeds its order n."""
-
-    def visit(node, kids):
-        # (valuation, zero-lag references)
-        val = _valuation_step(node, [k[0] for k in kids], vals)
-        if isinstance(node, ClassRef):
-            return val, {node.name}
-        if isinstance(node, Product):
-            fvals = [k[0] or 0 for k in kids]
-            total = sum(fvals)
-            kids = [k for k, v in zip(kids, fvals) if total - v == 0]
-        return val, set().union(*(k[1] for k in kids))
-
-    return [refs for _, refs in fold(exprs, visit)]
+_SUM, _PRODUCT, _SEQ = "sum", "product", "seq"
 
 
-def _evaluation_order(spec: Specification, vals: dict) -> list:
-    """Topological order on the zero-lag dependency graph.
+def _schedule(spec: Specification, vals: dict, order: int) -> tuple:
+    """The system as a flat list of cells in zero-lag topological order.
 
-    With this order one full sweep settles one further coefficient order, so
-    the iteration below stabilizes within order+2 sweeps.  A zero-lag cycle
-    means some coefficient depends on itself, i.e. a tautological system.
+    A cell is a symbol, a distinct node, or a binary partial product: a
+    product of k factors is the left fold of k - 1 of them, and equal
+    prefixes share their cells.  Coefficient n of a cell reads coefficient n
+    of another only along a zero-lag edge: a symbol reads its right-hand
+    side, a Sum its terms, a Seq its argument, and L·R reads L when
+    val(R) = 0 and R when val(L) = 0.  So running the cells in this order
+    settles index n of every one before index n + 1.  Partial products need
+    cells of their own: in C = E + C C Z the full product reads C only below
+    n, but C·C reads C[n].  A zero-lag cycle is a coefficient that depends on
+    itself, i.e. a tautological system.
+
+    Returns the root's series and the steps ``(op, out, a, b, va, vb)`` that
+    append one coefficient to ``out`` per index; atoms are filled in full.
     """
-    symbols = set(spec.symbols)
-    refs = _zero_lag_refs([eq.rhs for eq in spec.equations], vals)
-    deps = {eq.lhs: sorted(r & symbols) for eq, r in zip(spec.equations, refs)}
-    order = []
+    symbols = spec.symbols
+    index = {name: i for i, name in enumerate(symbols)}
+    steps, position = plan([spec.rhs(name) for name in symbols])
+    # per cell: [operation, operand cells, valuation, zero-lag operands, series]
+    cells = [[None, None, vals[name], None, None] for name in symbols]
+    at, pairs = [], {}  # the cell of each plan step; binary products by operands
+
+    def cell(op, operands, v, zero_lag):
+        # an atom's series is 1 at its size; Zero has no size (v is None)
+        constant = isinstance(op, (AtomRef, ZeroExpr))
+        out = [int(n == v) for n in range(order + 1)] if constant else []
+        cells.append([op, operands, v, zero_lag, out])
+        return len(cells) - 1
+
+    for node, kids in steps:
+        kids = [at[k] for k in kids]
+        if isinstance(node, ClassRef):
+            at.append(index[node.name])
+        elif isinstance(node, Product):
+            left = kids[0]
+            for right in kids[1:]:
+                vl, vr = cells[left][2], cells[right][2]
+                if (left, right) not in pairs:
+                    zero_lag = [c for c, v in ((left, vr), (right, vl)) if v == 0]
+                    pairs[left, right] = cell(_PRODUCT, (left, right), vl + vr, zero_lag)
+                left = pairs[left, right]
+            at.append(left)
+        else:
+            op = _SUM if isinstance(node, Sum) else _SEQ if isinstance(node, Seq) else node
+            at.append(cell(op, kids, _valuation_step(node, [cells[k][2] for k in kids], vals), kids))
+    for i, name in enumerate(symbols):
+        cells[i][3] = [at[position[id(spec.rhs(name))]]]
     try:
-        fold(spec.symbols, lambda name, kids: order.append(name), None, deps.__getitem__, None)
+        ordered = [c for c, _ in plan(range(len(cells)), lambda c: cells[c][3], key=None)[0]]
     except CycleError as exc:
+        name = next(symbols[c] for c in exc.cycle if c < len(symbols))
         raise EnumerationError(
-            f"non-productive system: {exc.node!r} depends on itself at equal size"
+            f"non-productive system: {name!r} depends on itself at equal size"
         ) from None
-    return order
+
+    for c in ordered:
+        if c < len(symbols):
+            cells[c][4] = cells[cells[c][3][0]][4]  # a symbol aliases its right-hand side
+    schedule = []
+    for c in ordered:
+        op, operands, _, _, out = cells[c]
+        if op is _SUM:
+            schedule.append((op, out, [cells[k][4] for k in operands], None, 0, 0))
+        elif op is _PRODUCT or op is _SEQ:
+            a, b = cells[operands[0]], cells[operands[1] if op is _PRODUCT else c]
+            schedule.append((op, out, a[4], b[4], a[2], b[2]))
+    return cells[index[spec.root]][4], schedule
 
 
-def _series_rounds(spec: Specification, order: int):
-    """Yield successive per-symbol snapshots of the fixpoint iteration."""
+def count_series(spec: Specification, order: int) -> Series:
+    """Exact coefficients 0..order of the root's counting sequence.
+
+    Raises :class:`EnumerationError` for an unproductive or tautological
+    system and for a Seq whose argument contains the empty object.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
     vals = _valuations(spec)
     unproductive = [name for name in spec.symbols if vals[name] is None]
     if unproductive:
@@ -215,30 +216,21 @@ def _series_rounds(spec: Specification, order: int):
     if problems:
         raise EnumerationError("; ".join(problems))
 
-    sweep = [(name, plan((spec.rhs(name),))[0]) for name in _evaluation_order(spec, vals)]
-    env = {name: [0] * (order + 1) for name in spec.symbols}
-    yield {name: list(series) for name, series in env.items()}
-    for _ in range(order + 2):
-        changed = False
-        for name, steps in sweep:
-            new = _eval_expr(steps, env, order)
-            if new != env[name]:
-                env[name] = new
-                changed = True
-        yield {name: list(series) for name, series in env.items()}
-        if not changed:
-            return
-    raise EnumerationError(f"series did not stabilize within {order + 2} sweeps")
-
-
-def count_series(spec: Specification, order: int) -> Series:
-    """Exact coefficients 0..order of the root's counting sequence."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    snapshot = None
-    for snapshot in _series_rounds(spec, order):
-        pass
-    return snapshot[spec.root]
+    root, schedule = _schedule(spec, vals, order)
+    for n in range(order + 1):
+        for op, out, a, b, va, vb in schedule:
+            if op is _PRODUCT:
+                # sum of a[i] b[n - i] over va <= i <= n - vb; none below va + vb
+                out.append(
+                    sum(map(mul, a[va : n - vb + 1], reversed(b[vb : n - va + 1])))
+                    if n >= va + vb
+                    else 0
+                )
+            elif op is _SUM:
+                out.append(sum([t[n] for t in a]))
+            else:  # Seq: s[n] = sum of a[j] s[n - j] over j >= va >= 1
+                out.append(sum(map(mul, a[va : n + 1], reversed(b[: n - va + 1]))) if n else 1)
+    return root[: order + 1]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from pathlib import Path
 
 from juxtaspec.expr import (
     AtomRef,
@@ -111,6 +113,11 @@ def marker_series(spec, order, marked_atoms):
             return env[spec.root]
         env = new_env
     raise AssertionError("bivariate iteration did not stabilize")
+
+
+def marker_totals(spec, order):
+    """Counting sequence of the root by the bivariate enumerator."""
+    return [sum(bucket.values()) for bucket in marker_series(spec, order, frozenset())]
 
 
 # ---------------------------------------------------------------------------
@@ -249,3 +256,50 @@ def regular_by_inlining(spec):
             break
         defs = {n: _substitute(r, closed) for n, r in defs.items() if n not in closed}
     return not _refs(defs[spec.root])
+
+
+# ---------------------------------------------------------------------------
+# the specifications the library builds
+
+
+def _workloads():
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    from workloads import WORKLOADS
+
+    return WORKLOADS
+
+
+def library_specs():
+    """The 4 builtins, the 32 catalog juxtapositions the library accepts and
+    the 12 grids of the benchmark workloads (perfbench/workloads.py)."""
+    from juxtaspec.builtins import builtin_names, builtin_spec
+    from juxtaspec.expr import SpecError
+    from juxtaspec.juxtapose import build_grid, juxtapose
+
+    specs = [builtin_spec(name) for name in builtin_names()]
+    for name in builtin_names():
+        for side in ("left", "right"):
+            for direction in ("inc", "dec"):
+                for track in ("none", "right", "both"):
+                    try:
+                        specs.append(juxtapose(builtin_spec(name), side, direction, track))
+                    except SpecError:
+                        pass
+    for workload in _workloads().values():
+        for session in workload.sessions:
+            if session.build[0] == "grid":
+                specs.append(build_grid(builtin_spec(session.core), session.build[1]))
+    return specs
+
+
+def deep_series_specs():
+    """The four juxtapositions of the benchmark's deep-series workload."""
+    from juxtaspec.builtins import builtin_spec
+    from juxtaspec.juxtapose import juxtapose
+
+    return [
+        juxtapose(builtin_spec(session.core), *session.build[1:])
+        for session in _workloads()["deep-series"].sessions
+    ]

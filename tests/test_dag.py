@@ -2,30 +2,29 @@
 long expressions, and classify against an independent instrument."""
 
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
-from juxtaspec.builtins import builtin_names, builtin_spec
+from juxtaspec.builtins import builtin_spec
 from juxtaspec.dsl import parse_spec, render_spec
 from juxtaspec.expr import (
     ClassRef,
     Product,
     Seq,
-    SpecError,
     Sum,
     Z_EXPR,
     fold,
 )
-from juxtaspec.juxtapose import build_grid, juxtapose
+from juxtaspec.juxtapose import build_grid
 from juxtaspec.operators import apply_expr, complement
 from juxtaspec.series import count_series
 from juxtaspec.spec import Equation, classify, make_spec
-from helpers import random_markerless_spec, random_recursive_spec, regular_by_inlining
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from workloads import WORKLOADS  # noqa: E402
+from helpers import (
+    library_specs,
+    random_markerless_spec,
+    random_recursive_spec,
+    regular_by_inlining,
+)
 
 
 def _kids(node):
@@ -92,6 +91,10 @@ def test_deep_nesting_through_the_pipeline():
     assert text.count("Seq(") == depth
     flipped = complement(spec)
     assert render_spec(flipped).startswith("A = Z + Seq(Z + Seq(")
+    # structural equality of separately built deep expressions is iterative
+    assert complement(flipped) == spec
+    assert flipped.equations[0].rhs == complement(spec).equations[0].rhs
+    assert flipped != spec
     flags = classify(spec)
     assert flags.regular and not flags.context_free
     assert count_series(spec, 6) == _deep_series(depth, 6)
@@ -103,28 +106,8 @@ def test_long_product_under_an_operator():
     assert image.factors == (ClassRef("SZ"), Z_EXPR) * 5000
 
 
-def _catalog_specs():
-    for name in builtin_names():
-        for side in ("left", "right"):
-            for direction in ("inc", "dec"):
-                for track in ("none", "right", "both"):
-                    try:
-                        yield juxtapose(builtin_spec(name), side, direction, track)
-                    except SpecError:
-                        pass
-
-
-def _benchmark_grids():
-    for workload in WORKLOADS.values():
-        for session in workload.sessions:
-            if session.build[0] == "grid":
-                yield build_grid(builtin_spec(session.core), session.build[1])
-
-
 def test_classify_matches_inlining_on_library_specs():
-    specs = [builtin_spec(name) for name in builtin_names()]
-    specs += list(_catalog_specs())
-    specs += list(_benchmark_grids())
+    specs = library_specs()
     assert len(specs) == 4 + 32 + 12
     for spec in specs:
         assert classify(spec).regular == regular_by_inlining(spec), render_spec(spec)

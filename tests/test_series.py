@@ -1,16 +1,19 @@
+import math
+
 import pytest
 
 from juxtaspec.builtins import builtin_names, builtin_spec
 from juxtaspec.dsl import parse_spec, spec_from_dict, spec_to_dict
+from juxtaspec.juxtapose import juxtapose
 from juxtaspec.series import (
     EnumerationError,
     compare_series,
     count_series,
     format_series,
     productivity_check,
-    _series_rounds,
 )
 from juxtaspec.spec import make_spec, sz_equation
+from helpers import deep_series_specs, library_specs, marker_totals
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
 
@@ -47,14 +50,45 @@ def test_truncation_coherence():
 
 
 def test_monotone_convergence():
-    # once an order settles it never changes in a later sweep
-    spec = builtin_spec("separable")
-    rounds = list(_series_rounds(spec, 8))
-    final = rounds[-1][spec.root]
-    for k, snapshot in enumerate(rounds):
-        got = snapshot[spec.root]
-        prefix = max(0, k - 1)
-        assert got[:prefix] == final[:prefix]
+    # a settled coefficient never changes: asking for more terms only appends
+    specs = [builtin_spec(name) for name in builtin_names()] + deep_series_specs()
+    assert len(specs) == 8
+    for spec in specs:
+        full = count_series(spec, 30)
+        for k in range(31):
+            assert count_series(spec, k) == full[: k + 1]
+
+
+def _catalan(order):
+    return [math.comb(2 * n, n) // (n + 1) for n in range(order + 1)]
+
+
+@pytest.mark.parametrize("rhs", ("E + C C Z", "E + Z C C", "E + C Z C"))
+def test_partial_products_at_high_order(rhs):
+    # C·C reads C at the same index although the full product does not:
+    # ordering by symbols alone would read a coefficient before it is set
+    assert count_series(parse_spec(f"C = {rhs}\n"), 300) == _catalan(300)
+
+
+def test_closed_forms_at_high_order():
+    assert count_series(builtin_spec("av321"), 300) == _catalan(300)
+    assert count_series(builtin_spec("av312"), 300) == _catalan(300)
+    for track in ("right", "both"):
+        spec = juxtapose(builtin_spec("monotone"), "right", "inc", track)
+        assert count_series(spec, 400) == [2**n - n for n in range(401)]
+    # separable: large Schröder numbers, (n + 1) S(n) = 3 (2n - 1) S(n-1) - (n - 2) S(n-2)
+    schroeder = [1, 2]
+    for n in range(2, 200):
+        schroeder.append((3 * (2 * n - 1) * schroeder[-1] - (n - 2) * schroeder[-2]) // (n + 1))
+    assert count_series(builtin_spec("separable"), 200) == [1] + schroeder
+
+
+def test_series_matches_marker_series_on_library_specs():
+    specs = library_specs()
+    assert len(specs) == 4 + 32 + 12
+    for i, spec in enumerate(specs):
+        order = 12 if i < 4 + 32 else 8  # the grids' trees make marker_series slow
+        assert count_series(spec, order) == marker_totals(spec, order), i
 
 
 def test_atom_marks_do_not_affect_counting():
