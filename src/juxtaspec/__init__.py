@@ -1,5 +1,5 @@
 """juxtaspec: specifications of permutation classes, their monotone
-juxtapositions, exact enumeration, and a brute-force oracle.
+juxtapositions, exact enumeration, and a permutation-counting oracle.
 
 All values are immutable after construction and every operation is a pure
 function, so the library is safe for concurrent use.

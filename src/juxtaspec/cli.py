@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="report constructor-restriction flags")
     _add_spec_source(p)
 
-    p = sub.add_parser("verify", help="compare a specification against the brute-force oracle")
+    p = sub.add_parser("verify", help="compare a specification against the oracle's counts")
     _add_spec_source(p)
     p.add_argument("--cells", required=True,
                    help="cell list such as 'basis:2413,3142 | inc'")

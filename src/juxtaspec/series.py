@@ -116,11 +116,17 @@ class ProductivityReport:
 
 
 def productivity_check(spec: Specification) -> ProductivityReport:
-    """Diagnose symbols whose minimal size never resolves and bad Seq uses."""
+    """Diagnose symbols whose minimal size never resolves, bad Seq uses and
+    symbols that depend on themselves at equal size (a tautological system)."""
     vals = _valuations(spec)
     unproductive = tuple(name for name in spec.symbols if vals[name] is None)
-    problems = tuple(_seq_argument_problems(spec, vals))
-    return ProductivityReport(not unproductive and not problems, unproductive, problems)
+    problems = _seq_argument_problems(spec, vals)
+    if not unproductive:
+        try:
+            _schedule(spec, vals, 0)
+        except EnumerationError as exc:
+            problems.append(str(exc))
+    return ProductivityReport(not unproductive and not problems, unproductive, tuple(problems))
 
 
 _SUM, _PRODUCT, _SEQ = "sum", "product", "seq"

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from juxtaspec.oracle import (
@@ -66,6 +68,34 @@ def test_count_class_small_sizes():
     assert count_class([B321, INC], 0) == 1
     assert count_class([B321, INC], 1) == 1
     assert count_class([INC, INC], 6) == 2**6 - 6
+
+
+# the four rows of the benchmark's oracle workload, then edge cases: cells
+# that reject every nonempty block, one cell, two basis cells and four cells
+CROSS_CHECK_ROWS = [
+    ("basis:321 | inc", 7),
+    ("basis:2413,3142 | inc", 7),
+    ("inc | basis:321 | dec", 7),
+    ("inc | basis:12 | inc", 7),
+    ("basis:1 | inc", 7),
+    ("inc | basis:1", 7),
+    ("basis:321", 7),
+    ("basis:132 | basis:231", 7),
+    ("inc | dec | inc | dec", 6),
+]
+
+
+@pytest.mark.parametrize("row, max_n", CROSS_CHECK_ROWS)
+def test_count_class_matches_exhaustive_membership(row, max_n):
+    cells = parse_cells(row)
+    for n in range(max_n + 1):
+        members = sum(juxt_membership(p, cells) for p in permutations(range(1, n + 1)))
+        assert count_class(cells, n) == members, (row, n)
+
+
+def test_count_class_rejects_empty_cells():
+    with pytest.raises(ValueError, match="nonempty"):
+        count_class([], 3)
 
 
 def test_count_class_size_limit():

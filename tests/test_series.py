@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -140,6 +141,14 @@ def test_productivity_check_diagnostics():
     report = productivity_check(parse_spec("A = Seq(B)\nB = E + Z\n"))
     assert not report.ok
     assert any("constant term" in p for p in report.problems)
+    # tautological systems: count_series refuses them with the same text
+    for text in ("A = B\nB = A + Z\n", "A = A + SZ\n"):
+        spec = parse_spec(text)
+        report = productivity_check(spec)
+        assert not report.ok and not report.unproductive
+        assert report.problems == ("non-productive system: 'A' depends on itself at equal size",)
+        with pytest.raises(EnumerationError, match=re.escape(report.problems[0])):
+            count_series(spec, 3)
 
 
 def test_reference_chain_converges():
