@@ -76,9 +76,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_spec_source(p)
     p.add_argument("--side", choices=("left", "right"))
     p.add_argument("--dir", choices=("inc", "dec"), dest="direction")
-    p.add_argument("--track", choices=TRACK_MODES, default=TRACK_NONE,
+    p.add_argument("--track", choices=TRACK_MODES,
                    help="tracking kept by the output (default none)")
-    p.add_argument("--grid", help="row pattern such as 'inc|core|inc' (excludes --side/--dir)")
+    p.add_argument("--grid", help="row pattern such as 'inc|core|inc' (excludes --side/--dir/--track)")
     p.add_argument("--out", help="write the resulting specification to this file")
 
     for name, help_text in (
@@ -116,13 +116,16 @@ def _cmd_enumerate(args) -> int:
 def _cmd_juxtapose(args) -> int:
     if args.grid and (args.side or args.direction):
         raise _CliError("--grid cannot be combined with --side/--dir")
+    if args.grid and args.track:
+        # each grid step picks the tracking the later steps need
+        raise _CliError("--grid cannot be combined with --track")
     spec = _load_spec(args)
     if args.grid:
         result = build_grid(spec, args.grid)
     else:
         if not args.side or not args.direction:
             raise _CliError("--side and --dir are required without --grid")
-        result = juxtapose(spec, args.side, args.direction, args.track)
+        result = juxtapose(spec, args.side, args.direction, args.track or TRACK_NONE)
     _write_spec(result, args.out)
     return EXIT_OK
 

@@ -39,6 +39,9 @@ from .expr import (
     ZERO,
     ZeroExpr,
     fold,
+    make_product,
+    make_seq,
+    make_sum,
 )
 from .spec import NAME, Equation, Specification, make_spec
 
@@ -75,10 +78,26 @@ def _tokenize_line(text: str, lineno: int):
 
 
 class _LineParser:
-    def __init__(self, tokens, lineno):
+    """Parses one line.  ``table`` and ``memo`` are shared by every line of one
+    :func:`parse_spec` call: the parser builds through the canonical
+    constructors, hash-consing into ``table``, and ``memo`` maps source text
+    (a name, or a parenthesized group from ``(`` to its matching ``)``) to
+    the node it parsed to, so each distinct group is parsed once."""
+
+    def __init__(self, tokens, lineno, text, table, memo):
         self.tokens = tokens
         self.lineno = lineno
+        self.text = text
+        self.table = table
+        self.memo = memo
         self.pos = 0
+        self.closing = {}  # index of a "(" token -> index of its matching ")"
+        opened = []
+        for i, tok in enumerate(tokens):
+            if tok[0] == "(":
+                opened.append(i)
+            elif tok[0] == ")" and opened:
+                self.closing[opened.pop()] = i
 
     def peek(self):
         if self.pos < len(self.tokens):
@@ -108,37 +127,46 @@ class _LineParser:
         while self.peek()[0] == "+":
             self.take("+")
             parts.append(self.parse_term())
-        if len(parts) == 1:
-            return parts[0]
-        return Sum(tuple(parts))
+        return make_sum(parts, self.table)
 
     def parse_term(self) -> Expr:
         factors = [self.parse_factor()]
         while self.peek()[0] in ("NAME", "("):
             factors.append(self.parse_factor())
-        if len(factors) == 1:
-            return factors[0]
-        return Product(tuple(factors))
+        return make_product(factors, self.table)
+
+    def parse_group(self) -> Expr:
+        # "(" expr ")": a group already parsed elsewhere is skipped.  Only
+        # successful parses are stored, so errors are found and reported
+        # exactly where a full parse finds them.
+        end = self.closing.get(self.pos)
+        key = None if end is None else self.text[self.tokens[self.pos][2] - 1 : self.tokens[end][2]]
+        node = self.memo.get(key)
+        if node is not None:
+            self.pos = end + 1
+            return node
+        self.take("(")
+        node = self.parse_expr()
+        self.take(")")
+        if key is not None:
+            self.memo[key] = node
+        return node
 
     def parse_factor(self) -> Expr:
         tok = self.peek()
         if tok[0] == "(":
-            self.take("(")
-            inner = self.parse_expr()
-            self.take(")")
-            return inner
+            return self.parse_group()
         if tok[0] != "NAME":
             raise ParseError(f"expected a factor, found {tok[1] or 'end of line'!r}", self.lineno, tok[2])
         self.take()
         name = tok[1]
         if name == "Seq":
-            self.take("(")
-            inner = self.parse_expr()
-            self.take(")")
-            return Seq(inner)
-        if name in ATOM_KINDS:
-            return AtomRef(name)
-        return ClassRef(name)
+            return make_seq(self.parse_group(), self.table)
+        node = self.memo.get(name)
+        if node is None:
+            node = AtomRef(name) if name in ATOM_KINDS else ClassRef(name)
+            node = self.memo[name] = self.table.setdefault(node, node)
+        return node
 
 
 def parse_spec(text: str) -> Specification:
@@ -146,13 +174,13 @@ def parse_spec(text: str) -> Specification:
 
     The root is the first equation's symbol.
     """
-    equations = []
+    equations, table, memo = [], {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize_line(raw, lineno)
         if not tokens:
             continue
         try:
-            equations.append(_LineParser(tokens, lineno).parse_equation())
+            equations.append(_LineParser(tokens, lineno, raw, table, memo).parse_equation())
         except RecursionError:
             raise ParseError("expression nested too deeply", lineno, 1) from None
     if not equations:
@@ -226,26 +254,32 @@ def expr_to_node(expr: Expr) -> dict:
     return fold([expr], _json_node)[0]
 
 
-def expr_from_node(node: dict) -> Expr:
+def expr_from_node(node: dict, table=None) -> Expr:
+    """Read a JSON node through the canonical constructors, hash-consing into
+    ``table`` (a fresh one by default); one table passed to several calls
+    makes equal subexpressions of all their results one object."""
+    table = {} if table is None else table
     if not isinstance(node, dict) or "kind" not in node:
         raise SpecError(f"malformed expression node: {node!r}")
     kind = node["kind"]
     if kind == "zero":
         return ZERO
+    if kind == "sum":
+        return make_sum([expr_from_node(t, table) for t in node["terms"]], table)
+    if kind == "product":
+        return make_product([expr_from_node(f, table) for f in node["factors"]], table)
+    if kind == "seq":
+        return make_seq(expr_from_node(node["arg"], table), table)
     if kind == "atom":
-        return AtomRef(node["name"])
-    if kind == "ref":
+        leaf = AtomRef(node["name"])
+    elif kind == "ref":
         name = node["name"]
         if not isinstance(name, str) or not name:
             raise SpecError(f"malformed ref node: {node!r}")
-        return ClassRef(name)
-    if kind == "sum":
-        return Sum(tuple(expr_from_node(t) for t in node["terms"]))
-    if kind == "product":
-        return Product(tuple(expr_from_node(f) for f in node["factors"]))
-    if kind == "seq":
-        return Seq(expr_from_node(node["arg"]))
-    raise SpecError(f"unknown node kind {kind!r}")
+        leaf = ClassRef(name)
+    else:
+        raise SpecError(f"unknown node kind {kind!r}")
+    return table.setdefault(leaf, leaf)
 
 
 def spec_to_dict(spec: Specification) -> dict:
@@ -259,12 +293,15 @@ def spec_to_dict(spec: Specification) -> dict:
 
 def spec_from_dict(doc: dict) -> Specification:
     try:
-        equations = [Equation(e["lhs"], expr_from_node(e["rhs"])) for e in doc["equations"]]
+        table = {}
+        equations = [Equation(e["lhs"], expr_from_node(e["rhs"], table)) for e in doc["equations"]]
         root = doc["root"]
     except (KeyError, TypeError) as exc:
         raise SpecError(f"malformed specification document: {exc}") from None
     except RecursionError:
         raise SpecError("specification document nested too deeply") from None
+    if not isinstance(root, str):
+        raise SpecError(f"root symbol {root!r} has no equation")
     return make_spec(equations, root=root)
 
 

@@ -6,12 +6,13 @@ stand for ("bottom to top"), so products are never reordered except by the
 explicit symmetry operators.
 
 Expressions are immutable and compared structurally.  Each compound node
-caches its hash at construction, and :func:`rewrite` hash-conses the
-expressions it returns (Filliatre & Conchon, "Type-safe modular
-hash-consing", 2006), so equal subexpressions of one specification are one
-object.  All traversals go through :func:`fold` (a :func:`plan` of the
-distinct nodes, then one :func:`evaluate` of it), which is iterative and
-visits each node once.
+caches its hash at construction, and the canonical constructors hash-cons
+what they build into a table passed to them (Filliatre & Conchon,
+"Type-safe modular hash-consing", 2006): the readers and :func:`rewrite`
+use one table per specification, so equal subexpressions of one
+specification are one object.  All traversals go through :func:`fold` (a
+:func:`plan` of the distinct nodes, then one :func:`evaluate` of it), which
+is iterative and visits each node once.
 """
 
 from __future__ import annotations
@@ -298,14 +299,15 @@ def make_seq(arg, table=None) -> Expr:
     return _intern(Seq(arg), table)
 
 
-def rewrite(exprs, leaf=None, flip: bool = False) -> list:
+def rewrite(exprs, leaf=None, flip: bool = False, table=None) -> list:
     """Rebuild expressions bottom-up through the canonical constructors.
 
     ``leaf`` maps an atom or class reference to its canonical replacement;
-    ``flip`` reverses every product.  The results are hash-consed together:
-    equal subexpressions of all of them are one object.
+    ``flip`` reverses every product.  The results are hash-consed together
+    in ``table`` (a fresh one by default): equal subexpressions of all of
+    them, and of anything else built through the same table, are one object.
     """
-    table = {}
+    table = {} if table is None else table
 
     def build(node, kids):
         if isinstance(node, Sum):

@@ -273,11 +273,13 @@ def expand(spec: Specification, needed: Iterable) -> Specification:
     return make_spec(eqs, root=root)
 
 
-def _map_spec(spec: Specification, atoms: Mapping[str, str], flip: bool = False) -> Specification:
+def _map_spec(spec: Specification, atoms: Mapping[str, str], flip: bool, track) -> Specification:
     """One rewrite of every equation: atoms renamed, products reversed if flip.
 
     The reserved SZ equation stays canonical: runs of plain atoms are fixed
-    by every symmetry.
+    by every symmetry.  Its nodes are hash-consed together with the others,
+    and each symbol's tracking is ``track`` of its old one, so the result is
+    what :func:`make_spec` would return without inferring anything again.
     """
 
     def leaf(node):
@@ -285,9 +287,18 @@ def _map_spec(spec: Specification, atoms: Mapping[str, str], flip: bool = False)
             return AtomRef(atoms[node.atom])
         return node
 
-    rhs = iter(rewrite([eq.rhs for eq in spec.equations if eq.lhs != SZ_NAME], leaf, flip))
-    eqs = [eq if eq.lhs == SZ_NAME else Equation(eq.lhs, next(rhs)) for eq in spec.equations]
-    return make_spec(eqs, root=spec.root)
+    table = {}
+    sz = rewrite([eq.rhs for eq in spec.equations if eq.lhs == SZ_NAME], table=table)
+    rhs = iter(rewrite([eq.rhs for eq in spec.equations if eq.lhs != SZ_NAME], leaf, flip, table))
+    eqs = tuple(
+        Equation(eq.lhs, sz[0] if eq.lhs == SZ_NAME else next(rhs)) for eq in spec.equations
+    )
+    tracking = {name: track(kind) for name, kind in spec.tracking.items()}
+    return Specification(eqs, spec.root, tracking, {eq.lhs: eq.rhs for eq in eqs})
+
+
+def _swapped_tracking(kind: TrackingKind) -> TrackingKind:
+    return TrackingKind(kind.has_l, kind.has_r)
 
 
 def complement(spec: Specification) -> Specification:
@@ -296,7 +307,7 @@ def complement(spec: Specification) -> Specification:
     Atoms are fixed, Seq maps through, tracking is unchanged, and the
     counting sequence is identical.  Involution.
     """
-    return _map_spec(spec, {}, flip=True)
+    return _map_spec(spec, {}, True, lambda kind: kind)
 
 
 _REVERSE_ATOMS = {ZR: ZL, ZL: ZR}
@@ -308,12 +319,12 @@ def reverse(spec: Specification) -> Specification:
     Products and Seq are preserved, tracking swaps rightmost with leftmost,
     and the counting sequence is identical.  Involution.
     """
-    return _map_spec(spec, _REVERSE_ATOMS)
+    return _map_spec(spec, _REVERSE_ATOMS, False, _swapped_tracking)
 
 
 def complement_reverse(spec: Specification) -> Specification:
     """complement(reverse(spec)) in one pass."""
-    return _map_spec(spec, _REVERSE_ATOMS, flip=True)
+    return _map_spec(spec, _REVERSE_ATOMS, True, _swapped_tracking)
 
 
 _FORGET_LEFT = {ZL: Z, ZLR: ZR}
@@ -321,4 +332,4 @@ _FORGET_LEFT = {ZL: Z, ZLR: ZR}
 
 def forget_left(spec: Specification) -> Specification:
     """Erase leftmost markers (ZL -> Z, ZLR -> ZR); same class and series."""
-    return _map_spec(spec, _FORGET_LEFT)
+    return _map_spec(spec, _FORGET_LEFT, False, lambda kind: TrackingKind(kind.has_r, False))

@@ -70,7 +70,13 @@ def sz_equation() -> Equation:
 
 @dataclass(frozen=True)
 class Specification:
-    """Immutable equation system.  Build through :func:`make_spec`."""
+    """Immutable equation system.
+
+    Build through :func:`make_spec`, the readers of :mod:`juxtaspec.dsl` or
+    the operations of the library, which all return canonical, hash-consed
+    equations (root first) with the tracking that :func:`make_spec` infers
+    for them.  The symmetries build one directly, carrying tracking over.
+    """
 
     equations: tuple
     root: str

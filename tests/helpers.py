@@ -259,6 +259,28 @@ def regular_by_inlining(spec):
 
 
 # ---------------------------------------------------------------------------
+# sharing, counted by a plain tree walk
+
+
+def tree_walk(exprs):
+    """(tree nodes, structurally distinct nodes, distinct objects) under exprs."""
+    tree, values, ids = 0, set(), set()
+    stack = list(exprs)
+    while stack:
+        node = stack.pop()
+        tree += 1
+        values.add(node)
+        ids.add(id(node))
+        if isinstance(node, Sum):
+            stack.extend(node.terms)
+        elif isinstance(node, Product):
+            stack.extend(node.factors)
+        elif isinstance(node, Seq):
+            stack.append(node.arg)
+    return tree, len(values), len(ids)
+
+
+# ---------------------------------------------------------------------------
 # the specifications the library builds
 
 

@@ -1,4 +1,8 @@
 import json
+import runpy
+import sys
+
+import pytest
 
 from juxtaspec.builtins import builtin_spec
 from juxtaspec.cli import main
@@ -75,6 +79,17 @@ def test_juxtapose_conflicting_flags(capsys):
     )
     assert code == 2
     assert "cannot be combined" in err
+
+
+def test_juxtapose_grid_refuses_track(capsys):
+    # a grid picks the tracking of each step itself; --track would be ignored
+    code, out, err = run(
+        capsys, "juxtapose", "--builtin", "monotone",
+        "--grid", "inc|core|inc", "--track", "both",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --grid cannot be combined with --track\n"
 
 
 def test_juxtapose_needs_side_and_dir(capsys):
@@ -201,3 +216,24 @@ def test_deeply_nested_json_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "enumerate", "--spec", str(path))
     assert code == 2
     assert err.startswith("error: ") and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("root", ([1], {"a": 1}, 5, None))
+def test_json_root_that_is_not_a_name_rejected(tmp_path, capsys, root):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "root": root,
+        "equations": [{"lhs": "A", "rhs": {"kind": "atom", "name": "Z"}}],
+    }))
+    code, out, err = run(capsys, "enumerate", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: root symbol {root!r} has no equation\n"
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["juxtaspec", "builtins"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("juxtaspec", run_name="__main__")
+    assert info.value.code == 0
+    assert capsys.readouterr().out.split() == ["av312", "av321", "monotone", "separable"]

@@ -24,30 +24,8 @@ from helpers import (
     random_markerless_spec,
     random_recursive_spec,
     regular_by_inlining,
+    tree_walk,
 )
-
-
-def _kids(node):
-    if isinstance(node, Sum):
-        return node.terms
-    if isinstance(node, Product):
-        return node.factors
-    if isinstance(node, Seq):
-        return (node.arg,)
-    return ()
-
-
-def _tree_walk(spec):
-    """(tree nodes, structurally distinct nodes, distinct objects)."""
-    tree, values, ids = 0, set(), set()
-    stack = [eq.rhs for eq in spec.equations]
-    while stack:
-        node = stack.pop()
-        tree += 1
-        values.add(node)
-        ids.add(id(node))
-        stack.extend(_kids(node))
-    return tree, len(values), len(ids)
 
 
 @pytest.mark.parametrize("source", ("built", "parsed"))
@@ -57,7 +35,7 @@ def test_fold_visits_each_distinct_node_once(source):
         spec = parse_spec(render_spec(spec))
     calls = []
     fold([eq.rhs for eq in spec.equations], lambda node, kids: calls.append(node))
-    tree, distinct, objects = _tree_walk(spec)
+    tree, distinct, objects = tree_walk([eq.rhs for eq in spec.equations])
     assert len(calls) == distinct
     assert len({id(node) for node in calls}) == distinct
     # equal subexpressions of one specification are one object

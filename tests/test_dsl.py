@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from juxtaspec import dsl
 from juxtaspec.builtins import builtin_names, builtin_spec
 from juxtaspec.dsl import (
     ParseError,
@@ -13,9 +14,10 @@ from juxtaspec.dsl import (
     spec_to_json,
 )
 from juxtaspec.expr import AtomRef, ClassRef, Product, Seq, SpecError, Sum, Z_EXPR
-from juxtaspec.spec import SZ_NAME, inline_seq
+from juxtaspec.juxtapose import build_grid
+from juxtaspec.spec import SZ_NAME, inline_seq, make_spec
 from juxtaspec.series import count_series
-from helpers import random_markerless_spec
+from helpers import library_specs, random_markerless_spec, tree_walk
 
 
 def test_parse_basic():
@@ -161,3 +163,50 @@ def test_json_malformed_rejected():
         spec_from_json("{not json")
     with pytest.raises(SpecError):
         spec_from_dict({"root": "A", "equations": [{"lhs": "A", "rhs": {"kind": "what"}}]})
+
+
+def test_round_trip_keeps_tracking_on_library_specs():
+    for spec in library_specs():
+        back = parse_spec(render_spec(spec))
+        assert back == spec
+        assert back.tracking == spec.tracking
+
+
+@pytest.mark.parametrize("reader", ("dsl", "json"))
+def test_readers_build_the_shared_dag(monkeypatch, reader):
+    """The readers hand make_spec equations whose equal subexpressions are
+    already one object, and the specification it returns keeps that."""
+    grid = build_grid(builtin_spec("av321"), "inc|core|inc|dec")
+    handed = []
+
+    def recording_make_spec(equations, root=None):
+        handed.extend(equations)
+        return make_spec(handed, root=root)
+
+    monkeypatch.setattr(dsl, "make_spec", recording_make_spec)
+    if reader == "dsl":
+        back = parse_spec(render_spec(grid))
+    else:
+        back = spec_from_json(spec_to_json(grid))
+    assert back == grid
+    for exprs in ([eq.rhs for eq in handed], [eq.rhs for eq in back.equations]):
+        tree, distinct, objects = tree_walk(exprs)
+        assert objects == distinct
+        assert tree > 5 * distinct
+
+
+# Errors inside and after a repeated parenthesized group: the texts and
+# positions of a parse that memoizes nothing.
+@pytest.mark.parametrize("text, message", [
+    ("A = (Z (Z ZR)) + (Z (Z ZR) +) ZR\n", "line 1, column 29: expected a factor, found ')'"),
+    ("A = Z (Z Z + ) + Z (Z Z + )\n", "line 1, column 14: expected a factor, found ')'"),
+    ("A = (Z ZR) + Z (Z ZR) )\n", "line 1, column 23: unexpected ')'"),
+    ("A = (Z ZR)\nB = A (Z ZR) Z ZR (\n", "line 2, column 20: expected a factor, found 'end of line'"),
+    ("A = Seq(Z Z) ZR + Seq(Z Z) ZR =\n", "line 1, column 31: unexpected '='"),
+    ("A = (Z Z) ZR + (Z Z) (Z Z\n", "line 1, column 26: expected ), found 'end of line'"),
+])
+def test_errors_around_repeated_groups(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_spec(text)
+    assert str(info.value) == message
+

@@ -1,7 +1,7 @@
 import pytest
 
 from juxtaspec.builtins import builtin_spec
-from juxtaspec.dsl import parse_spec, render_expr
+from juxtaspec.dsl import parse_spec, render_expr, render_spec
 from juxtaspec.expr import (
     AtomRef,
     ClassRef,
@@ -19,6 +19,7 @@ from juxtaspec.operators import (
     apply_atom,
     apply_expr,
     complement,
+    complement_reverse,
     expand,
     expr_tracks_r,
     forget_left,
@@ -26,7 +27,8 @@ from juxtaspec.operators import (
 )
 from juxtaspec.oracle import Basis, count_class
 from juxtaspec.series import count_series
-from juxtaspec.spec import TrackingKind, UNTRACKED
+from juxtaspec.spec import TrackingKind, UNTRACKED, make_spec
+from helpers import library_specs
 
 SZ = ClassRef("SZ")
 ZR = AtomRef("ZR")
@@ -294,3 +296,17 @@ def test_forget_left():
     kind = out.root_tracking()
     assert (kind.has_r, kind.has_l) == (True, False)
     assert count_series(out, 8) == count_series(spec, 8)
+
+
+SYMMETRIES = (complement, reverse, complement_reverse, forget_left)
+
+
+def test_symmetries_carry_the_tracking_make_spec_infers():
+    """The symmetries carry tracking over instead of inferring it again: the
+    result must be what make_spec builds from the same equations."""
+    for spec in library_specs():
+        for symmetry in SYMMETRIES:
+            out = symmetry(spec)
+            again = make_spec(out.equations, root=out.root)
+            assert out == again, (symmetry.__name__, render_spec(spec))
+            assert out.tracking == again.tracking, (symmetry.__name__, render_spec(spec))

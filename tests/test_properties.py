@@ -8,9 +8,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st  # noqa: E402
 
-from juxtaspec.operators import complement, reverse  # noqa: E402
+from juxtaspec.expr import AtomRef, ClassRef, Product, Sum  # noqa: E402
+from juxtaspec.operators import complement, complement_reverse, forget_left, reverse  # noqa: E402
 from juxtaspec.oracle import DEC, INC, Basis, count_class, juxt_membership  # noqa: E402
 from juxtaspec.series import count_series, productivity_check  # noqa: E402
+from juxtaspec.spec import Equation, make_spec  # noqa: E402
 from helpers import marker_totals, random_markerless_spec, random_recursive_spec  # noqa: E402
 
 
@@ -28,6 +30,31 @@ def test_series_property_on_random_specs(rng, recursive):
     assert series == marker_totals(spec, 8)
     assert count_series(complement(spec), 8) == series
     assert count_series(reverse(spec), 8) == series
+
+
+def _under_tracked_root(spec):
+    """spec below a new root T = ZLR + ZL R ZR + R T (R the old root), which
+    tracks both markers, so the symmetries have tracking to carry."""
+    r, t = ClassRef(spec.root), ClassRef("T")
+    zl, zr, zlr = AtomRef("ZL"), AtomRef("ZR"), AtomRef("ZLR")
+    rhs = Sum((zlr, Product((zl, r, zr)), Product((r, t))))
+    return make_spec([Equation("T", rhs), *spec.equations], root="T")
+
+
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_symmetries_keep_inferred_tracking_on_random_specs(rng, recursive):
+    """complement, reverse, complement_reverse and forget_left return what
+    make_spec infers from their equations, tracking included."""
+    if recursive:
+        spec = random_recursive_spec(rng, n_symbols=rng.randint(1, 4))
+    else:
+        spec = random_markerless_spec(rng, n_symbols=rng.randint(1, 4))
+    for source in (spec, _under_tracked_root(spec)):
+        for symmetry in (complement, reverse, complement_reverse, forget_left):
+            out = symmetry(source)
+            again = make_spec(out.equations, root=out.root)
+            assert out == again
+            assert out.tracking == again.tracking
 
 
 patterns = st.integers(1, 4).flatmap(lambda k: st.permutations(range(1, k + 1)).map(tuple))
