@@ -25,6 +25,11 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 
+# Largest --terms that enumerate accepts: the cost of count_series grows
+# with the square of the order (order 1,000 of an av321 juxtaposition takes
+# tens of seconds), so a mistyped order would otherwise run until killed.
+MAX_TERMS = 2000
+
 
 class _CliError(Exception):
     pass
@@ -70,7 +75,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="print the counting sequence of a specification")
     _add_spec_source(p)
-    p.add_argument("--terms", type=int, default=10, help="highest size to count (default 10)")
+    p.add_argument("--terms", type=int, default=10,
+                   help=f"highest size to count (default 10, at most {MAX_TERMS})")
 
     p = sub.add_parser("juxtapose", help="juxtapose with monotone classes and print the result")
     _add_spec_source(p)
@@ -106,6 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_enumerate(args) -> int:
+    if args.terms > MAX_TERMS:
+        raise _CliError(f"--terms may be at most {MAX_TERMS}")
     spec = _load_spec(args)
     if args.terms < 0:
         raise _CliError("--terms must be nonnegative")

@@ -43,7 +43,7 @@ from .expr import (
     make_seq,
     make_sum,
 )
-from .spec import NAME, Equation, Specification, make_spec
+from .spec import NAME, Equation, Specification, _close
 
 
 class ParseError(SpecError):
@@ -185,7 +185,7 @@ def parse_spec(text: str) -> Specification:
             raise ParseError("expression nested too deeply", lineno, 1) from None
     if not equations:
         raise SpecError("empty input: no equations found")
-    return make_spec(equations, root=equations[0].lhs)
+    return _close(equations, equations[0].lhs, table)
 
 
 def _interleave(separator: str, parts: list) -> tuple:
@@ -250,10 +250,6 @@ def _json_node(node, kids) -> dict:
     raise SpecError(f"not an expression: {node!r}")
 
 
-def expr_to_node(expr: Expr) -> dict:
-    return fold([expr], _json_node)[0]
-
-
 def expr_from_node(node: dict, table=None) -> Expr:
     """Read a JSON node through the canonical constructors, hash-consing into
     ``table`` (a fresh one by default); one table passed to several calls
@@ -302,7 +298,7 @@ def spec_from_dict(doc: dict) -> Specification:
         raise SpecError("specification document nested too deeply") from None
     if not isinstance(root, str):
         raise SpecError(f"root symbol {root!r} has no equation")
-    return make_spec(equations, root=root)
+    return _close(equations, root, table)
 
 
 def spec_to_json(spec: Specification, indent: Optional[int] = 2) -> str:

@@ -260,6 +260,19 @@ def _intern(node: Expr, table) -> Expr:
     return node if table is None else table.setdefault(node, node)
 
 
+def _hash_consed(cls, kids, table) -> Expr:
+    # a compound node is looked up by its type and children before it is
+    # built: the children are interned already, so the key compares them by
+    # identity and a node found is never built again
+    if table is None:
+        return cls(kids)
+    key = (cls, kids)
+    node = table.get(key)
+    if node is None:
+        node = table[key] = cls(kids)
+    return node
+
+
 # Canonical constructors.  Their arguments must already be canonical; the
 # result is too: no Sum directly inside a Sum, no Product inside a Product,
 # no Zero term in a Sum, no Empty factor in a Product, no Sum/Product of fewer
@@ -275,7 +288,7 @@ def make_sum(terms, table=None) -> Expr:
             flat.append(t)
     if len(flat) < 2:
         return flat[0] if flat else ZERO
-    return _intern(Sum(tuple(flat)), table)
+    return _hash_consed(Sum, tuple(flat), table)
 
 
 def make_product(factors, table=None) -> Expr:
@@ -289,14 +302,14 @@ def make_product(factors, table=None) -> Expr:
             flat.append(f)
     if len(flat) < 2:
         return flat[0] if flat else _intern(E_EXPR, table)
-    return _intern(Product(tuple(flat)), table)
+    return _hash_consed(Product, tuple(flat), table)
 
 
 def make_seq(arg, table=None) -> Expr:
     if isinstance(arg, ZeroExpr):
         # sequences over the empty class: only the empty sequence remains
         return _intern(E_EXPR, table)
-    return _intern(Seq(arg), table)
+    return _hash_consed(Seq, arg, table)
 
 
 def rewrite(exprs, leaf=None, flip: bool = False, table=None) -> list:
@@ -346,6 +359,3 @@ def factors(expr: Expr) -> tuple:
         return expr.factors
     return (expr,)
 
-
-def referenced_names(expr: Expr) -> set:
-    return {node.name for node in nodes(expr) if isinstance(node, ClassRef)}

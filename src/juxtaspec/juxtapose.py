@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from typing import Sequence, Union
 
-from .expr import AtomRef, ClassRef, Product, Sum, Z, ZL, ZLR, ZR, E_EXPR, SpecError
+from .expr import AtomRef, ClassRef, Product, Sum, Z, ZL, ZLR, ZR, E_EXPR, SpecError, rewrite
 from .operators import (
-    _eliminate_zero_equations,
     _expand_equations,
     complement,
     complement_reverse,
@@ -27,10 +26,9 @@ from .spec import (
     Equation,
     Specification,
     SZ_NAME,
+    _close,
     classify,
     inline_seq,
-    make_spec,
-    prune_unreachable,
 )
 
 TRACK_RIGHT = "right"
@@ -107,10 +105,10 @@ def juxtapose_right_inc(spec: Specification, track_mode: str = TRACK_RIGHT) -> S
         ))
         needed = [(root, "i"), (root, "ii"), (root, "io")]
 
-    named = [(new_root, master)] + _expand_equations(spec, needed)
-    named = _eliminate_zero_equations(named)
-    eqs = prune_unreachable([Equation(name, rhs) for name, rhs in named], new_root)
-    out = make_spec(eqs, root=new_root)
+    # the whole step is built into one table and closed in one pass
+    table = {}
+    eqs = [Equation(new_root, rewrite([master], table=table)[0])]
+    out = _close(eqs + _expand_equations(spec, needed, table), new_root, table, prune=True)
 
     got = out.root_tracking()
     want_r = track_mode != TRACK_NONE

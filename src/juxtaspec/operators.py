@@ -60,9 +60,8 @@ from .spec import (
     SZ_NAME,
     TrackingKind,
     UNTRACKED,
-    make_spec,
+    _close,
     marked_content,
-    prune_unreachable,
 )
 
 # The six insertion-operator tags.  Decorated symbols are rendered
@@ -143,14 +142,16 @@ class _Insertion:
     A job ``(op, node, k)`` is the image under ``op`` of the node or, for a
     product, of its factors from the k-th on: a product is scanned right to
     left through the suffix images its rule uses.  Jobs are folded with one
-    memo per instance, so each image is built once.  The class references met
-    are recorded in ``needed`` as (symbol, operator) pairs.
+    memo per instance, so each image is built once, canonical and
+    hash-consed into ``table``.  The class references met are recorded in
+    ``needed`` as (symbol, operator) pairs.
     """
 
-    def __init__(self, tracking: Mapping[str, TrackingKind]):
-        self.tracking = tracking
+    def __init__(self, tracking: Mapping[str, TrackingKind], table: dict):
+        self.tracking, self.table = tracking, table
         self.images, self.tracks_r = {}, {}
         self.needed = set()
+        self.planned = {}  # job -> its terms, from planning until built
 
     def apply(self, op: str, expr: Expr, needed: set) -> Expr:
         self.needed = needed
@@ -180,20 +181,24 @@ class _Insertion:
         raise SpecError(f"not an expression: {node!r}")
 
     def _jobs(self, job) -> list:
-        return [j for term in self._terms(job) for _, j in term]
+        terms = self.planned[job] = self._terms(job)
+        return [j for term in terms for _, j in term]
 
     def _build(self, job, kids) -> Expr:
         op, node, _ = job
+        terms = self.planned.pop(job)
+        table = self.table
         if isinstance(node, AtomRef):
-            return apply_atom(op, node.atom)
+            return rewrite([apply_atom(op, node.atom)], table=table)[0]
         if isinstance(node, ClassRef):
             self.needed.add((node.name, op))
-            return ClassRef(f"{node.name}.{op}")
+            ref = ClassRef(f"{node.name}.{op}")
+            return table.setdefault(ref, ref)
         values = iter(kids)
         return make_sum([
-            make_product([make_seq(next(values)) if seq else next(values) for seq, _ in term])
-            for term in self._terms(job)
-        ])  # Zero has no terms
+            make_product([make_seq(next(values), table) if seq else next(values) for seq, _ in term], table)
+            for term in terms
+        ], table)  # Zero has no terms
 
 
 def apply_expr(
@@ -213,12 +218,13 @@ def apply_expr(
     problem = fold([expr], marked_content(tracking))[0][1]
     if problem:
         raise SpecError(f"operator applied to Seq: {problem}")
-    return _Insertion(tracking).apply(op, expr, set() if needed is None else needed)
+    return _Insertion(tracking, {}).apply(op, expr, set() if needed is None else needed)
 
 
-def _expand_equations(spec: Specification, needed: Sequence[Tuple[str, str]]) -> list:
-    """Equations for the transitive closure of the requested decorated symbols."""
-    images = _Insertion(spec.tracking)
+def _expand_equations(spec: Specification, needed: Sequence[Tuple[str, str]], table: dict) -> list:
+    """Equations for the transitive closure of the requested decorated
+    symbols, hash-consed into ``table``; some may define the empty class."""
+    images = _Insertion(spec.tracking, table)
     queue = deque(needed)
     seen = set(needed)
     out = []
@@ -228,7 +234,7 @@ def _expand_equations(spec: Specification, needed: Sequence[Tuple[str, str]]) ->
         # already seen, so the queue order matches a fresh expansion's
         discovered: set = set()
         rhs = images.apply(tag, spec.rhs(base), discovered)
-        out.append((f"{base}.{tag}", rhs))
+        out.append(Equation(f"{base}.{tag}", rhs))
         for pair in sorted(discovered):
             if pair not in seen:
                 seen.add(pair)
@@ -236,28 +242,13 @@ def _expand_equations(spec: Specification, needed: Sequence[Tuple[str, str]]) ->
     return out
 
 
-def _eliminate_zero_equations(named: list) -> list:
-    """Drop empty-class equations, substituting Zero into their references."""
-    while True:
-        zero_names = {name for name, rhs in named if isinstance(rhs, ZeroExpr)}
-        if not zero_names:
-            return named
-
-        def leaf(node):
-            return ZERO if isinstance(node, ClassRef) and node.name in zero_names else node
-
-        names = [name for name, _ in named if name not in zero_names]
-        exprs = [rhs for name, rhs in named if name not in zero_names]
-        named = list(zip(names, rewrite(exprs, leaf)))
-
-
 def expand(spec: Specification, needed: Iterable) -> Specification:
     """Closed specification for the requested decorated symbols.
 
     ``needed`` is a nonempty collection of (symbol, operator-tag) pairs; the
     first pair names the root of the result.  The output contains one
-    equation per reachable decorated symbol, over decorated references, SZ
-    and atoms only.  Empty-class equations are eliminated.
+    equation per decorated symbol reachable from the root, over decorated
+    references, SZ and atoms only.  Empty-class equations are eliminated.
     """
     pairs = [(str(base), str(tag)) for base, tag in needed]
     for _, tag in pairs:
@@ -265,12 +256,9 @@ def expand(spec: Specification, needed: Iterable) -> Specification:
             raise SpecError(f"unknown insertion operator {tag!r}")
     if not pairs:
         raise SpecError("expand requires at least one decorated symbol")
-    named = _eliminate_zero_equations(_expand_equations(spec, pairs))
-    root = f"{pairs[0][0]}.{pairs[0][1]}"
-    if root not in {name for name, _ in named}:
-        raise SpecError(f"expansion of {root} is the empty class")
-    eqs = prune_unreachable([Equation(name, rhs) for name, rhs in named], root)
-    return make_spec(eqs, root=root)
+    table = {}
+    eqs = _expand_equations(spec, pairs, table)
+    return _close(eqs, f"{pairs[0][0]}.{pairs[0][1]}", table, prune=True)
 
 
 def _map_spec(spec: Specification, atoms: Mapping[str, str], flip: bool, track) -> Specification:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from .expr import (
     ATOM_KINDS,
@@ -26,12 +26,13 @@ from .expr import (
     Seq,
     SpecError,
     Sum,
+    ZERO,
     Z_EXPR,
     ZeroExpr,
     children,
     evaluate,
+    make_seq,
     plan,
-    referenced_names,
     rewrite,
     terms,
 )
@@ -75,7 +76,11 @@ class Specification:
     Build through :func:`make_spec`, the readers of :mod:`juxtaspec.dsl` or
     the operations of the library, which all return canonical, hash-consed
     equations (root first) with the tracking that :func:`make_spec` infers
-    for them.  The symmetries build one directly, carrying tracking over.
+    for them.  The readers and each expansion step build their equations
+    canonical in one table and close them with the checks of
+    :func:`make_spec` without rebuilding; :func:`make_spec` rebuilds only
+    equations given from outside.  The symmetries build one directly,
+    carrying tracking over.
     """
 
     equations: tuple
@@ -106,8 +111,28 @@ def make_spec(equations: Iterable[Equation], root: Optional[str] = None) -> Spec
     equation's left-hand side and its equation is moved first.
     """
     equations = list(equations)
-    *rhs, sz_rhs = rewrite([eq.rhs for eq in equations] + [sz_equation().rhs])
-    eqs = [Equation(eq.lhs, expr) for eq, expr in zip(equations, rhs)]
+    table = {}
+    rhs = rewrite([eq.rhs for eq in equations], table=table)
+    return _close([Equation(eq.lhs, expr) for eq, expr in zip(equations, rhs)], root, table)
+
+
+def _close(eqs: list, root: Optional[str], table: dict, prune: bool = False) -> Specification:
+    """Validate and classify-track equations that are already canonical and
+    hash-consed in ``table``; what :func:`make_spec` does after its rewrite.
+
+    With ``prune`` (the equations of an expansion, ``root`` given), symbols
+    of the empty class are substituted by Zero and dropped first, then the
+    symbols unreachable from the root.  Without it, an equation whose
+    right-hand side is Zero is an error.
+    """
+    sz_rhs = rewrite([sz_equation().rhs], table=table)[0]
+    # One plan of the whole system serves the pruning and every check below
+    # (pruning plans again only when it drops something).  The reserved
+    # SZ right-hand side is planned last, so the nodes reachable from the
+    # given equations are exactly the steps up to the last of their roots.
+    steps, position = plan([eq.rhs for eq in eqs] + [sz_rhs])
+    if prune:
+        eqs, steps, position = _prune(eqs, root, table, steps, position, sz_rhs)
     if not eqs:
         raise SpecError("specification has no equations")
 
@@ -123,10 +148,6 @@ def make_spec(equations: Iterable[Equation], root: Optional[str] = None) -> Spec
         if isinstance(eq.rhs, ZeroExpr):
             raise SpecError(f"{eq.lhs!r} defines an empty class; such equations are not representable")
 
-    # One plan of the whole system serves every check below.  The reserved
-    # SZ right-hand side is planned last, so the nodes reachable from the
-    # given equations are exactly the steps up to the last of their roots.
-    steps, position = plan([eq.rhs for eq in eqs] + [sz_rhs])
     reachable = steps[: max(position[id(eq.rhs)] for eq in eqs) + 1]
     used = {node.name for node, _ in reachable if isinstance(node, ClassRef)}
     defined = {eq.lhs for eq in eqs}
@@ -154,13 +175,74 @@ def make_spec(equations: Iterable[Equation], root: Optional[str] = None) -> Spec
     tracking = {
         eq.lhs: TrackingKind(r_counts[eq.lhs] == 1, l_counts[eq.lhs] == 1) for eq in eqs
     }
-    marks = evaluate(steps, marked_content(tracking))
-    for eq in eqs:
-        problem = marks[position[id(eq.rhs)]][1]
-        if problem:
-            raise SpecError(f"Seq argument in {eq.lhs!r}: {problem}")
+    if any(isinstance(node, Seq) for node, _ in steps):  # else no Seq content to check
+        marks = evaluate(steps, marked_content(tracking))
+        for eq in eqs:
+            problem = marks[position[id(eq.rhs)]][1]
+            if problem:
+                raise SpecError(f"Seq argument in {eq.lhs!r}: {problem}")
     by_name = {eq.lhs: eq.rhs for eq in eqs}
     return Specification(tuple(eqs), root, tracking, by_name)
+
+
+def _prune(eqs: list, root: str, table: dict, steps: list, position: dict, sz_rhs) -> tuple:
+    """Drop the empty-class symbols of an expansion, substituting Zero into
+    their references, then the symbols unreachable from ``root``; returns
+    the kept equations and their plan.
+
+    The empty symbols are a least fixpoint over the plan: a Sum is empty
+    when all of its terms are, a Product when any factor is, a reference
+    when its symbol is; Seq and atoms never are.  That is exactly when
+    canonical rebuilding turns a node into Zero, so one rewrite removes
+    them all.
+    """
+    if any(isinstance(eq.rhs, ZeroExpr) for eq in eqs):
+        empty = set()
+        roots = [(eq.lhs, position[id(eq.rhs)]) for eq in eqs]
+
+        def is_empty(node, kids) -> bool:
+            if isinstance(node, Sum):
+                return all(kids)
+            if isinstance(node, Product):
+                return any(kids)
+            if isinstance(node, ClassRef):
+                return node.name in empty
+            return isinstance(node, ZeroExpr)
+
+        while True:
+            values = evaluate(steps, is_empty)
+            grown = {lhs for lhs, at in roots if values[at]} - empty
+            if not grown:
+                break
+            empty |= grown
+        if root in empty:
+            raise SpecError(f"expansion of {root} is the empty class")
+
+        def leaf(node):
+            return ZERO if isinstance(node, ClassRef) and node.name in empty else node
+
+        kept = [eq for eq in eqs if eq.lhs not in empty]
+        rhs = rewrite([eq.rhs for eq in kept], leaf, table=table)
+        eqs = [Equation(eq.lhs, expr) for eq, expr in zip(kept, rhs)]
+        steps, position = plan([eq.rhs for eq in eqs] + [sz_rhs])
+
+    # one walk from the root, each step of the plan visited at most once
+    at_symbol = {eq.lhs: position[id(eq.rhs)] for eq in eqs}
+    keep, visited, stack = {root}, bytearray(len(steps)), [at_symbol[root]]
+    while stack:
+        at = stack.pop()
+        if visited[at]:
+            continue
+        visited[at] = 1
+        node, kids = steps[at]
+        if isinstance(node, ClassRef) and node.name in at_symbol and node.name not in keep:
+            keep.add(node.name)
+            stack.append(at_symbol[node.name])
+        stack.extend(kids)
+    if len(keep) < len(eqs):
+        eqs = [eq for eq in eqs if eq.lhs in keep]
+        steps, position = plan([eq.rhs for eq in eqs] + [sz_rhs])
+    return eqs, steps, position
 
 
 def _marker_fixpoint(eqs, steps: list, position: dict, markers: frozenset, label: str) -> dict:
@@ -294,25 +376,12 @@ def inline_seq(spec: Specification) -> Specification:
     """Replace every SZ reference by Seq(Z) and drop the SZ equation."""
     if SZ_NAME not in spec._by_name or spec.root == SZ_NAME:
         return spec
-    seq_z = Seq(Z_EXPR)
+    table = {}
+    seq_z = make_seq(table.setdefault(Z_EXPR, Z_EXPR), table)
 
     def leaf(node):
         return seq_z if isinstance(node, ClassRef) and node.name == SZ_NAME else node
 
     kept = [eq for eq in spec.equations if eq.lhs != SZ_NAME]
-    eqs = [Equation(eq.lhs, rhs) for eq, rhs in zip(kept, rewrite([eq.rhs for eq in kept], leaf))]
-    return make_spec(eqs, root=spec.root)
-
-
-def prune_unreachable(equations: Sequence[Equation], root: str) -> list:
-    """Keep only equations reachable from the root by class references."""
-    by_name = {eq.lhs: eq for eq in equations}
-    keep = set()
-    stack = [root]
-    while stack:
-        name = stack.pop()
-        if name in keep or name not in by_name:
-            continue
-        keep.add(name)
-        stack.extend(referenced_names(by_name[name].rhs))
-    return [eq for eq in equations if eq.lhs in keep]
+    rhs = rewrite([eq.rhs for eq in kept], leaf, table=table)
+    return _close([Equation(eq.lhs, expr) for eq, expr in zip(kept, rhs)], spec.root, table)

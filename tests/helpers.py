@@ -3,12 +3,14 @@
 Everything here is deliberately written without reusing the library's
 traversals: a bivariate marker-counting enumerator (plain Jacobi iteration
 over polynomials in a marker variable), an exact rational-series expander,
-the geometric substitution z -> z/(1-z) via binomial coefficients, and a
-regularity check by repeated substitution.
+the geometric substitution z -> z/(1-z) via binomial coefficients, a
+regularity check by repeated substitution and the iterated elimination of
+empty-class symbols, with its own canonical form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
@@ -259,6 +261,112 @@ def regular_by_inlining(spec):
 
 
 # ---------------------------------------------------------------------------
+# empty-class elimination, one round per layer of empty symbols
+
+
+def normalize(expr):
+    """Canonical form by plain recursion: sums and products flattened, Zero
+    terms dropped, a Zero factor absorbing, E factors dropped, Seq of Zero
+    is E, and a Sum or Product of one child is that child."""
+    if isinstance(expr, Sum):
+        flat = []
+        for t in map(normalize, expr.terms):
+            if isinstance(t, Sum):
+                flat.extend(t.terms)
+            elif not isinstance(t, ZeroExpr):
+                flat.append(t)
+        if len(flat) < 2:
+            return flat[0] if flat else ZeroExpr()
+        return Sum(tuple(flat))
+    if isinstance(expr, Product):
+        flat = []
+        for f in map(normalize, expr.factors):
+            if isinstance(f, ZeroExpr):
+                return f
+            if isinstance(f, Product):
+                flat.extend(f.factors)
+            elif f != AtomRef(EMPTY):
+                flat.append(f)
+        if len(flat) < 2:
+            return flat[0] if flat else AtomRef(EMPTY)
+        return Product(tuple(flat))
+    if isinstance(expr, Seq):
+        arg = normalize(expr.arg)
+        return AtomRef(EMPTY) if isinstance(arg, ZeroExpr) else Seq(arg)
+    return expr
+
+
+def eliminate_empty_symbols(named, root):
+    """The closing of an expansion as it once was: while some right-hand
+    side is Zero, drop those symbols, put Zero in place of their references
+    and normalize; then keep the symbols reachable from root.  Returns the
+    kept (name, rhs) pairs in their order and the number of rounds that
+    found empty symbols, or None for the pairs when the root is empty."""
+    named, rounds = dict(named), 0
+    while True:
+        empty = {name for name, rhs in named.items() if isinstance(rhs, ZeroExpr)}
+        if not empty:
+            break
+        rounds += 1
+        zero = {name: ZeroExpr() for name in empty}
+        named = {
+            name: normalize(_substitute(rhs, zero))
+            for name, rhs in named.items() if name not in empty
+        }
+    if root not in named:
+        return None, rounds
+    keep, stack = set(), [root]
+    while stack:
+        name = stack.pop()
+        if name not in keep and name in named:
+            keep.add(name)
+            stack.extend(_refs(named[name]))
+    return [(name, rhs) for name, rhs in named.items() if name in keep], rounds
+
+
+def under_tracked_root(spec):
+    """spec below a new root T = ZLR + ZL R ZR + R T (R the old root), which
+    tracks both markers, so there is tracking to carry and juxtapose accepts it."""
+    from juxtaspec.spec import Equation, make_spec
+
+    r, t = ClassRef(spec.root), ClassRef("T")
+    zl, zr, zlr = AtomRef("ZL"), AtomRef("ZR"), AtomRef("ZLR")
+    rhs = Sum((zlr, Product((zl, r, zr)), Product((r, t))))
+    return make_spec([Equation("T", rhs), *spec.equations], root="T")
+
+
+def assert_closed(out):
+    """out is what make_spec returns for its equations, tracking included,
+    and its equal subexpressions are one object."""
+    from juxtaspec.spec import make_spec
+
+    again = make_spec(out.equations, root=out.root)
+    assert out == again
+    assert out.tracking == again.tracking
+    _, distinct, objects = tree_walk([eq.rhs for eq in out.equations])
+    assert objects == distinct
+
+
+def closed_outputs(spec, tags=None):
+    """What the library builds from spec through a closing pass: both
+    readers, inline_seq and expand at the root under each of tags (by
+    default every insertion operator)."""
+    from juxtaspec.dsl import parse_spec, render_spec, spec_from_json, spec_to_json
+    from juxtaspec.expr import SpecError
+    from juxtaspec.operators import INSERTION_TAGS, expand
+    from juxtaspec.spec import inline_seq
+
+    yield parse_spec(render_spec(spec))
+    yield spec_from_json(spec_to_json(spec))
+    yield inline_seq(spec)
+    for tag in INSERTION_TAGS if tags is None else tags:
+        try:
+            yield expand(spec, [(spec.root, tag)])
+        except SpecError:
+            pass
+
+
+# ---------------------------------------------------------------------------
 # sharing, counted by a plain tree walk
 
 
@@ -293,9 +401,11 @@ def _workloads():
     return WORKLOADS
 
 
+@functools.cache
 def library_specs():
     """The 4 builtins, the 32 catalog juxtapositions the library accepts and
-    the 12 grids of the benchmark workloads (perfbench/workloads.py)."""
+    the 12 grids of the benchmark workloads (perfbench/workloads.py), built
+    once per test session (specifications are immutable)."""
     from juxtaspec.builtins import builtin_names, builtin_spec
     from juxtaspec.expr import SpecError
     from juxtaspec.juxtapose import build_grid, juxtapose
@@ -313,7 +423,7 @@ def library_specs():
         for session in workload.sessions:
             if session.build[0] == "grid":
                 specs.append(build_grid(builtin_spec(session.core), session.build[1]))
-    return specs
+    return tuple(specs)
 
 
 def deep_series_specs():

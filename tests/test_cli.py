@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from juxtaspec.builtins import builtin_spec
-from juxtaspec.cli import main
+from juxtaspec.cli import MAX_TERMS, main
 from juxtaspec.dsl import parse_spec, render_spec
 from juxtaspec.juxtapose import juxtapose
 from juxtaspec.series import count_series, format_series
@@ -27,6 +27,21 @@ def test_enumerate_matches_library(capsys):
     code, out, _ = run(capsys, "enumerate", "--builtin", "separable", "--terms", "8")
     assert code == 0
     assert out.strip() == format_series(count_series(builtin_spec("separable"), 8))
+
+
+@pytest.mark.parametrize("terms", (str(MAX_TERMS + 1), "100000000"))
+def test_enumerate_terms_over_budget(monkeypatch, capsys, terms):
+    """An order above the budget is refused before any counting starts."""
+    import juxtaspec.cli as cli
+
+    def never(*args):
+        raise AssertionError("count_series must not run")
+
+    monkeypatch.setattr(cli, "count_series", never)
+    code, out, err = run(capsys, "enumerate", "--builtin", "av321", "--terms", terms)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --terms may be at most {MAX_TERMS}\n"
 
 
 def test_enumerate_bad_spec_file(tmp_path, capsys):

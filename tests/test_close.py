@@ -1,0 +1,142 @@
+"""The closing pass: every step that builds a specification closes it once,
+and the result is what make_spec returns for the same equations, with the
+same tracking and one object per distinct subexpression (the same property
+over random specifications is in test_properties.py).  Empty-class symbols
+of an expansion are compared with the iterated elimination of
+tests/helpers.py."""
+
+import random
+
+import pytest
+
+from juxtaspec.builtins import builtin_names, builtin_spec
+from juxtaspec.dsl import parse_spec, render_expr
+from juxtaspec.expr import AtomRef, ClassRef, Product, SpecError, Sum
+from juxtaspec.juxtapose import build_grid
+from juxtaspec.operators import INSERTION_TAGS, _expand_equations, expand
+from juxtaspec.series import count_series
+from juxtaspec.spec import Equation, make_spec
+from helpers import (
+    assert_closed,
+    closed_outputs,
+    eliminate_empty_symbols,
+    library_specs,
+    random_expr,
+    tree_walk,
+)
+
+
+def test_library_outputs_are_closed():
+    # library_specs: the builtins (parse_spec) and the juxtapose and
+    # build_grid outputs of the benchmark; one operator each for expand
+    for i, spec in enumerate(library_specs()):
+        assert_closed(spec)
+        for out in closed_outputs(spec, INSERTION_TAGS[i % 6 : i % 6 + 1]):
+            assert_closed(out)
+
+
+@pytest.mark.parametrize("core, pattern", [
+    ("av321", "core|inc|inc"),
+    ("monotone", "core|inc|inc|inc"),
+])
+def test_right_only_build_is_shared_when_built(core, pattern):
+    """The last step of a right-only build has no symmetry rewrite after
+    it: the expansion itself must build into one table."""
+    out = build_grid(builtin_spec(core), pattern)
+    tree, distinct, objects = tree_walk([eq.rhs for eq in out.equations])
+    assert objects == distinct
+    assert tree > distinct
+    assert_closed(out)
+
+
+# ---------------------------------------------------------------------------
+# empty-class symbols
+
+
+def _reference_expand(spec, pairs):
+    root = f"{pairs[0][0]}.{pairs[0][1]}"
+    named = [(eq.lhs, eq.rhs) for eq in _expand_equations(spec, pairs, {})]
+    kept, rounds = eliminate_empty_symbols(named, root)
+    if kept is None:
+        return f"expansion of {root} is the empty class", rounds
+    try:
+        return make_spec([Equation(name, rhs) for name, rhs in kept], root=root), rounds
+    except SpecError as exc:
+        return str(exc), rounds
+
+
+def _expand_or_error(spec, pairs):
+    try:
+        return expand(spec, pairs)
+    except SpecError as exc:
+        return str(exc)
+
+
+def test_empty_symbols_over_two_rounds():
+    # C.i is empty, so B.i = C.i C.o + C.o C.i is empty in the next round
+    spec = parse_spec("A = B ZR + Z ZR\nB = C C\nC = E\n")
+    want, rounds = _reference_expand(spec, [("A", "i")])
+    assert rounds == 2
+    out = expand(spec, [("A", "i")])
+    assert out == want
+    assert render_expr(out.rhs("A.i")) == "B.o ZR Z + ZR Z Z + Z ZR Z"
+    assert "B.i" not in out.symbols and "C.i" not in out.symbols
+    assert count_series(out, 5) == [0, 0, 1, 2, 0, 0]
+
+
+@pytest.mark.parametrize("text, pair, rounds", [
+    ("A = B ZR\nB = E\n", ("B", "i"), 1),
+    ("A = B B\nB = E\n", ("A", "ii"), 2),
+    ("A = B + C C\nB = C\nC = D D\nD = E\n", ("A", "io"), 4),
+])
+def test_empty_root_is_refused(text, pair, rounds):
+    spec = parse_spec(text)
+    want, found = _reference_expand(spec, [pair])
+    assert found == rounds
+    assert want == f"expansion of {pair[0]}.{pair[1]} is the empty class"
+    with pytest.raises(SpecError, match="is the empty class") as info:
+        expand(spec, [pair])
+    assert str(info.value) == want
+
+
+def _spec_with_empty_symbols(rng):
+    """Random untracked specification in which some symbols are E-only
+    classes (sums and products of E and other E-only symbols), so the
+    operators that insert an entry map them to the empty class, possibly
+    through several layers of references."""
+    names = [f"S{i}" for i in range(rng.randint(2, 6))]
+    only_e = set(rng.sample(names, rng.randint(1, len(names) - 1)))
+    eqs = []
+    for i, name in enumerate(names):
+        later = names[i + 1:]
+        if name in only_e:
+            refs = [ClassRef(n) for n in later if n in only_e] or [AtomRef("E")]
+            parts = [rng.choice(refs + [AtomRef("E")]) for _ in range(rng.randint(1, 3))]
+            body = Product(tuple(parts)) if rng.random() < 0.5 else Sum(tuple(parts))
+            eqs.append(Equation(name, body if len(parts) > 1 else parts[0]))
+        else:
+            body = random_expr(rng, names, 3, allow_marks=False)
+            eqs.append(Equation(name, Sum((AtomRef("Z"), body))))
+    return make_spec(eqs, root=names[0])
+
+
+def test_empty_symbols_match_the_iterated_elimination():
+    rng = random.Random(5)
+    multi_round = 0
+    for _ in range(100):
+        spec = _spec_with_empty_symbols(rng)
+        for symbol in spec.symbols:
+            for tag in INSERTION_TAGS:
+                want, rounds = _reference_expand(spec, [(symbol, tag)])
+                assert _expand_or_error(spec, [(symbol, tag)]) == want
+                multi_round += rounds > 1
+    assert multi_round > 20  # the inputs do reach elimination chains
+
+
+def test_empty_symbols_on_the_builtins():
+    for name in builtin_names():
+        spec = builtin_spec(name)
+        for symbol in spec.symbols:
+            for tag in INSERTION_TAGS:
+                want, _ = _reference_expand(spec, [(symbol, tag)])
+                assert _expand_or_error(spec, [(symbol, tag)]) == want

@@ -15,7 +15,7 @@ from juxtaspec.dsl import (
 )
 from juxtaspec.expr import AtomRef, ClassRef, Product, Seq, SpecError, Sum, Z_EXPR
 from juxtaspec.juxtapose import build_grid
-from juxtaspec.spec import SZ_NAME, inline_seq, make_spec
+from juxtaspec.spec import SZ_NAME, _close as close, inline_seq
 from juxtaspec.series import count_series
 from helpers import library_specs, random_markerless_spec, tree_walk
 
@@ -174,16 +174,16 @@ def test_round_trip_keeps_tracking_on_library_specs():
 
 @pytest.mark.parametrize("reader", ("dsl", "json"))
 def test_readers_build_the_shared_dag(monkeypatch, reader):
-    """The readers hand make_spec equations whose equal subexpressions are
-    already one object, and the specification it returns keeps that."""
+    """The readers hand the closing pass equations whose equal subexpressions
+    are already one object, and the specification it returns keeps that."""
     grid = build_grid(builtin_spec("av321"), "inc|core|inc|dec")
     handed = []
 
-    def recording_make_spec(equations, root=None):
+    def recording_close(equations, root, table, prune=False):
         handed.extend(equations)
-        return make_spec(handed, root=root)
+        return close(equations, root, table, prune)
 
-    monkeypatch.setattr(dsl, "make_spec", recording_make_spec)
+    monkeypatch.setattr(dsl, "_close", recording_close)
     if reader == "dsl":
         back = parse_spec(render_spec(grid))
     else:

@@ -8,12 +8,20 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st  # noqa: E402
 
-from juxtaspec.expr import AtomRef, ClassRef, Product, Sum  # noqa: E402
+from juxtaspec.expr import SpecError  # noqa: E402
+from juxtaspec.juxtapose import juxtapose  # noqa: E402
 from juxtaspec.operators import complement, complement_reverse, forget_left, reverse  # noqa: E402
 from juxtaspec.oracle import DEC, INC, Basis, count_class, juxt_membership  # noqa: E402
 from juxtaspec.series import count_series, productivity_check  # noqa: E402
-from juxtaspec.spec import Equation, make_spec  # noqa: E402
-from helpers import marker_totals, random_markerless_spec, random_recursive_spec  # noqa: E402
+from juxtaspec.spec import make_spec  # noqa: E402
+from helpers import (  # noqa: E402
+    assert_closed,
+    closed_outputs,
+    marker_totals,
+    random_markerless_spec,
+    random_recursive_spec,
+    under_tracked_root,
+)
 
 
 @given(st.randoms(use_true_random=False), st.booleans())
@@ -32,15 +40,6 @@ def test_series_property_on_random_specs(rng, recursive):
     assert count_series(reverse(spec), 8) == series
 
 
-def _under_tracked_root(spec):
-    """spec below a new root T = ZLR + ZL R ZR + R T (R the old root), which
-    tracks both markers, so the symmetries have tracking to carry."""
-    r, t = ClassRef(spec.root), ClassRef("T")
-    zl, zr, zlr = AtomRef("ZL"), AtomRef("ZR"), AtomRef("ZLR")
-    rhs = Sum((zlr, Product((zl, r, zr)), Product((r, t))))
-    return make_spec([Equation("T", rhs), *spec.equations], root="T")
-
-
 @given(st.randoms(use_true_random=False), st.booleans())
 def test_symmetries_keep_inferred_tracking_on_random_specs(rng, recursive):
     """complement, reverse, complement_reverse and forget_left return what
@@ -49,12 +48,34 @@ def test_symmetries_keep_inferred_tracking_on_random_specs(rng, recursive):
         spec = random_recursive_spec(rng, n_symbols=rng.randint(1, 4))
     else:
         spec = random_markerless_spec(rng, n_symbols=rng.randint(1, 4))
-    for source in (spec, _under_tracked_root(spec)):
+    for source in (spec, under_tracked_root(spec)):
         for symmetry in (complement, reverse, complement_reverse, forget_left):
             out = symmetry(source)
             again = make_spec(out.equations, root=out.root)
             assert out == again
             assert out.tracking == again.tracking
+
+
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_closing_pass_agrees_with_make_spec_on_random_specs(rng, recursive):
+    """The readers, inline_seq, expand and juxtapose return what make_spec
+    infers from their equations, with every equal subexpression one object."""
+    if recursive:
+        spec = random_recursive_spec(rng, n_symbols=rng.randint(1, 4))
+    else:
+        spec = random_markerless_spec(rng, n_symbols=rng.randint(1, 4))
+    tracked = under_tracked_root(spec)
+    for source in (spec, tracked):
+        for out in closed_outputs(source):
+            assert_closed(out)
+    for side in ("left", "right"):
+        for direction in ("inc", "dec"):
+            for track in ("none", "right", "both"):
+                try:
+                    out = juxtapose(tracked, side, direction, track)
+                except SpecError:
+                    continue
+                assert_closed(out)
 
 
 patterns = st.integers(1, 4).flatmap(lambda k: st.permutations(range(1, k + 1)).map(tuple))
