@@ -61,7 +61,6 @@ from .juxtapose import (
     TRACK_RIGHT,
     build_grid,
     juxtapose,
-    juxtapose_right_inc,
     parse_grid_pattern,
 )
 from .series import (

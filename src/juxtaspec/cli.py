@@ -44,7 +44,7 @@ def _load_spec(args) -> Specification:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliError(f"cannot read {path}: {exc}") from None
     if path.endswith(".json"):
         return spec_from_json(text)

@@ -25,6 +25,7 @@ a specification document is ``{"root": NAME, "equations": [{"lhs": NAME,
 from __future__ import annotations
 
 import json
+import re
 from typing import Optional
 
 from .expr import (
@@ -53,27 +54,21 @@ class ParseError(SpecError):
         self.column = column
 
 
+# One token after optional blanks: a comment, punctuation, a NAME, or any
+# other character, which is an error.  The last never matches a blank, so a
+# line may end in blanks.
+_TOKEN = re.compile(rf"[ \t]*(?:(#)|([+=()])|({NAME.pattern})|([^ \t]))")
+
+
 def _tokenize_line(text: str, lineno: int):
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t":
-            i += 1
-            continue
-        if ch == "#":
+    for match in _TOKEN.finditer(text):
+        kind, col = match.lastindex, match.start(match.lastindex) + 1
+        if kind == 1:
             break
-        col = i + 1
-        if ch in "+=()":
-            tokens.append((ch, ch, col))
-            i += 1
-        else:
-            name = NAME.match(text, i)
-            if name is None:
-                raise ParseError(f"unexpected character {ch!r}", lineno, col)
-            tokens.append(("NAME", name.group(), col))
-            i = name.end()
+        if kind == 4:
+            raise ParseError(f"unexpected character {match[4]!r}", lineno, col)
+        tokens.append((match[2], match[2], col) if kind == 2 else ("NAME", match[3], col))
     return tokens
 
 

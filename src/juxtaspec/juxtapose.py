@@ -6,8 +6,8 @@ empty).  Given a specification for C that tracks its rightmost entry, the
 right juxtaposition with the increasing class is the class C with increasing
 runs of new entries inserted into its value gaps, at least one of them below
 the rightmost entry of C; that is exactly what the insertion operators
-produce.  The other three side/direction combinations reduce to this one by
-the complement and reverse symmetries.
+produce.  The other three side/direction combinations are the same
+construction seen through the complement and reverse symmetries.
 """
 
 from __future__ import annotations
@@ -15,17 +15,11 @@ from __future__ import annotations
 from typing import Sequence, Union
 
 from .expr import AtomRef, ClassRef, Product, Sum, Z, ZL, ZLR, ZR, E_EXPR, SpecError, rewrite
-from .operators import (
-    _expand_equations,
-    complement,
-    complement_reverse,
-    forget_left,
-    reverse,
-)
+from .operators import _REVERSE_ATOMS, _expand_equations, _map_spec, _renamer, _sz
 from .spec import (
     Equation,
     Specification,
-    SZ_NAME,
+    TrackingKind,
     _close,
     classify,
     inline_seq,
@@ -41,50 +35,77 @@ SIDE_RIGHT = "right"
 DIR_INC = "inc"
 DIR_DEC = "dec"
 
+def juxtapose(
+    spec: Specification,
+    side: str,
+    direction: str,
+    track_mode: str = TRACK_NONE,
+) -> Specification:
+    """Juxtapose with a monotone class on either side.
 
-def _sz() -> ClassRef:
-    return ClassRef(SZ_NAME)
-
-
-def juxtapose_right_inc(spec: Specification, track_mode: str = TRACK_RIGHT) -> Specification:
-    """Specification for the class juxtaposed with Av(21) on the right.
-
-    The root equation covers, in order: the empty permutation; a purely
-    monotone permutation; insertions with exactly one new entry; insertions
-    whose new entries all sit in gaps of the old class; and insertions with
-    new entries in the top gap, whose topmost one is the new rightmost
-    entry.
+    The input must track its entry on that side.  The step is the right
+    juxtaposition with the increasing class, whose root equation covers, in
+    order: the empty permutation; a purely monotone permutation; insertions
+    with exactly one new entry; insertions whose new entries all sit in gaps
+    of the old class; and insertions with new entries in the top gap, whose
+    topmost one is the new rightmost entry.  The other sides and directions
+    are that step seen through the complement (decreasing right side,
+    increasing left side) and reverse (left side) symmetries: it runs on the
+    mapped input and builds its output mapped back.
 
     track_mode selects what the output keeps for further juxtapositions:
-    "right" tracks the new rightmost entry (leftmost markers of the input
-    are erased first), "both" additionally keeps the input's leftmost
-    tracking, and "none" uses the reduced two-term form, keeping leftmost
-    tracking only when the input has it.
+    "right" tracks the new entry on the juxtaposed side (markers of the
+    other side are erased first), "both" additionally keeps the input's
+    tracking of the other side, and "none" uses the reduced two-term form,
+    keeping the other side's tracking only when the input has it.
     """
+    if side not in (SIDE_LEFT, SIDE_RIGHT):
+        raise SpecError(f"unknown side {side!r}")
+    if direction not in (DIR_INC, DIR_DEC):
+        raise SpecError(f"unknown direction {direction!r}")
+    kind = spec.root_tracking()
+    if side == SIDE_RIGHT:
+        near, far, has_near, has_far = "rightmost", "leftmost", kind.has_r, kind.has_l
+    else:
+        near, far, has_near, has_far = "leftmost", "rightmost", kind.has_l, kind.has_r
+    if not has_near:
+        raise SpecError(
+            f"root {spec.root!r} does not track its {near} entry; cannot juxtapose on the {side}"
+        )
     if track_mode not in TRACK_MODES:
         raise SpecError(f"unknown track mode {track_mode!r}")
-    kind = spec.root_tracking()
-    if not kind.has_r:
+    if track_mode == TRACK_BOTH and not has_far:
         raise SpecError(
-            f"root {spec.root!r} does not track its rightmost entry; cannot juxtapose on the right"
+            f"root {spec.root!r} does not track its {far} entry; track mode 'both' unavailable"
         )
-    if track_mode == TRACK_BOTH and not kind.has_l:
-        raise SpecError(
-            f"root {spec.root!r} does not track its leftmost entry; track mode 'both' unavailable"
-        )
+
     if classify(spec).regular:
         # run classes must appear as Seq nodes, not as SZ references, for the
         # operators to use the sequence rules; that keeps regular inputs
         # yielding regular outputs.  A context-free input keeps SZ as a plain
         # symbol, whose expansion stays Seq-free.
         spec = inline_seq(spec)
-    if track_mode == TRACK_RIGHT and kind.has_l:
-        spec = forget_left(spec)
+    # the input is mapped once into the right/increasing case; atoms and flip
+    # are each their own inverse, so the same pair maps the output back
+    atoms = _REVERSE_ATOMS if side == SIDE_LEFT else {}
+    flip = (side == SIDE_LEFT) == (direction == DIR_INC)
+    forget = track_mode == TRACK_RIGHT and has_far
+    into = atoms
+    if forget:
+        # the far side's markers are erased: its atom becomes Z, ZLR the near one
+        into = {**atoms, (ZR if side == SIDE_LEFT else ZL): Z, ZLR: ZR}
+
+    def track(old: TrackingKind) -> TrackingKind:
+        has_r, has_l = (old.has_l, old.has_r) if atoms else (old.has_r, old.has_l)
+        return TrackingKind(has_r, has_l and not forget)
+
+    if into or flip:
+        spec = _map_spec(spec, into, flip, track)
 
     root = spec.root
     new_root = f"{root}.jux"
     if track_mode == TRACK_NONE:
-        monotone_head = AtomRef(ZL) if kind.has_l else AtomRef(Z)
+        monotone_head = AtomRef(ZL) if has_far else AtomRef(Z)
         master = Sum((
             E_EXPR,
             Product((monotone_head, _sz())),
@@ -107,52 +128,16 @@ def juxtapose_right_inc(spec: Specification, track_mode: str = TRACK_RIGHT) -> S
 
     # the whole step is built into one table and closed in one pass
     table = {}
-    eqs = [Equation(new_root, rewrite([master], table=table)[0])]
-    out = _close(eqs + _expand_equations(spec, needed, table), new_root, table, prune=True)
+    eqs = [Equation(new_root, rewrite([master], _renamer(atoms), flip, table)[0])]
+    eqs += _expand_equations(spec, needed, table, atoms, flip)
+    out = _close(eqs, new_root, table, prune=True)
 
     got = out.root_tracking()
-    want_r = track_mode != TRACK_NONE
-    want_l = kind.has_l if track_mode in (TRACK_BOTH, TRACK_NONE) else False
-    if (got.has_r, got.has_l) != (want_r, want_l):
+    got_near, got_far = (got.has_r, got.has_l) if side == SIDE_RIGHT else (got.has_l, got.has_r)
+    want_far = has_far and track_mode != TRACK_RIGHT
+    if (got_near, got_far) != (track_mode != TRACK_NONE, want_far):
         raise SpecError("juxtaposition produced unexpected tracking")
     return out
-
-
-def juxtapose(
-    spec: Specification,
-    side: str,
-    direction: str,
-    track_mode: str = TRACK_NONE,
-) -> Specification:
-    """Juxtapose with a monotone class on either side.
-
-    The three non-base combinations reduce to the right/increasing build
-    through the symmetries: complement for a decreasing side, reverse (plus
-    complement) for the left side.  A right juxtaposition needs rightmost
-    tracking of the input; a left one needs leftmost tracking.
-    """
-    if side not in (SIDE_LEFT, SIDE_RIGHT):
-        raise SpecError(f"unknown side {side!r}")
-    if direction not in (DIR_INC, DIR_DEC):
-        raise SpecError(f"unknown direction {direction!r}")
-    kind = spec.root_tracking()
-    if side == SIDE_RIGHT and not kind.has_r:
-        raise SpecError(
-            f"root {spec.root!r} does not track its rightmost entry; cannot juxtapose on the right"
-        )
-    if side == SIDE_LEFT and not kind.has_l:
-        raise SpecError(
-            f"root {spec.root!r} does not track its leftmost entry; cannot juxtapose on the left"
-        )
-
-    if side == SIDE_RIGHT:
-        if direction == DIR_INC:
-            return juxtapose_right_inc(spec, track_mode)
-        return complement(juxtapose_right_inc(complement(spec), track_mode))
-    if direction == DIR_INC:
-        return complement_reverse(juxtapose_right_inc(complement_reverse(spec), track_mode))
-    inner = reverse(spec)
-    return reverse(juxtapose_right_inc(inner, track_mode))
 
 
 CELL_CORE = "core"

@@ -136,6 +136,17 @@ def expr_tracks_r(expr: Expr, tracking: Mapping[str, TrackingKind], memo=None) -
     return fold([expr], visit, memo)[0]
 
 
+def _renamer(atoms: Mapping[str, str]):
+    """Leaf function for :func:`rewrite`: atoms renamed by ``atoms``."""
+
+    def leaf(node):
+        if isinstance(node, AtomRef) and node.atom in atoms:
+            return AtomRef(atoms[node.atom])
+        return node
+
+    return leaf
+
+
 class _Insertion:
     """Images of expressions under the insertion operators.
 
@@ -145,10 +156,16 @@ class _Insertion:
     memo per instance, so each image is built once, canonical and
     hash-consed into ``table``.  The class references met are recorded in
     ``needed`` as (symbol, operator) pairs.
+
+    ``atoms`` and ``flip`` map every image as :func:`rewrite` would: atoms
+    renamed, products reversed.  That builds the image of a symmetric input
+    directly in the orientation of the original one.
     """
 
-    def __init__(self, tracking: Mapping[str, TrackingKind], table: dict):
+    def __init__(self, tracking: Mapping[str, TrackingKind], table: dict,
+                 atoms: Mapping[str, str] = {}, flip: bool = False):
         self.tracking, self.table = tracking, table
+        self.leaf, self.flip = _renamer(atoms), flip
         self.images, self.tracks_r = {}, {}
         self.needed = set()
         self.planned = {}  # job -> its terms, from planning until built
@@ -189,16 +206,15 @@ class _Insertion:
         terms = self.planned.pop(job)
         table = self.table
         if isinstance(node, AtomRef):
-            return rewrite([apply_atom(op, node.atom)], table=table)[0]
+            return rewrite([apply_atom(op, node.atom)], self.leaf, self.flip, table)[0]
         if isinstance(node, ClassRef):
             self.needed.add((node.name, op))
             ref = ClassRef(f"{node.name}.{op}")
             return table.setdefault(ref, ref)
         values = iter(kids)
-        return make_sum([
-            make_product([make_seq(next(values), table) if seq else next(values) for seq, _ in term], table)
-            for term in terms
-        ], table)  # Zero has no terms
+        factors = ([make_seq(next(values), table) if seq else next(values) for seq, _ in term] for term in terms)
+        # Zero has no terms
+        return make_sum([make_product(f[::-1] if self.flip else f, table) for f in factors], table)
 
 
 def apply_expr(
@@ -221,10 +237,17 @@ def apply_expr(
     return _Insertion(tracking, {}).apply(op, expr, set() if needed is None else needed)
 
 
-def _expand_equations(spec: Specification, needed: Sequence[Tuple[str, str]], table: dict) -> list:
+def _expand_equations(
+    spec: Specification,
+    needed: Sequence[Tuple[str, str]],
+    table: dict,
+    atoms: Mapping[str, str] = {},
+    flip: bool = False,
+) -> list:
     """Equations for the transitive closure of the requested decorated
-    symbols, hash-consed into ``table``; some may define the empty class."""
-    images = _Insertion(spec.tracking, table)
+    symbols, hash-consed into ``table`` and mapped by ``atoms`` and ``flip``
+    as in :class:`_Insertion`; some may define the empty class."""
+    images = _Insertion(spec.tracking, table, atoms, flip)
     queue = deque(needed)
     seen = set(needed)
     out = []
@@ -269,24 +292,15 @@ def _map_spec(spec: Specification, atoms: Mapping[str, str], flip: bool, track) 
     and each symbol's tracking is ``track`` of its old one, so the result is
     what :func:`make_spec` would return without inferring anything again.
     """
-
-    def leaf(node):
-        if isinstance(node, AtomRef) and node.atom in atoms:
-            return AtomRef(atoms[node.atom])
-        return node
-
     table = {}
     sz = rewrite([eq.rhs for eq in spec.equations if eq.lhs == SZ_NAME], table=table)
+    leaf = _renamer(atoms)
     rhs = iter(rewrite([eq.rhs for eq in spec.equations if eq.lhs != SZ_NAME], leaf, flip, table))
     eqs = tuple(
         Equation(eq.lhs, sz[0] if eq.lhs == SZ_NAME else next(rhs)) for eq in spec.equations
     )
     tracking = {name: track(kind) for name, kind in spec.tracking.items()}
     return Specification(eqs, spec.root, tracking, {eq.lhs: eq.rhs for eq in eqs})
-
-
-def _swapped_tracking(kind: TrackingKind) -> TrackingKind:
-    return TrackingKind(kind.has_l, kind.has_r)
 
 
 def complement(spec: Specification) -> Specification:
@@ -307,12 +321,7 @@ def reverse(spec: Specification) -> Specification:
     Products and Seq are preserved, tracking swaps rightmost with leftmost,
     and the counting sequence is identical.  Involution.
     """
-    return _map_spec(spec, _REVERSE_ATOMS, False, _swapped_tracking)
-
-
-def complement_reverse(spec: Specification) -> Specification:
-    """complement(reverse(spec)) in one pass."""
-    return _map_spec(spec, _REVERSE_ATOMS, True, _swapped_tracking)
+    return _map_spec(spec, _REVERSE_ATOMS, False, lambda kind: TrackingKind(kind.has_l, kind.has_r))
 
 
 _FORGET_LEFT = {ZL: Z, ZLR: ZR}

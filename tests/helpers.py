@@ -335,6 +335,38 @@ def under_tracked_root(spec):
     return make_spec([Equation("T", rhs), *spec.equations], root="T")
 
 
+def sandwich_juxtapose(spec, side, direction, track_mode):
+    """juxtapose as it was once built: the right/increasing step between two
+    rewrites of the whole system by a symmetry, complement for a decreasing
+    right side, reverse for a decreasing left side and both for an
+    increasing left side.  Each of these symmetries is its own inverse."""
+    from juxtaspec.juxtapose import juxtapose
+    from juxtaspec.operators import complement, reverse
+
+    symmetry = {
+        ("right", "inc"): None,
+        ("right", "dec"): complement,
+        ("left", "dec"): reverse,
+        ("left", "inc"): lambda s: complement(reverse(s)),
+    }[side, direction]
+    if symmetry is None:
+        return juxtapose(spec, "right", "inc", track_mode)
+    return symmetry(juxtapose(symmetry(spec), "right", "inc", track_mode))
+
+
+def juxtapose_outcome(build, spec, side, direction, track_mode):
+    """(DSL text, tracking) of build(spec, side, direction, track_mode), or
+    None when it refuses."""
+    from juxtaspec.dsl import render_spec
+    from juxtaspec.expr import SpecError
+
+    try:
+        out = build(spec, side, direction, track_mode)
+    except SpecError:
+        return None
+    return render_spec(out), out.tracking
+
+
 def assert_closed(out):
     """out is what make_spec returns for its equations, tracking included,
     and its equal subexpressions are one object."""

@@ -52,6 +52,16 @@ def test_enumerate_bad_spec_file(tmp_path, capsys):
     assert "error" in err
 
 
+def test_enumerate_spec_file_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"A = Z\xff\n")
+    code, out, err = run(capsys, "enumerate", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert "can't decode byte 0xff" in err
+
+
 def test_enumerate_missing_file(capsys):
     code, _, err = run(capsys, "enumerate", "--spec", "/nonexistent/x.txt")
     assert code == 2

@@ -38,10 +38,12 @@ def test_library_outputs_are_closed():
 @pytest.mark.parametrize("core, pattern", [
     ("av321", "core|inc|inc"),
     ("monotone", "core|inc|inc|inc"),
+    ("av321", "dec|inc|core"),
+    ("monotone", "inc|dec|core|inc"),
 ])
-def test_right_only_build_is_shared_when_built(core, pattern):
-    """The last step of a right-only build has no symmetry rewrite after
-    it: the expansion itself must build into one table."""
+def test_build_is_shared_when_built(core, pattern):
+    """No step of a build, whatever its side and direction, has a rewrite
+    after it: the expansion itself must build into one table."""
     out = build_grid(builtin_spec(core), pattern)
     tree, distinct, objects = tree_walk([eq.rhs for eq in out.equations])
     assert objects == distinct

@@ -52,6 +52,27 @@ def test_parse_bad_character_position():
     assert (info.value.line, info.value.column) == (1, 7)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("A = Z\t3\n", "line 1, column 7: unexpected character '3'"),
+    ("A = Z.b ~\nZ.b = Z\n", "line 1, column 9: unexpected character '~'"),
+    ("  A = Z \u00e9\n", "line 1, column 9: unexpected character '\u00e9'"),
+    ("A = Z\nB = A ? # ?\n", "line 2, column 7: unexpected character '?'"),
+])
+def test_parse_bad_character_message(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_spec(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, rendered", [
+    ("A = Z  \t \n", "A = Z\n"),
+    ("A = Z # ? comment\n", "A = Z\n"),
+    ("\tA=Z(Z)#x\n", "A = Z Z\n"),
+])
+def test_parse_blanks_and_comments(text, rendered):
+    assert render_spec(parse_spec(text)) == rendered
+
+
 def test_parse_duplicate_lhs():
     with pytest.raises(SpecError, match="duplicate"):
         parse_spec("C = Z\nC = Z Z\n")

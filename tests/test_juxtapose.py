@@ -9,20 +9,20 @@ from juxtaspec.juxtapose import (
     TRACK_RIGHT,
     build_grid,
     juxtapose,
-    juxtapose_right_inc,
     parse_grid_pattern,
 )
 from juxtaspec.operators import complement
 from juxtaspec.oracle import Basis, DEC, INC, count_class
 from juxtaspec.series import count_series
 from juxtaspec.spec import classify, inline_seq
+from helpers import juxtapose_outcome, library_specs, sandwich_juxtapose
 
 B321 = Basis(((3, 2, 1),))
 
 
 def test_master_equation_right_only():
     spec = builtin_spec("separable")
-    out = juxtapose_right_inc(spec, TRACK_RIGHT)
+    out = juxtapose(spec, "right", "inc", TRACK_RIGHT)
     assert out.root == "Full.jux"
     assert render_expr(out.rhs(out.root)) == (
         "E + SZ ZR + Full.i + Full.ii + Full.io SZ ZR"
@@ -33,7 +33,7 @@ def test_master_equation_right_only():
 
 def test_master_equation_both():
     spec = builtin_spec("monotone")
-    out = juxtapose_right_inc(spec, TRACK_BOTH)
+    out = juxtapose(spec, "right", "inc", TRACK_BOTH)
     assert render_expr(out.rhs(out.root)) == (
         "E + ZLR + ZL SZ ZR + Full.i + Full.ii + Full.io SZ ZR"
     )
@@ -43,33 +43,33 @@ def test_master_equation_both():
 
 def test_master_equation_reduced():
     spec = builtin_spec("monotone")
-    out = juxtapose_right_inc(spec, TRACK_NONE)
+    out = juxtapose(spec, "right", "inc", TRACK_NONE)
     assert render_expr(out.rhs(out.root)) == "E + ZL SZ + Full.io SZ"
     kind = out.root_tracking()
     assert (kind.has_r, kind.has_l) == (False, True)
     # an input without leftmost tracking gets the fully erased form
-    out2 = juxtapose_right_inc(builtin_spec("separable"), TRACK_NONE)
+    out2 = juxtapose(builtin_spec("separable"), "right", "inc", TRACK_NONE)
     assert render_expr(out2.rhs(out2.root)) == "E + Z SZ + Full.io SZ"
 
 
 def test_all_track_modes_agree_on_series():
     spec = builtin_spec("av321")
     series = [
-        count_series(juxtapose_right_inc(spec, mode), 8)
+        count_series(juxtapose(spec, "right", "inc", mode), 8)
         for mode in (TRACK_RIGHT, TRACK_BOTH, TRACK_NONE)
     ]
     assert series[0] == series[1] == series[2]
 
 
 def test_monotone_juxtaposition_series():
-    out = juxtapose_right_inc(builtin_spec("monotone"), TRACK_NONE)
+    out = juxtapose(builtin_spec("monotone"), "right", "inc", TRACK_NONE)
     assert count_series(out, 10) == [1] + [2**n - n for n in range(1, 11)]
 
 
 def test_bare_monotone_line_juxtaposition():
     # the same construction works on the one-line spec without a wrapper root
     spec = parse_spec("M = ZLR + ZL Seq(Z) ZR\n")
-    out = juxtapose_right_inc(spec, TRACK_NONE)
+    out = juxtapose(spec, "right", "inc", TRACK_NONE)
     assert out.root == "M.jux"
     assert count_series(out, 10) == [1] + [2**n - n for n in range(1, 11)]
 
@@ -90,26 +90,26 @@ def test_no_double_counting_small_sizes():
     # master-equation sanity at tiny sizes for every built-in core
     for name in builtin_names():
         spec = builtin_spec(name)
-        out = juxtapose_right_inc(spec, TRACK_NONE)
+        out = juxtapose(spec, "right", "inc", TRACK_NONE)
         series = count_series(out, 3)
         oracle = [count_class([BUILTIN_BASES[name], INC], n) for n in range(4)]
         assert series == oracle, name
 
 
 def test_right_inc_matches_oracle():
-    out = juxtapose_right_inc(builtin_spec("av321"), TRACK_RIGHT)
+    out = juxtapose(builtin_spec("av321"), "right", "inc", TRACK_RIGHT)
     assert count_series(out, 7) == [count_class([B321, INC], n) for n in range(8)]
 
 
 def test_missing_right_tracking_rejected():
     spec = parse_spec("A = Z + A Z\n")
     with pytest.raises(SpecError, match="rightmost"):
-        juxtapose_right_inc(spec, TRACK_NONE)
+        juxtapose(spec, "right", "inc", TRACK_NONE)
 
 
 def test_both_mode_needs_left_tracking():
     with pytest.raises(SpecError, match="leftmost"):
-        juxtapose_right_inc(builtin_spec("separable"), TRACK_BOTH)
+        juxtapose(builtin_spec("separable"), "right", "inc", TRACK_BOTH)
 
 
 def test_left_side_needs_left_tracking():
@@ -119,6 +119,39 @@ def test_left_side_needs_left_tracking():
         juxtapose(builtin_spec("av312"), "left", "inc", TRACK_NONE)
 
 
+@pytest.mark.parametrize("side, direction", [
+    ("right", "inc"), ("right", "dec"), ("left", "inc"), ("left", "dec"),
+])
+def test_refusals_name_the_callers_markers(side, direction):
+    # one root tracks only its rightmost entry, the other only its leftmost
+    near = parse_spec("A = ZR + Z A\n" if side == "right" else "A = ZL + ZL Seq(Z)\n")
+    far = parse_spec("A = ZL + ZL Seq(Z)\n" if side == "right" else "A = ZR + Z A\n")
+    near_marker, far_marker = ("rightmost", "leftmost") if side == "right" else ("leftmost", "rightmost")
+    with pytest.raises(SpecError) as refused:
+        juxtapose(near, side, direction, TRACK_BOTH)
+    assert str(refused.value) == (
+        f"root 'A' does not track its {far_marker} entry; track mode 'both' unavailable"
+    )
+    with pytest.raises(SpecError) as refused:
+        juxtapose(far, side, direction, TRACK_NONE)
+    assert str(refused.value) == (
+        f"root 'A' does not track its {near_marker} entry; cannot juxtapose on the {side}"
+    )
+
+
+def test_library_juxtapositions_match_the_symmetry_sandwich():
+    """Each juxtaposition step, built directly in the caller's orientation,
+    equals the right/increasing step between two symmetry rewrites: same
+    DSL text and tracking, refused in the same cases."""
+    for spec in library_specs():
+        for side in ("left", "right"):
+            for direction in ("inc", "dec"):
+                for mode in (TRACK_NONE, TRACK_RIGHT, TRACK_BOTH):
+                    want = juxtapose_outcome(sandwich_juxtapose, spec, side, direction, mode)
+                    got = juxtapose_outcome(juxtapose, spec, side, direction, mode)
+                    assert got == want, (spec.root, side, direction, mode)
+
+
 def test_bad_arguments_rejected():
     spec = builtin_spec("monotone")
     with pytest.raises(SpecError):
@@ -126,7 +159,7 @@ def test_bad_arguments_rejected():
     with pytest.raises(SpecError):
         juxtapose(spec, "left", "up")
     with pytest.raises(SpecError):
-        juxtapose_right_inc(spec, "everything")
+        juxtapose(spec, "right", "inc", "everything")
 
 
 def test_four_way_against_oracle_small():

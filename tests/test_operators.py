@@ -19,7 +19,6 @@ from juxtaspec.operators import (
     apply_atom,
     apply_expr,
     complement,
-    complement_reverse,
     expand,
     expr_tracks_r,
     forget_left,
@@ -298,7 +297,7 @@ def test_forget_left():
     assert count_series(out, 8) == count_series(spec, 8)
 
 
-SYMMETRIES = (complement, reverse, complement_reverse, forget_left)
+SYMMETRIES = (complement, reverse, forget_left)
 
 
 def test_symmetries_carry_the_tracking_make_spec_infers():

@@ -10,16 +10,18 @@ from hypothesis import assume, given, strategies as st  # noqa: E402
 
 from juxtaspec.expr import SpecError  # noqa: E402
 from juxtaspec.juxtapose import juxtapose  # noqa: E402
-from juxtaspec.operators import complement, complement_reverse, forget_left, reverse  # noqa: E402
+from juxtaspec.operators import complement, forget_left, reverse  # noqa: E402
 from juxtaspec.oracle import DEC, INC, Basis, count_class, juxt_membership  # noqa: E402
 from juxtaspec.series import count_series, productivity_check  # noqa: E402
 from juxtaspec.spec import make_spec  # noqa: E402
 from helpers import (  # noqa: E402
     assert_closed,
     closed_outputs,
+    juxtapose_outcome,
     marker_totals,
     random_markerless_spec,
     random_recursive_spec,
+    sandwich_juxtapose,
     under_tracked_root,
 )
 
@@ -42,18 +44,37 @@ def test_series_property_on_random_specs(rng, recursive):
 
 @given(st.randoms(use_true_random=False), st.booleans())
 def test_symmetries_keep_inferred_tracking_on_random_specs(rng, recursive):
-    """complement, reverse, complement_reverse and forget_left return what
+    """complement, reverse and forget_left return what
     make_spec infers from their equations, tracking included."""
     if recursive:
         spec = random_recursive_spec(rng, n_symbols=rng.randint(1, 4))
     else:
         spec = random_markerless_spec(rng, n_symbols=rng.randint(1, 4))
     for source in (spec, under_tracked_root(spec)):
-        for symmetry in (complement, reverse, complement_reverse, forget_left):
+        for symmetry in (complement, reverse, forget_left):
             out = symmetry(source)
             again = make_spec(out.equations, root=out.root)
             assert out == again
             assert out.tracking == again.tracking
+
+
+@given(
+    st.randoms(use_true_random=False),
+    st.booleans(),
+    st.sampled_from(["left", "right"]),
+    st.sampled_from(["inc", "dec"]),
+    st.sampled_from(["none", "right", "both"]),
+)
+def test_juxtapose_matches_the_symmetry_sandwich_on_random_specs(rng, recursive, side, direction, mode):
+    """Each juxtaposition step, built directly in the caller's orientation,
+    equals the right/increasing step between two symmetry rewrites."""
+    if recursive:
+        spec = random_recursive_spec(rng, n_symbols=rng.randint(1, 4))
+    else:
+        spec = random_markerless_spec(rng, n_symbols=rng.randint(1, 4))
+    spec = under_tracked_root(spec)
+    want = juxtapose_outcome(sandwich_juxtapose, spec, side, direction, mode)
+    assert juxtapose_outcome(juxtapose, spec, side, direction, mode) == want
 
 
 @given(st.randoms(use_true_random=False), st.booleans())
