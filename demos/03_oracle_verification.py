@@ -8,8 +8,8 @@ from itertools import permutations
 from juxtaspec import (
     INC,
     builtin_spec,
+    class_counts,
     compare_series,
-    count_class,
     count_series,
     greedy_cut,
     greedy_unique,
@@ -25,12 +25,12 @@ print("321 splits into inc|inc?", juxt_membership((3, 2, 1), [INC, INC]))
 print("greedy cut of 2413:", greedy_cut((2, 4, 1, 3)))
 print()
 
-# Cell lists use the same syntax as the command line.  count_class counts
-# members on a generating tree (one appended entry at a time, one greedy
-# cut each); on small sizes it agrees with juxt_membership over all n!.
+# Cell lists use the same syntax as the command line.  class_counts counts
+# the members of every size in one walk of a generating tree (one appended
+# entry at a time, one greedy cut each); on small sizes it agrees with
+# juxt_membership over all n!.
 cells = parse_cells("basis:2413,3142 | inc")
-print("separable|inc sizes 0..6 by generating tree:",
-      [count_class(cells, n) for n in range(7)])
+print("separable|inc sizes 0..6 by generating tree:", class_counts(cells, 6))
 print("separable|inc sizes 0..6 by juxt_membership:",
       [sum(juxt_membership(p, cells) for p in permutations(range(1, n + 1)))
        for n in range(7)])
@@ -43,7 +43,7 @@ print()
 # And the headline check: the symbolic pipeline agrees with the oracle.
 spec = juxtapose(builtin_spec("separable"), "right", "inc", "none")
 symbolic = count_series(spec, 7)
-counted = [count_class(cells, n) for n in range(8)]
+counted = class_counts(cells, 7)
 print("symbolic :", symbolic)
 print("oracle   :", counted)
 print("verdict  :", compare_series(symbolic, counted))

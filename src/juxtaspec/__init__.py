@@ -78,6 +78,7 @@ from .oracle import (
     INC,
     MAX_LENGTH,
     avoids_cell,
+    class_counts,
     contains,
     count_class,
     greedy_cut,

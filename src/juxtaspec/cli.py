@@ -9,6 +9,7 @@ mismatch, 2 usage or validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional
 
@@ -16,7 +17,7 @@ from .builtins import builtin_names, builtin_spec, builtin_text
 from .dsl import parse_spec, render_spec, spec_from_json
 from .expr import SpecError
 from .juxtapose import TRACK_MODES, TRACK_NONE, build_grid, juxtapose
-from .oracle import MAX_LENGTH, count_class, parse_cells
+from .oracle import MAX_LENGTH, class_counts, parse_cells
 from .operators import complement, reverse
 from .series import compare_series, count_series, format_series
 from .spec import Specification, classify
@@ -66,7 +67,9 @@ def _add_spec_source(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--builtin", choices=builtin_names(), help="use a built-in specification")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # built on first use and kept: the parser is stateless between calls
     parser = argparse.ArgumentParser(
         prog="juxtaspec",
         description="Transform and enumerate specifications of permutation classes.",
@@ -167,7 +170,7 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         raise _CliError(str(exc)) from None
     series = count_series(spec, args.max_len)
-    oracle = [count_class(cells, n) for n in range(args.max_len + 1)]
+    oracle = class_counts(cells, args.max_len)
     verdict = compare_series(series, oracle)
     if verdict.equal:
         print(f"ok: series matches oracle for all sizes up to {args.max_len}")

@@ -16,9 +16,11 @@ from typing import Sequence, Union
 
 from .expr import AtomRef, ClassRef, Product, Sum, Z, ZL, ZLR, ZR, E_EXPR, SpecError, rewrite
 from .operators import _REVERSE_ATOMS, _expand_equations, _map_spec, _renamer, _sz
+from .series import _productive_valuations
 from .spec import (
     Equation,
     Specification,
+    TrackingError,
     TrackingKind,
     _close,
     classify,
@@ -130,7 +132,13 @@ def juxtapose(
     table = {}
     eqs = [Equation(new_root, rewrite([master], _renamer(atoms), flip, table)[0])]
     eqs += _expand_equations(spec, needed, table, atoms, flip)
-    out = _close(eqs, new_root, table, prune=True)
+    try:
+        out = _close(eqs, new_root, table, prune=True)
+    except TrackingError:
+        # an unproductive input can leave marker counts that no tracking
+        # fits; the refusal then names its unproductive symbols
+        _productive_valuations(spec)
+        raise
 
     got = out.root_tracking()
     got_near, got_far = (got.has_r, got.has_l) if side == SIDE_RIGHT else (got.has_l, got.has_r)

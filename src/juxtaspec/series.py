@@ -129,6 +129,19 @@ def productivity_check(spec: Specification) -> ProductivityReport:
     return ProductivityReport(not unproductive and not problems, unproductive, tuple(problems))
 
 
+def _productive_valuations(spec: Specification) -> dict:
+    """The valuations of a system whose every symbol is productive; an
+    EnumerationError naming the unproductive symbols otherwise."""
+    vals = _valuations(spec)
+    unproductive = [name for name in spec.symbols if vals[name] is None]
+    if unproductive:
+        raise EnumerationError(
+            "non-productive system: no objects derivable for "
+            + ", ".join(repr(n) for n in unproductive)
+        )
+    return vals
+
+
 _SUM, _PRODUCT, _SEQ = "sum", "product", "seq"
 
 
@@ -211,13 +224,7 @@ def count_series(spec: Specification, order: int) -> Series:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    vals = _valuations(spec)
-    unproductive = [name for name in spec.symbols if vals[name] is None]
-    if unproductive:
-        raise EnumerationError(
-            "non-productive system: no objects derivable for "
-            + ", ".join(repr(n) for n in unproductive)
-        )
+    vals = _productive_valuations(spec)
     problems = _seq_argument_problems(spec, vals)
     if problems:
         raise EnumerationError("; ".join(problems))

@@ -7,7 +7,7 @@ import pytest
 from juxtaspec.builtins import builtin_spec
 from juxtaspec.cli import MAX_TERMS, main
 from juxtaspec.dsl import parse_spec, render_spec
-from juxtaspec.juxtapose import juxtapose
+from juxtaspec.juxtapose import build_grid, juxtapose
 from juxtaspec.series import count_series, format_series
 
 
@@ -130,6 +130,20 @@ def test_juxtapose_insufficient_tracking(capsys):
     assert "leftmost" in err
 
 
+@pytest.mark.parametrize("side", ("right", "left"))
+def test_juxtapose_names_an_unproductive_symbol(tmp_path, capsys, side):
+    # R0 derives nothing, so no tracking fits the output; the refusal says why
+    path = tmp_path / "unproductive.txt"
+    path.write_text("T = ZLR + ZL R0 ZR + R0 T\nR0 = R0\n")
+    code, out, err = run(
+        capsys, "juxtapose", "--spec", str(path),
+        "--side", side, "--dir", "inc", "--track", "right",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: non-productive system: no objects derivable for 'R0'\n"
+
+
 def test_complement_and_reverse_commands(tmp_path, capsys):
     code, out, _ = run(capsys, "complement", "--builtin", "monotone")
     assert code == 0
@@ -210,6 +224,18 @@ def test_json_spec_input(tmp_path, capsys):
 
 def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_usage_error_then_valid_command_in_one_process(capsys):
+    """The parser is built once; a failed parse leaves nothing behind."""
+    code, out, err = run(capsys, "juxtapose", "--builtin", "monotone", "--side", "up")
+    assert code == 2
+    assert out == ""
+    assert "invalid choice: 'up'" in err
+    code, out, err = run(capsys, "juxtapose", "--builtin", "monotone", "--grid", "inc|core")
+    assert code == 0
+    assert err == ""
+    assert out == render_spec(build_grid(builtin_spec("monotone"), "inc|core"))
 
 
 def test_json_name_outside_the_dsl_grammar_rejected(tmp_path, capsys):

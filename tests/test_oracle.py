@@ -7,6 +7,7 @@ from juxtaspec.oracle import (
     DEC,
     INC,
     avoids_cell,
+    class_counts,
     contains,
     count_class,
     greedy_cut,
@@ -71,7 +72,8 @@ def test_count_class_small_sizes():
 
 
 # the four rows of the benchmark's oracle workload, then edge cases: cells
-# that reject every nonempty block, one cell, two basis cells and four cells
+# that reject every nonempty block, one cell, two basis cells, four cells and
+# a basis that is not minimal (123 contains 12)
 CROSS_CHECK_ROWS = [
     ("basis:321 | inc", 7),
     ("basis:2413,3142 | inc", 7),
@@ -82,20 +84,32 @@ CROSS_CHECK_ROWS = [
     ("basis:321", 7),
     ("basis:132 | basis:231", 7),
     ("inc | dec | inc | dec", 6),
+    ("basis:12,123 | dec", 6),
 ]
 
 
 @pytest.mark.parametrize("row, max_n", CROSS_CHECK_ROWS)
 def test_count_class_matches_exhaustive_membership(row, max_n):
     cells = parse_cells(row)
+    members = [
+        sum(juxt_membership(p, cells) for p in permutations(range(1, n + 1)))
+        for n in range(max_n + 1)
+    ]
     for n in range(max_n + 1):
-        members = sum(juxt_membership(p, cells) for p in permutations(range(1, n + 1)))
-        assert count_class(cells, n) == members, (row, n)
+        assert class_counts(cells, n) == members[: n + 1], (row, n)
+        assert count_class(cells, n) == members[n], (row, n)
 
 
 def test_count_class_rejects_empty_cells():
     with pytest.raises(ValueError, match="nonempty"):
         count_class([], 3)
+
+
+def test_count_class_rejects_negative_size():
+    with pytest.raises(ValueError, match="nonnegative"):
+        count_class([INC], -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        class_counts([B321, INC], -1)
 
 
 def test_count_class_size_limit():

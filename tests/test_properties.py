@@ -11,7 +11,7 @@ from hypothesis import assume, given, strategies as st  # noqa: E402
 from juxtaspec.expr import SpecError  # noqa: E402
 from juxtaspec.juxtapose import juxtapose  # noqa: E402
 from juxtaspec.operators import complement, forget_left, reverse  # noqa: E402
-from juxtaspec.oracle import DEC, INC, Basis, count_class, juxt_membership  # noqa: E402
+from juxtaspec.oracle import DEC, INC, Basis, class_counts, count_class, juxt_membership  # noqa: E402
 from juxtaspec.series import count_series, productivity_check  # noqa: E402
 from juxtaspec.spec import make_spec  # noqa: E402
 from helpers import (  # noqa: E402
@@ -108,6 +108,11 @@ cells = st.one_of(
 
 @given(st.lists(cells, min_size=1, max_size=3), st.integers(0, 6))
 def test_count_class_property_on_random_rows(row, n):
-    """The generating-tree count equals exhaustive juxt_membership counting."""
-    members = sum(juxt_membership(p, row) for p in permutations(range(1, n + 1)))
-    assert count_class(row, n) == members
+    """The generating-tree counts equal exhaustive juxt_membership counting,
+    at every size up to n in one walk."""
+    members = [
+        sum(juxt_membership(p, row) for p in permutations(range(1, m + 1)))
+        for m in range(n + 1)
+    ]
+    assert class_counts(row, n) == members
+    assert count_class(row, n) == members[n]
