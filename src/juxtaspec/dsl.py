@@ -39,6 +39,7 @@ from .expr import (
     Sum,
     ZERO,
     ZeroExpr,
+    evaluate,
     fold,
     make_product,
     make_seq,
@@ -225,8 +226,9 @@ def render_expr(expr: Expr) -> str:
 
 def render_spec(spec: Specification) -> str:
     """DSL text for a specification; parse_spec inverts it exactly."""
-    ropes = fold([eq.rhs for eq in spec.equations], _render_node)
-    return "".join(f"{eq.lhs} = {_flatten(rope)}\n" for eq, rope in zip(spec.equations, ropes))
+    steps, roots = spec._planned()
+    ropes = evaluate(steps, _render_node)
+    return "".join(f"{eq.lhs} = {_flatten(ropes[at])}\n" for eq, at in zip(spec.equations, roots))
 
 
 def _json_node(node, kids) -> dict:
@@ -275,10 +277,11 @@ def expr_from_node(node: dict, table=None) -> Expr:
 
 def spec_to_dict(spec: Specification) -> dict:
     # equal subexpressions share one (read-only) dict
-    nodes = fold([eq.rhs for eq in spec.equations], _json_node)
+    steps, roots = spec._planned()
+    nodes = evaluate(steps, _json_node)
     return {
         "root": spec.root,
-        "equations": [{"lhs": eq.lhs, "rhs": node} for eq, node in zip(spec.equations, nodes)],
+        "equations": [{"lhs": eq.lhs, "rhs": nodes[at]} for eq, at in zip(spec.equations, roots)],
     }
 
 

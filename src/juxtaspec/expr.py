@@ -10,9 +10,10 @@ caches its hash at construction, and the canonical constructors hash-cons
 what they build into a table passed to them (Filliatre & Conchon,
 "Type-safe modular hash-consing", 2006): the readers and :func:`rewrite`
 use one table per specification, so equal subexpressions of one
-specification are one object.  All traversals go through :func:`fold` (a
-:func:`plan` of the distinct nodes, then one :func:`evaluate` of it), which
-is iterative and visits each node once.
+specification are one object.  Every traversal is a :func:`plan` of the
+distinct nodes, then one :func:`evaluate` of it: iterative, each node
+visited once.  :func:`fold` does both; a specification keeps the plan of its
+equations, so its analyses only evaluate.
 """
 
 from __future__ import annotations

@@ -291,6 +291,7 @@ def _map_spec(spec: Specification, atoms: Mapping[str, str], flip: bool, track) 
     by every symmetry.  Its nodes are hash-consed together with the others,
     and each symbol's tracking is ``track`` of its old one, so the result is
     what :func:`make_spec` would return without inferring anything again.
+    The result plans its equations when an analysis first needs them.
     """
     table = {}
     sz = rewrite([eq.rhs for eq in spec.equations if eq.lhs == SZ_NAME], table=table)

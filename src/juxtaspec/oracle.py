@@ -31,7 +31,20 @@ DEC = "dec"
 
 @dataclass(frozen=True)
 class Basis:
+    """A cell of the permutations avoiding every one of ``patterns``, each a
+    nonempty permutation of 1..k.  An empty pattern, which every block
+    contains, is refused with the rest."""
+
     patterns: Tuple[Perm, ...]
+
+    def __post_init__(self):
+        if not self.patterns:
+            raise ValueError("empty basis")
+        for pattern in self.patterns:
+            if not pattern:
+                raise ValueError("empty basis pattern")
+            if sorted(pattern) != list(range(1, len(pattern) + 1)):
+                raise ValueError(f"basis pattern {pattern!r} is not a permutation")
 
 
 Cell = Union[str, Basis]
@@ -130,8 +143,6 @@ def _extension_test(cell: Cell) -> Callable[[Perm], int]:
     if not isinstance(cell, Basis):
         raise ValueError(f"unknown cell {cell!r}")
     patterns = set(cell.patterns)
-    if () in patterns:
-        return lambda block: 0  # no block avoids the empty pattern
     lengths = {len(p) for p in patterns}
     memo: Dict[Perm, int] = {}
 

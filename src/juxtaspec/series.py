@@ -1,9 +1,11 @@
 """Exact counting sequences, computed online one coefficient at a time.
 
 Every atom contributes z (E contributes 1), a product the product of its
-factors' series, and Seq(A) contributes 1/(1-A).  The equation system is
-planned once into a flat schedule of cells; coefficient n of every cell is
-then computed, exactly once, from coefficients already settled, before any
+factors' series, and Seq(A) contributes 1/(1-A).  The analyses evaluate the
+plan that the specification carries from its closing pass: the valuations
+first, then the Seq check and the schedule from their last pass's values.
+The schedule is a flat list of cells; coefficient n of every cell is
+computed, exactly once, from coefficients already settled, before any
 coefficient n + 1.  Products convolve only between the factors'
 valuations, so the cost is O(order²) big-integer products per cell.
 Coefficients are Python integers, so arbitrarily large counts are exact.
@@ -26,7 +28,6 @@ from .expr import (
     Sum,
     ZeroExpr,
     evaluate,
-    fold,
     plan,
 )
 from .spec import Specification
@@ -55,12 +56,14 @@ def _valuation_step(node, kids: list, vals: dict) -> Optional[int]:
     return None  # Zero
 
 
-def _valuations(spec: Specification) -> dict:
-    """Each symbol's minimal object size, None if it has no objects.
+def _valuations(spec: Specification) -> list:
+    """The minimal object size of every step of the specification's plan,
+    None where there are no objects.
 
     One pass evaluates every distinct node once and lowers a symbol's value
     as soon as its right-hand side is evaluated; passes repeat until none
-    changes, at most once per symbol plus one.
+    changes, at most once per symbol plus one.  The last pass changes
+    nothing, so each symbol's valuation is its right-hand side's value.
     """
     vals = {name: _UNKNOWN for name in spec.symbols}
     owners = {}  # right-hand side -> the symbols it defines
@@ -76,28 +79,35 @@ def _valuations(spec: Specification) -> dict:
                 vals[lhs], changed = v, True
         return v
 
-    steps, _ = plan([eq.rhs for eq in spec.equations])
+    steps = spec._planned()[0]
     for _ in range(len(vals) + 1):
         if not changed:
             break
         changed = False
-        evaluate(steps, visit)
-    return vals
+        values = evaluate(steps, visit)
+    return values
 
 
-def _seq_argument_problems(spec: Specification, vals: dict) -> list:
-    """One problem per Seq occurrence whose argument contains the empty object."""
+def _unproductive(spec: Specification, values: list) -> tuple:
+    """The symbols without objects, given the valuations of the plan's steps."""
+    return tuple(eq.lhs for eq, at in zip(spec.equations, spec._planned()[1]) if values[at] is None)
 
-    def visit(node, kids):
-        # (valuation, bad Seq occurrences in the expression tree)
-        bad = sum(k[1] for k in kids)
-        if isinstance(node, Seq) and kids[0][0] == 0:
-            bad += 1
-        return _valuation_step(node, [k[0] for k in kids], vals), bad
 
+def _seq_argument_problems(spec: Specification, values: list) -> list:
+    """One problem per Seq occurrence whose argument contains the empty
+    object; ``values`` are the valuations of the plan's steps."""
+    steps, roots = spec._planned()
+    if not any(isinstance(node, Seq) and values[kids[0]] == 0 for node, kids in steps):
+        return []
+    bad = []  # per step: bad Seq occurrences in its expression tree
+    for node, kids in steps:
+        count = sum([bad[k] for k in kids])
+        if isinstance(node, Seq) and values[kids[0]] == 0:
+            count += 1
+        bad.append(count)
     problems = []
-    for eq, (_, bad) in zip(spec.equations, fold([eq.rhs for eq in spec.equations], visit)):
-        problems += [f"{eq.lhs}: Seq argument has nonzero constant term"] * bad
+    for eq, at in zip(spec.equations, roots):
+        problems += [f"{eq.lhs}: Seq argument has nonzero constant term"] * bad[at]
     return problems
 
 
@@ -118,34 +128,35 @@ class ProductivityReport:
 def productivity_check(spec: Specification) -> ProductivityReport:
     """Diagnose symbols whose minimal size never resolves, bad Seq uses and
     symbols that depend on themselves at equal size (a tautological system)."""
-    vals = _valuations(spec)
-    unproductive = tuple(name for name in spec.symbols if vals[name] is None)
-    problems = _seq_argument_problems(spec, vals)
+    values = _valuations(spec)
+    unproductive = _unproductive(spec, values)
+    problems = _seq_argument_problems(spec, values)
     if not unproductive:
         try:
-            _schedule(spec, vals, 0)
+            _schedule(spec, values, 0)
         except EnumerationError as exc:
             problems.append(str(exc))
     return ProductivityReport(not unproductive and not problems, unproductive, tuple(problems))
 
 
-def _productive_valuations(spec: Specification) -> dict:
-    """The valuations of a system whose every symbol is productive; an
-    EnumerationError naming the unproductive symbols otherwise."""
-    vals = _valuations(spec)
-    unproductive = [name for name in spec.symbols if vals[name] is None]
+def _productive_valuations(spec: Specification) -> list:
+    """The valuations of a system whose every symbol is productive, as
+    :func:`_valuations` returns them; an EnumerationError naming the
+    unproductive symbols otherwise."""
+    values = _valuations(spec)
+    unproductive = _unproductive(spec, values)
     if unproductive:
         raise EnumerationError(
             "non-productive system: no objects derivable for "
             + ", ".join(repr(n) for n in unproductive)
         )
-    return vals
+    return values
 
 
 _SUM, _PRODUCT, _SEQ = "sum", "product", "seq"
 
 
-def _schedule(spec: Specification, vals: dict, order: int) -> tuple:
+def _schedule(spec: Specification, values: list, order: int) -> tuple:
     """The system as a flat list of cells in zero-lag topological order.
 
     A cell is a symbol, a distinct node, or a binary partial product: a
@@ -159,14 +170,15 @@ def _schedule(spec: Specification, vals: dict, order: int) -> tuple:
     n, but C·C reads C[n].  A zero-lag cycle is a coefficient that depends on
     itself, i.e. a tautological system.
 
+    Cells take their valuations from ``values``, those of the plan's steps.
     Returns the root's series and the steps ``(op, out, a, b, va, vb)`` that
     append one coefficient to ``out`` per index; atoms are filled in full.
     """
     symbols = spec.symbols
     index = {name: i for i, name in enumerate(symbols)}
-    steps, position = plan([spec.rhs(name) for name in symbols])
+    steps, roots = spec._planned()
     # per cell: [operation, operand cells, valuation, zero-lag operands, series]
-    cells = [[None, None, vals[name], None, None] for name in symbols]
+    cells = [[None, None, values[r], None, None] for r in roots]
     at, pairs = [], {}  # the cell of each plan step; binary products by operands
 
     def cell(op, operands, v, zero_lag):
@@ -176,7 +188,7 @@ def _schedule(spec: Specification, vals: dict, order: int) -> tuple:
         cells.append([op, operands, v, zero_lag, out])
         return len(cells) - 1
 
-    for node, kids in steps:
+    for (node, kids), v in zip(steps, values):
         kids = [at[k] for k in kids]
         if isinstance(node, ClassRef):
             at.append(index[node.name])
@@ -191,9 +203,9 @@ def _schedule(spec: Specification, vals: dict, order: int) -> tuple:
             at.append(left)
         else:
             op = _SUM if isinstance(node, Sum) else _SEQ if isinstance(node, Seq) else node
-            at.append(cell(op, kids, _valuation_step(node, [cells[k][2] for k in kids], vals), kids))
-    for i, name in enumerate(symbols):
-        cells[i][3] = [at[position[id(spec.rhs(name))]]]
+            at.append(cell(op, kids, v, kids))
+    for i, r in enumerate(roots):
+        cells[i][3] = [at[r]]
     try:
         ordered = [c for c, _ in plan(range(len(cells)), lambda c: cells[c][3], key=None)[0]]
     except CycleError as exc:
@@ -224,12 +236,12 @@ def count_series(spec: Specification, order: int) -> Series:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    vals = _productive_valuations(spec)
-    problems = _seq_argument_problems(spec, vals)
+    values = _productive_valuations(spec)
+    problems = _seq_argument_problems(spec, values)
     if problems:
         raise EnumerationError("; ".join(problems))
 
-    root, schedule = _schedule(spec, vals, order)
+    root, schedule = _schedule(spec, values, order)
     for n in range(order + 1):
         for op, out, a, b, va, vb in schedule:
             if op is _PRODUCT:

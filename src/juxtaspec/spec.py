@@ -79,7 +79,8 @@ class Specification:
     for them.  The readers and each expansion step build their equations
     canonical in one table and close them with the checks of
     :func:`make_spec` without rebuilding; :func:`make_spec` rebuilds only
-    equations given from outside.  The symmetries build one directly,
+    equations given from outside.  The closing pass keeps its plan of the
+    equations for the analyses.  The symmetries build one directly,
     carrying tracking over.
     """
 
@@ -87,10 +88,28 @@ class Specification:
     root: str
     tracking: Mapping[str, TrackingKind] = field(compare=False)
     _by_name: Mapping[str, Expr] = field(compare=False, repr=False)
+    _plan: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @property
     def symbols(self) -> tuple:
         return tuple(eq.lhs for eq in self.equations)
+
+    def _planned(self) -> tuple:
+        """``(steps, roots)``: the :func:`~juxtaspec.expr.plan` steps of the
+        distinct nodes of all right-hand sides, and the step of each
+        equation's right-hand side, in equation order.
+
+        Every analysis evaluates these steps instead of planning again.  The
+        closing pass hands over the plan it made; a symmetry's output plans
+        on first use and keeps the result, which is the same every time, so
+        a race between threads only plans twice.  Steps refer to each other
+        by index, so a pickled or copied specification keeps a valid plan.
+        """
+        if self._plan is None:
+            steps, position = plan([eq.rhs for eq in self.equations])
+            roots = tuple(position[id(eq.rhs)] for eq in self.equations)
+            object.__setattr__(self, "_plan", (tuple(steps), roots))
+        return self._plan
 
     def rhs(self, name: str) -> Expr:
         try:
@@ -126,10 +145,11 @@ def _close(eqs: list, root: Optional[str], table: dict, prune: bool = False) -> 
     right-hand side is Zero is an error.
     """
     sz_rhs = rewrite([sz_equation().rhs], table=table)[0]
-    # One plan of the whole system serves the pruning and every check below
-    # (pruning plans again only when it drops something).  The reserved
-    # SZ right-hand side is planned last, so the nodes reachable from the
-    # given equations are exactly the steps up to the last of their roots.
+    # One plan of the whole system serves the pruning, every check below and,
+    # kept on the result, every later analysis (pruning plans again only
+    # when it drops something).  The reserved SZ right-hand side is planned
+    # last, so the nodes reachable from the given equations are exactly the
+    # steps up to the last of their roots.
     steps, position = plan([eq.rhs for eq in eqs] + [sz_rhs])
     if prune:
         eqs, steps, position = _prune(eqs, root, table, steps, position, sz_rhs)
@@ -156,6 +176,7 @@ def _close(eqs: list, root: Optional[str], table: dict, prune: bool = False) -> 
         eqs.append(Equation(SZ_NAME, sz_rhs))
         defined.add(SZ_NAME)
         undefined.discard(SZ_NAME)
+        reachable = steps  # sz_rhs is the last step
     if undefined:
         missing = ", ".join(sorted(undefined))
         raise SpecError(f"undefined symbol(s): {missing}")
@@ -182,7 +203,8 @@ def _close(eqs: list, root: Optional[str], table: dict, prune: bool = False) -> 
             if problem:
                 raise SpecError(f"Seq argument in {eq.lhs!r}: {problem}")
     by_name = {eq.lhs: eq.rhs for eq in eqs}
-    return Specification(tuple(eqs), root, tracking, by_name)
+    roots = tuple(position[id(eq.rhs)] for eq in eqs)
+    return Specification(tuple(eqs), root, tracking, by_name, (tuple(reachable), roots))
 
 
 def _prune(eqs: list, root: str, table: dict, steps: list, position: dict, sz_rhs) -> tuple:
@@ -356,8 +378,7 @@ def classify(spec: Specification) -> Classification:
     SZ counts as Seq(Z), a leaf, unless it is the root.  Both flags may hold
     at once.
     """
-    steps, _ = plan([eq.rhs for eq in spec.equations])
-    context_free = not any(isinstance(node, Seq) for node, _ in steps)
+    context_free = not any(isinstance(node, Seq) for node, _ in spec._planned()[0])
 
     def through_refs(node):
         if isinstance(node, ClassRef) and (node.name != SZ_NAME or spec.root == SZ_NAME):

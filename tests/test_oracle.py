@@ -147,3 +147,37 @@ def test_parse_cells():
         parse_cells("basis:331")
     with pytest.raises(ValueError):
         parse_cells("basis:")
+
+
+@pytest.mark.parametrize(
+    "patterns, text",
+    [
+        ((), "empty basis"),
+        (((),), "empty basis pattern"),
+        (((1, 2), ()), "empty basis pattern"),
+        (((1, 1),), "basis pattern (1, 1) is not a permutation"),
+        (((2, 3),), "basis pattern (2, 3) is not a permutation"),
+    ],
+)
+def test_basis_refuses_what_no_block_can_avoid_consistently(patterns, text):
+    """A basis is nonempty permutations only: an empty pattern once made the
+    generating-tree counts accept blocks that juxt_membership refused."""
+    with pytest.raises(ValueError) as info:
+        Basis(patterns)
+    assert str(info.value) == text
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("wibble", "unknown cell 'wibble' (expected inc, dec or basis:...)"),
+        ("basis:331", "bad basis pattern '331': not a permutation"),
+        ("basis:", "bad basis pattern ''"),
+        ("inc|basis:12,", "bad basis pattern ''"),
+        ("basis:1x", "bad basis pattern '1x'"),
+    ],
+)
+def test_parse_cells_error_texts(text, message):
+    with pytest.raises(ValueError) as info:
+        parse_cells(text)
+    assert str(info.value) == message

@@ -1,0 +1,149 @@
+"""The plan a specification carries: every analysis evaluates it, so it must
+be a plan of exactly the specification's equations, however the
+specification was made, and no analysis may plan the system again."""
+
+import pickle
+
+import pytest
+
+import juxtaspec.dsl as dsl_module
+import juxtaspec.expr as expr_module
+import juxtaspec.series as series_module
+import juxtaspec.spec as spec_module
+from juxtaspec.builtins import builtin_names, builtin_spec
+from juxtaspec.dsl import parse_spec, render_spec, spec_to_json
+from juxtaspec.expr import children
+from juxtaspec.juxtapose import build_grid
+from juxtaspec.operators import complement, forget_left, reverse
+from juxtaspec.series import (
+    EnumerationError,
+    ProductivityReport,
+    count_series,
+    productivity_check,
+)
+from juxtaspec.spec import SZ_NAME, classify, inline_seq, make_spec, sz_equation
+from helpers import library_specs, marker_totals, tree_walk
+
+
+def _variants(spec):
+    """(how, specification) for each way of making a specification that has
+    the same series as spec without a closing pass over its own equations,
+    or with one that has to keep the reserved SZ equation in its plan."""
+    yield "complement", complement(spec)
+    yield "reverse", reverse(spec)
+    yield "forget_left", forget_left(spec)
+    yield "inline_seq", inline_seq(spec)
+    yield "pickled", pickle.loads(pickle.dumps(spec))
+    planned = reverse(spec)
+    planned._planned()  # a plan made on first use travels with it too
+    yield "reverse, planned, pickled", pickle.loads(pickle.dumps(planned))
+    kept = [eq for eq in spec.equations if eq.lhs != SZ_NAME]
+    if len(kept) < len(spec.equations):
+        yield "SZ injected", make_spec(kept, root=spec.root)
+    else:
+        yield "SZ unreferenced", make_spec(kept + [sz_equation()], root=spec.root)
+
+
+def _assert_plan_of_equations(spec):
+    """The carried plan is a plan of the distinct nodes of the equations,
+    children first, with each equation's right-hand side at its root."""
+    steps, roots = spec._planned()
+    assert len(roots) == len(spec.equations)
+    assert all(steps[at][0] is eq.rhs for eq, at in zip(spec.equations, roots))
+    for i, (node, kids) in enumerate(steps):
+        assert all(k < i for k in kids)
+        assert [id(steps[k][0]) for k in kids] == [id(kid) for kid in children(node)]
+    _, _, objects = tree_walk([eq.rhs for eq in spec.equations])
+    assert len(steps) == len({id(node) for node, _ in steps}) == objects
+
+
+def _outputs(spec, indent=2):
+    return classify(spec), render_spec(spec), spec_to_json(spec, indent)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_variants_of_builtins_match_make_spec_and_marker_series(name):
+    spec = builtin_spec(name)
+    _assert_plan_of_equations(spec)
+    for how, variant in _variants(spec):
+        _assert_plan_of_equations(variant)
+        again = make_spec(variant.equations, root=variant.root)
+        assert _outputs(variant) == _outputs(again), (name, how)
+        series = count_series(variant, 20)
+        assert series == count_series(again, 20) == marker_totals(variant, 20), (name, how)
+
+
+def test_variants_of_library_specs_match_make_spec():
+    """Every variant has the series of the specification it came from, which
+    test_series checks against marker_series."""
+    for i, spec in enumerate(library_specs()):
+        _assert_plan_of_equations(spec)
+        series = count_series(spec, 20)
+        for how, variant in _variants(spec):
+            _assert_plan_of_equations(variant)
+            again = make_spec(variant.equations, root=variant.root)
+            # without indent the standard library writes JSON in C
+            assert _outputs(variant, None) == _outputs(again, None), (i, how)
+            assert count_series(variant, 20) == series, (i, how)
+
+
+# ---------------------------------------------------------------------------
+# refusals read from the plan
+
+
+BAD_SEQ = "A = Z + Seq(E + Z) B Seq(E + Z)\nB = Z Seq(B + E)\n"
+BAD_SEQ_PROBLEMS = (
+    "A: Seq argument has nonzero constant term",
+    "A: Seq argument has nonzero constant term",
+    "B: Seq argument has nonzero constant term",
+)
+
+
+def test_seq_argument_refusal_texts():
+    """One problem per tree occurrence of a bad Seq, equation by equation:
+    A holds one shared Seq node twice, B a Seq over its own symbol."""
+    spec = parse_spec(BAD_SEQ)
+    with pytest.raises(EnumerationError) as info:
+        count_series(spec, 5)
+    assert str(info.value) == "; ".join(BAD_SEQ_PROBLEMS)
+    assert productivity_check(spec) == ProductivityReport(False, (), BAD_SEQ_PROBLEMS)
+    # the same texts when the specification did not come from a closing pass
+    for variant in (complement(spec), pickle.loads(pickle.dumps(spec))):
+        assert productivity_check(variant) == ProductivityReport(False, (), BAD_SEQ_PROBLEMS)
+
+
+# ---------------------------------------------------------------------------
+# no analysis plans the system again
+
+
+@pytest.fixture
+def plan_calls(monkeypatch):
+    """The number of plan calls so far, wherever the library binds plan."""
+    calls = []
+    real = expr_module.plan
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (expr_module, spec_module, series_module, dsl_module):
+        if hasattr(module, "plan"):
+            monkeypatch.setattr(module, "plan", counting)
+    return calls
+
+
+@pytest.mark.parametrize("build", ["av321", "monotone", "av321 inc|core|inc"])
+def test_analyses_evaluate_the_carried_plan(plan_calls, build):
+    core, *pattern = build.split()
+    spec = builtin_spec(core)
+    if pattern:
+        spec = parse_spec(render_spec(build_grid(spec, pattern[0])))
+    del plan_calls[:]
+    render_spec(spec)
+    spec_to_json(spec)
+    assert len(plan_calls) == 0
+    count_series(spec, 12)
+    assert len(plan_calls) == 1  # the order of the schedule's cells
+    del plan_calls[:]
+    classify(spec)
+    assert len(plan_calls) <= 1  # the walk through references
