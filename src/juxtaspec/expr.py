@@ -13,7 +13,8 @@ use one table per specification, so equal subexpressions of one
 specification are one object.  Every traversal is a :func:`plan` of the
 distinct nodes, then one :func:`evaluate` of it: iterative, each node
 visited once.  :func:`fold` does both; a specification keeps the plan of its
-equations, so its analyses only evaluate.
+equations, so its analyses only evaluate, and a per-symbol analysis is one
+:func:`least_fixpoint` of evaluations.
 """
 
 from __future__ import annotations
@@ -240,6 +241,35 @@ def evaluate(steps: list, fn, memo=None) -> list:
                 memo[node] = value
         values.append(value)
     return values
+
+
+def least_fixpoint(steps: list, symbols, fn, bottom) -> tuple:
+    """Least fixpoint of a per-symbol analysis over the plan ``steps``.
+
+    ``symbols`` pairs each symbol with its right-hand side's step; two may
+    share one.  ``fn(node, values of its children, value)`` reads symbols'
+    current values from the dict ``value``, which starts at ``bottom``.  A
+    symbol takes its right-hand side's value as soon as that step is
+    evaluated, and passes repeat until one changes nothing.  There is no
+    round cap: ``fn`` must be monotone, with values that move one way in a
+    well-founded order (booleans, capped counts, sizes that only fall), so
+    any order of updates reaches the same least fixpoint and stops.  Returns
+    ``(value, the last pass's step values)``.
+    """
+    value, owners = {}, {}
+    for name, at in symbols:
+        value[name] = bottom
+        owners.setdefault(at, []).append(name)
+    changed = True
+    while changed:
+        changed, values = False, []
+        for at, (node, kids) in enumerate(steps):
+            v = fn(node, [values[k] for k in kids], value)
+            values.append(v)
+            for name in owners.get(at, ()):
+                if value[name] != v:
+                    value[name], changed = v, True
+    return value, values
 
 
 def fold(roots, fn, memo=None, children=children, key=id) -> list:

@@ -171,7 +171,7 @@ def _extension_test(cell: Cell) -> Callable[[Perm], int]:
     return test
 
 
-def class_counts(cells: Sequence[Cell], max_len: int, max_length: int = MAX_LENGTH) -> List[int]:
+def class_counts(cells: Sequence[Cell], max_len: int) -> List[int]:
     """Numbers of permutations of each length 0..max_len in the juxtaposition.
 
     Same predicate as juxt_membership, counted on a generating tree.  The
@@ -188,8 +188,8 @@ def class_counts(cells: Sequence[Cell], max_len: int, max_length: int = MAX_LENG
     at depth max_len - 1 are counted by the rank of the new entry among the
     open block without being built.
     """
-    if max_len > max_length:
-        raise ValueError(f"size {max_len} exceeds the configured maximum {max_length}")
+    if max_len > MAX_LENGTH:
+        raise ValueError(f"size {max_len} exceeds the configured maximum {MAX_LENGTH}")
     if max_len < 0:
         raise ValueError("size must be nonnegative")
     if not cells:
@@ -236,10 +236,10 @@ def class_counts(cells: Sequence[Cell], max_len: int, max_length: int = MAX_LENG
     return counts
 
 
-def count_class(cells: Sequence[Cell], n: int, max_length: int = MAX_LENGTH) -> int:
+def count_class(cells: Sequence[Cell], n: int) -> int:
     """Number of permutations of length n lying in the juxtaposition: the
     last entry of class_counts(cells, n)."""
-    return class_counts(cells, n, max_length)[n]
+    return class_counts(cells, n)[n]
 
 
 def greedy_cut(perm: Sequence[int]) -> int:
@@ -251,7 +251,7 @@ def greedy_cut(perm: Sequence[int]) -> int:
     return start
 
 
-def greedy_unique(cells: Sequence[Cell], n: int, max_length: int = MAX_LENGTH) -> bool:
+def greedy_unique(cells: Sequence[Cell], n: int) -> bool:
     """Does every member split at the greedy cut?
 
     For cells [core, inc]: each member of the juxtaposition must have its
@@ -261,8 +261,8 @@ def greedy_unique(cells: Sequence[Cell], n: int, max_length: int = MAX_LENGTH) -
     """
     if len(cells) != 2 or cells[1] != INC or not isinstance(cells[0], Basis):
         raise ValueError("greedy_unique expects cells [basis, inc]")
-    if n > max_length:
-        raise ValueError(f"size {n} exceeds the configured maximum {max_length}")
+    if n > MAX_LENGTH:
+        raise ValueError(f"size {n} exceeds the configured maximum {MAX_LENGTH}")
     core = cells[0]
     for perm in permutations(range(1, n + 1)):
         if juxt_membership(perm, cells):

@@ -3,7 +3,7 @@
 Every atom contributes z (E contributes 1), a product the product of its
 factors' series, and Seq(A) contributes 1/(1-A).  The analyses evaluate the
 plan that the specification carries from its closing pass: the valuations
-first, then the Seq check and the schedule from their last pass's values.
+first, then the Seq check and the schedule from their step values.
 The schedule is a flat list of cells; coefficient n of every cell is
 computed, exactly once, from coefficients already settled, before any
 coefficient n + 1.  Products convolve only between the factors'
@@ -27,14 +27,12 @@ from .expr import (
     SpecError,
     Sum,
     ZeroExpr,
-    evaluate,
+    least_fixpoint,
     plan,
 )
 from .spec import Specification
 
 Series = List[int]
-
-_UNKNOWN = None  # unresolved valuation
 
 
 class EnumerationError(SpecError):
@@ -56,41 +54,12 @@ def _valuation_step(node, kids: list, vals: dict) -> Optional[int]:
     return None  # Zero
 
 
-def _valuations(spec: Specification) -> list:
-    """The minimal object size of every step of the specification's plan,
-    None where there are no objects.
-
-    One pass evaluates every distinct node once and lowers a symbol's value
-    as soon as its right-hand side is evaluated; passes repeat until none
-    changes, at most once per symbol plus one.  The last pass changes
-    nothing, so each symbol's valuation is its right-hand side's value.
-    """
-    vals = {name: _UNKNOWN for name in spec.symbols}
-    owners = {}  # right-hand side -> the symbols it defines
-    for eq in spec.equations:
-        owners.setdefault(id(eq.rhs), []).append(eq.lhs)
-    changed = True
-
-    def visit(node, kids):
-        nonlocal changed
-        v = _valuation_step(node, kids, vals)
-        for lhs in owners.get(id(node), ()) if v is not None else ():
-            if vals[lhs] is None or v < vals[lhs]:
-                vals[lhs], changed = v, True
-        return v
-
-    steps = spec._planned()[0]
-    for _ in range(len(vals) + 1):
-        if not changed:
-            break
-        changed = False
-        values = evaluate(steps, visit)
-    return values
-
-
-def _unproductive(spec: Specification, values: list) -> tuple:
-    """The symbols without objects, given the valuations of the plan's steps."""
-    return tuple(eq.lhs for eq, at in zip(spec.equations, spec._planned()[1]) if values[at] is None)
+def _valuations(spec: Specification) -> tuple:
+    """``(unproductive symbols, the minimal object size of every plan step or
+    None where it has no objects)``: the least fixpoint of :func:`_valuation_step`."""
+    steps, roots = spec._planned()
+    vals, values = least_fixpoint(steps, zip(spec.symbols, roots), _valuation_step, None)
+    return tuple(name for name in spec.symbols if vals[name] is None), values
 
 
 def _seq_argument_problems(spec: Specification, values: list) -> list:
@@ -128,8 +97,7 @@ class ProductivityReport:
 def productivity_check(spec: Specification) -> ProductivityReport:
     """Diagnose symbols whose minimal size never resolves, bad Seq uses and
     symbols that depend on themselves at equal size (a tautological system)."""
-    values = _valuations(spec)
-    unproductive = _unproductive(spec, values)
+    unproductive, values = _valuations(spec)
     problems = _seq_argument_problems(spec, values)
     if not unproductive:
         try:
@@ -140,11 +108,10 @@ def productivity_check(spec: Specification) -> ProductivityReport:
 
 
 def _productive_valuations(spec: Specification) -> list:
-    """The valuations of a system whose every symbol is productive, as
+    """The step valuations of a system whose every symbol is productive, as
     :func:`_valuations` returns them; an EnumerationError naming the
     unproductive symbols otherwise."""
-    values = _valuations(spec)
-    unproductive = _unproductive(spec, values)
+    unproductive, values = _valuations(spec)
     if unproductive:
         raise EnumerationError(
             "non-productive system: no objects derivable for "

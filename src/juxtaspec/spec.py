@@ -31,6 +31,7 @@ from .expr import (
     ZeroExpr,
     children,
     evaluate,
+    least_fixpoint,
     make_seq,
     plan,
     rewrite,
@@ -111,6 +112,12 @@ class Specification:
             object.__setattr__(self, "_plan", (tuple(steps), roots))
         return self._plan
 
+    def __reduce__(self):
+        # the plan in flat form: pickling nodes would recurse once per level
+        steps, roots = self._planned()
+        flat = [(type(node) if kids else node, kids) for node, kids in steps]
+        return _unpickled, (flat, roots, self.symbols, self.root, self.tracking)
+
     def rhs(self, name: str) -> Expr:
         try:
             return self._by_name[name]
@@ -119,6 +126,19 @@ class Specification:
 
     def root_tracking(self) -> TrackingKind:
         return self.tracking[self.root]
+
+
+def _unpickled(flat, roots, symbols, root, tracking) -> Specification:
+    """The specification that :meth:`Specification.__reduce__` flattened,
+    its nodes rebuilt in step order, each from its children's steps."""
+    steps = []
+    for node, kids in flat:
+        if kids:
+            args = [steps[k][0] for k in kids]
+            node = node(args[0] if node is Seq else tuple(args))
+        steps.append((node, kids))
+    eqs = tuple(Equation(lhs, steps[at][0]) for lhs, at in zip(symbols, roots))
+    return Specification(eqs, root, tracking, {eq.lhs: eq.rhs for eq in eqs}, (tuple(steps), roots))
 
 
 def make_spec(equations: Iterable[Equation], root: Optional[str] = None) -> Specification:
@@ -193,9 +213,7 @@ def _close(eqs: list, root: Optional[str], table: dict, prune: bool = False) -> 
 
     r_counts = _marker_fixpoint(eqs, steps, position, R_ATOMS, "rightmost")
     l_counts = _marker_fixpoint(eqs, steps, position, L_ATOMS, "leftmost")
-    tracking = {
-        eq.lhs: TrackingKind(r_counts[eq.lhs] == 1, l_counts[eq.lhs] == 1) for eq in eqs
-    }
+    tracking = {eq.lhs: TrackingKind(r_counts[eq.lhs] == 1, l_counts[eq.lhs] == 1) for eq in eqs}
     if any(isinstance(node, Seq) for node, _ in steps):  # else no Seq content to check
         marks = evaluate(steps, marked_content(tracking))
         for eq in eqs:
@@ -219,31 +237,23 @@ def _prune(eqs: list, root: str, table: dict, steps: list, position: dict, sz_rh
     them all.
     """
     if any(isinstance(eq.rhs, ZeroExpr) for eq in eqs):
-        empty = set()
-        roots = [(eq.lhs, position[id(eq.rhs)]) for eq in eqs]
-
-        def is_empty(node, kids) -> bool:
+        def is_empty(node, kids, empty) -> bool:
             if isinstance(node, Sum):
                 return all(kids)
             if isinstance(node, Product):
                 return any(kids)
             if isinstance(node, ClassRef):
-                return node.name in empty
+                return empty.get(node.name, False)
             return isinstance(node, ZeroExpr)
 
-        while True:
-            values = evaluate(steps, is_empty)
-            grown = {lhs for lhs, at in roots if values[at]} - empty
-            if not grown:
-                break
-            empty |= grown
-        if root in empty:
+        empty, _ = least_fixpoint(steps, [(eq.lhs, position[id(eq.rhs)]) for eq in eqs], is_empty, False)
+        if empty[root]:
             raise SpecError(f"expansion of {root} is the empty class")
 
         def leaf(node):
-            return ZERO if isinstance(node, ClassRef) and node.name in empty else node
+            return ZERO if isinstance(node, ClassRef) and empty.get(node.name) else node
 
-        kept = [eq for eq in eqs if eq.lhs not in empty]
+        kept = [eq for eq in eqs if not empty[eq.lhs]]
         rhs = rewrite([eq.rhs for eq in kept], leaf, table=table)
         eqs = [Equation(eq.lhs, expr) for eq, expr in zip(kept, rhs)]
         steps, position = plan([eq.rhs for eq in eqs] + [sz_rhs])
@@ -273,35 +283,27 @@ def _marker_fixpoint(eqs, steps: list, position: dict, markers: frozenset, label
     A term that is literally E describes the empty object and is exempt from
     the count (the empty permutation carries no markers); every other term of
     a marker-carrying symbol must contain the marker exactly once.  Seq
-    content carries no markers.  Counts only grow, so iterating every
-    equation at once reaches the same least fixpoint as any other order.
+    content carries no markers.
     """
-    counts = {eq.lhs: 0 for eq in eqs}
     if not any(isinstance(node, AtomRef) and node.atom in markers for node, _ in steps):
-        return counts  # every count and every term is 0
-    roots = [(eq.lhs, position[id(eq.rhs)]) for eq in eqs]
+        return {eq.lhs: 0 for eq in eqs}  # every count and every term is 0
 
-    def leaf(node) -> int:
+    def leaf(node, counts) -> int:
         if isinstance(node, AtomRef):
             return 1 if node.atom in markers else 0
         if isinstance(node, ClassRef):
             return counts.get(node.name, 0)
         return 0  # Zero, Seq
 
-    def upper(node, kids) -> int:
+    def upper(node, kids, counts) -> int:
         # an E term counts 0, which never raises the maximum of its equation
         if isinstance(node, Product):
             return min(2, sum(kids))
         if isinstance(node, Sum):
             return max(kids)
-        return leaf(node)
+        return leaf(node, counts)
 
-    for _ in range(2 * len(eqs) + 2):
-        values = evaluate(steps, upper)
-        grown = [(lhs, values[at]) for lhs, at in roots if values[at] > counts[lhs]]
-        if not grown:
-            break
-        counts.update(grown)
+    counts, _ = least_fixpoint(steps, [(eq.lhs, position[id(eq.rhs)]) for eq in eqs], upper, 0)
 
     def exact(node, kids) -> int:
         # -1: a sum whose terms differ, or a product with one inside
@@ -309,7 +311,7 @@ def _marker_fixpoint(eqs, steps: list, position: dict, markers: frozenset, label
             return -1 if -1 in kids else sum(kids)
         if isinstance(node, Sum):
             return kids[0] if len(set(kids)) == 1 else -1
-        return leaf(node)
+        return leaf(node, counts)
 
     values = evaluate(steps, exact)
     for eq in eqs:

@@ -90,6 +90,8 @@ def test_empty_symbols_over_two_rounds():
     ("A = B ZR\nB = E\n", ("B", "i"), 1),
     ("A = B B\nB = E\n", ("A", "ii"), 2),
     ("A = B + C C\nB = C\nC = D D\nD = E\n", ("A", "io"), 4),
+    ("".join(f"C{i} = C{i + 1} + C{i + 1} C{i + 1}\n" for i in range(49)) + "C49 = E\n",
+     ("C0", "io"), 50),
 ])
 def test_empty_root_is_refused(text, pair, rounds):
     spec = parse_spec(text)

@@ -20,8 +20,11 @@ from juxtaspec.expr import (
     Z_EXPR,
     ZERO,
     canonicalize,
+    evaluate,
     factors,
+    least_fixpoint,
     nodes,
+    plan,
     rewrite,
     terms,
 )
@@ -115,6 +118,69 @@ def test_terms_and_factors_of_non_compound():
 def test_unknown_atom_rejected():
     with pytest.raises(SpecError):
         AtomRef("Q")
+
+
+def _min_size(node, kids, value):
+    """Minimal object size, None while there is none: a monotone analysis."""
+    if isinstance(node, ClassRef):
+        return value[node.name]
+    if isinstance(node, Sum):
+        return min((k for k in kids if k is not None), default=None)
+    if isinstance(node, Product):
+        return None if None in kids else sum(kids)
+    return 1
+
+
+def _jacobi(steps, symbols, fn, bottom):
+    """Reference: every symbol updated at once from the previous round's values."""
+    value = {name: bottom for name, _ in symbols}
+    while True:
+        values = evaluate(steps, lambda node, kids: fn(node, kids, value))
+        new = {name: values[at] for name, at in symbols}
+        if new == value:
+            return value, values
+        value = new
+
+
+def test_least_fixpoint_shared_right_hand_side():
+    # hash-consing can give two symbols one right-hand side object
+    rhs = Sum((Product((Z_EXPR, Z_EXPR, ClassRef("A"))), Product((Z_EXPR, ClassRef("B")))))
+    steps, position = plan([rhs])
+    value, values = least_fixpoint(steps, [("A", position[id(rhs)]), ("B", position[id(rhs)])],
+                                   _min_size, None)
+    assert value == {"A": None, "B": None}  # neither ever has an object
+    rhs = Sum((Z_EXPR, Product((Z_EXPR, ClassRef("A")))))
+    steps, position = plan([rhs])
+    value, values = least_fixpoint(steps, [("A", position[id(rhs)]), ("B", position[id(rhs)])],
+                                   _min_size, None)
+    assert value == {"A": 1, "B": 1}
+    assert values[position[id(rhs)]] == 1
+
+
+def test_least_fixpoint_keeps_bottom_for_a_symbol_never_raised():
+    a, c = Sum((Z_EXPR, Product((Z_EXPR, ClassRef("A"))))), Product((Z_EXPR, ClassRef("C")))
+    steps, position = plan([a, c])
+    symbols = [("A", position[id(a)]), ("C", position[id(c)])]
+    value, values = least_fixpoint(steps, symbols, _min_size, None)
+    assert value == {"A": 1, "C": None}
+    assert values[position[id(c)]] is None
+
+
+def test_least_fixpoint_matches_jacobi_on_a_reverse_ordered_chain():
+    # S0 refers to S1 and S3, S1 to S2 and S4, ...: each symbol is planned
+    # before the symbols it reads, so values settle one symbol per pass
+    def ref(i):
+        return ClassRef(f"S{i}")
+
+    rhs = [Sum((Product((Z_EXPR, ref(i + 1))), Product((Z_EXPR, Z_EXPR, ref(i + 3)))))
+           for i in range(37)]
+    rhs += [Product((Z_EXPR, Z_EXPR)), Z_EXPR, Product((Z_EXPR, ref(39)))]
+    steps, position = plan(rhs)
+    symbols = [(f"S{i}", position[id(r)]) for i, r in enumerate(rhs)]
+    got = least_fixpoint(steps, symbols, _min_size, None)
+    assert got == _jacobi(steps, symbols, _min_size, None)
+    # S36 = 3, and each step of three symbols down costs 2 more
+    assert got[0]["S0"] == 27 and got[0]["S39"] is None
 
 
 def test_unpickled_node_equals_a_fresh_one_in_another_process(tmp_path):

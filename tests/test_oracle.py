@@ -6,6 +6,7 @@ from juxtaspec.oracle import (
     Basis,
     DEC,
     INC,
+    MAX_LENGTH,
     avoids_cell,
     class_counts,
     contains,
@@ -115,8 +116,9 @@ def test_count_class_rejects_negative_size():
 def test_count_class_size_limit():
     with pytest.raises(ValueError, match="maximum"):
         count_class([B321], 11)
-    with pytest.raises(ValueError, match="maximum"):
-        count_class([B321], 8, max_length=7)
+    with pytest.raises(ValueError) as info:
+        count_class([B321], MAX_LENGTH + 1)
+    assert str(info.value) == f"size {MAX_LENGTH + 1} exceeds the configured maximum {MAX_LENGTH}"
 
 
 def test_greedy_cut():

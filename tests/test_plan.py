@@ -2,26 +2,28 @@
 be a plan of exactly the specification's equations, however the
 specification was made, and no analysis may plan the system again."""
 
+import importlib
 import pickle
 
 import pytest
 
 import juxtaspec.dsl as dsl_module
 import juxtaspec.expr as expr_module
+import juxtaspec.operators as operators_module
 import juxtaspec.series as series_module
 import juxtaspec.spec as spec_module
-from juxtaspec.builtins import builtin_names, builtin_spec
+from juxtaspec.builtins import builtin_names, builtin_spec, builtin_text
 from juxtaspec.dsl import parse_spec, render_spec, spec_to_json
-from juxtaspec.expr import children
-from juxtaspec.juxtapose import build_grid
-from juxtaspec.operators import complement, forget_left, reverse
+from juxtaspec.expr import ZR, AtomRef, Product, Seq, Sum, Z_EXPR, ZeroExpr, children
+from juxtaspec.juxtapose import DIR_INC, SIDE_LEFT, SIDE_RIGHT, TRACK_MODES, build_grid, juxtapose
+from juxtaspec.operators import complement, expand, forget_left, reverse
 from juxtaspec.series import (
     EnumerationError,
     ProductivityReport,
     count_series,
     productivity_check,
 )
-from juxtaspec.spec import SZ_NAME, classify, inline_seq, make_spec, sz_equation
+from juxtaspec.spec import SZ_NAME, Equation, classify, inline_seq, make_spec, sz_equation
 from helpers import library_specs, marker_totals, tree_walk
 
 
@@ -116,34 +118,116 @@ def test_seq_argument_refusal_texts():
 # no analysis plans the system again
 
 
-@pytest.fixture
-def plan_calls(monkeypatch):
-    """The number of plan calls so far, wherever the library binds plan."""
+# the package exports a function named juxtapose, which shadows the module
+LIBRARY_MODULES = (
+    expr_module, spec_module, series_module, dsl_module, operators_module,
+    importlib.import_module("juxtaspec.juxtapose"),
+)
+
+
+def _counting(monkeypatch, name):
+    """The calls so far of the expr function ``name``, wherever the library
+    binds it."""
     calls = []
-    real = expr_module.plan
+    real = getattr(expr_module, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for module in (expr_module, spec_module, series_module, dsl_module):
-        if hasattr(module, "plan"):
-            monkeypatch.setattr(module, "plan", counting)
+    for module in LIBRARY_MODULES:
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counting)
     return calls
 
 
+@pytest.fixture
+def plan_calls(monkeypatch):
+    return _counting(monkeypatch, "plan")
+
+
+@pytest.fixture
+def fixpoint_calls(monkeypatch):
+    return _counting(monkeypatch, "least_fixpoint")
+
+
 @pytest.mark.parametrize("build", ["av321", "monotone", "av321 inc|core|inc"])
-def test_analyses_evaluate_the_carried_plan(plan_calls, build):
+def test_analyses_evaluate_the_carried_plan(plan_calls, fixpoint_calls, build):
     core, *pattern = build.split()
     spec = builtin_spec(core)
     if pattern:
         spec = parse_spec(render_spec(build_grid(spec, pattern[0])))
-    del plan_calls[:]
+    del plan_calls[:], fixpoint_calls[:]
     render_spec(spec)
     spec_to_json(spec)
-    assert len(plan_calls) == 0
+    assert len(plan_calls) == len(fixpoint_calls) == 0
     count_series(spec, 12)
     assert len(plan_calls) == 1  # the order of the schedule's cells
-    del plan_calls[:]
+    assert len(fixpoint_calls) == 1  # the valuations
+    del plan_calls[:], fixpoint_calls[:]
+    productivity_check(spec)
+    assert len(fixpoint_calls) == 1
+    del plan_calls[:], fixpoint_calls[:]
     classify(spec)
     assert len(plan_calls) <= 1  # the walk through references
+    assert len(fixpoint_calls) == 0
+
+
+def _closing_passes():
+    """(how, a call that closes one system)."""
+    av321, with_sz = builtin_spec("av321"), parse_spec("A = ZR + Z SZ A\n")
+    empty_symbols = parse_spec("A = B ZR + Z ZR\nB = C C\nC = E\n")
+    yield "parse_spec", lambda: parse_spec(builtin_text("av321"))
+    yield "make_spec", lambda: make_spec(av321.equations)
+    yield "inline_seq", lambda: inline_seq(with_sz)
+    yield "expand", lambda: expand(empty_symbols, [("A", "i")])
+    for side in (SIDE_RIGHT, SIDE_LEFT):
+        for mode in TRACK_MODES:
+            yield f"juxtapose {side} {mode}", lambda s=side, m=mode: juxtapose(av321, s, DIR_INC, m)
+
+
+def _analysis(fn) -> str:
+    """Which per-symbol analysis a least_fixpoint call runs."""
+    if fn.__name__ == "is_empty":
+        return "empty"
+    return "rightmost" if fn(AtomRef(ZR), [], {}) else "leftmost"  # a marker count
+
+
+def test_closing_pass_runs_at_most_three_fixpoints(monkeypatch, fixpoint_calls):
+    """Emptiness only when some right-hand side is Zero, then the rightmost
+    and then the leftmost marker counts, each at most once."""
+    real_close, zero_rhs = spec_module._close, []
+
+    def close(eqs, *args, **kwargs):
+        zero_rhs.append(any(isinstance(eq.rhs, ZeroExpr) for eq in eqs))
+        return real_close(eqs, *args, **kwargs)
+
+    for module in LIBRARY_MODULES:
+        if hasattr(module, "_close"):
+            monkeypatch.setattr(module, "_close", close)
+    seen = set()
+    for how, build in _closing_passes():
+        del fixpoint_calls[:], zero_rhs[:]
+        build()
+        analyses = [_analysis(args[2]) for args in fixpoint_calls]
+        assert len(zero_rhs) == 1, how
+        assert analyses == [a for a in ("empty", "rightmost", "leftmost") if a in analyses], how
+        assert ("empty" in analyses) == zero_rhs[0], how
+        seen.update(analyses)
+    assert seen == {"empty", "rightmost", "leftmost"}
+
+
+# ---------------------------------------------------------------------------
+# pickling
+
+
+def test_deeply_nested_specification_pickles():
+    expr = Z_EXPR
+    for _ in range(3000):
+        expr = Sum((Z_EXPR, Product((Z_EXPR, Seq(expr)))))
+    spec = make_spec([Equation("A", expr)])
+    again = pickle.loads(pickle.dumps(spec))
+    assert again == spec and again.tracking == spec.tracking
+    _assert_plan_of_equations(again)
+    assert again._planned()[1] == spec._planned()[1]
+    assert count_series(again, 12) == count_series(spec, 12)

@@ -5,6 +5,7 @@ import pytest
 
 from juxtaspec.builtins import builtin_names, builtin_spec
 from juxtaspec.dsl import parse_spec, spec_from_dict, spec_to_dict
+from juxtaspec.expr import AtomRef, ClassRef, Product, Z_EXPR
 from juxtaspec.juxtapose import juxtapose
 from juxtaspec.series import (
     EnumerationError,
@@ -13,7 +14,7 @@ from juxtaspec.series import (
     format_series,
     productivity_check,
 )
-from juxtaspec.spec import make_spec, sz_equation
+from juxtaspec.spec import Equation, make_spec, sz_equation
 from helpers import deep_series_specs, library_specs, marker_totals
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
@@ -154,6 +155,15 @@ def test_productivity_check_diagnostics():
 def test_reference_chain_converges():
     spec = parse_spec("A = B\nB = C\nC = Z + C Z\n")
     assert count_series(spec, 4) == [0, 1, 1, 1, 1]
+
+
+def test_long_chain_in_reverse_dependency_order():
+    # A1 = Z A2, ..., A199 = Z A200, A200 = ZR: every symbol is defined after
+    # the one that refers to it, so each pass settles one more symbol
+    eqs = [Equation(f"A{i}", Product((Z_EXPR, ClassRef(f"A{i + 1}")))) for i in range(1, 200)]
+    spec = make_spec(eqs + [Equation("A200", AtomRef("ZR"))])
+    assert all(spec.tracking[name].has_r for name in spec.symbols)
+    assert count_series(spec, 200) == [0] * 200 + [1]
 
 
 def test_compare_series():
