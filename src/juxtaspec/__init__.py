@@ -47,10 +47,8 @@ from .dsl import (
 from .operators import (
     INSERTION_TAGS,
     apply_atom,
-    apply_expr,
     complement,
     expand,
-    expr_tracks_r,
     forget_left,
     reverse,
 )

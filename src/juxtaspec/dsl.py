@@ -226,7 +226,7 @@ def render_expr(expr: Expr) -> str:
 
 def render_spec(spec: Specification) -> str:
     """DSL text for a specification; parse_spec inverts it exactly."""
-    steps, roots = spec._planned()
+    steps, roots = spec._plan
     ropes = evaluate(steps, _render_node)
     return "".join(f"{eq.lhs} = {_flatten(ropes[at])}\n" for eq, at in zip(spec.equations, roots))
 
@@ -277,7 +277,7 @@ def expr_from_node(node: dict, table=None) -> Expr:
 
 def spec_to_dict(spec: Specification) -> dict:
     # equal subexpressions share one (read-only) dict
-    steps, roots = spec._planned()
+    steps, roots = spec._plan
     nodes = evaluate(steps, _json_node)
     return {
         "root": spec.root,

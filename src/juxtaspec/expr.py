@@ -88,7 +88,13 @@ class ClassRef(Expr):
 
 # Compound nodes compare their cached hash first, so unequal nodes differ at
 # once and equal shared children compare by identity.  The hash is only valid
-# in the process that computed it, so unpickling rebuilds the node.
+# in the process that computed it, so unpickling rebuilds the node, from the
+# flat form of its plan: pickling nodes as nested objects would recurse once
+# per level.
+
+
+def _reduce_flat(node):
+    return _node_from_flat_form, (_flat_form(plan((node,))[0]),)
 
 
 def _equal(a, b) -> bool:
@@ -119,9 +125,7 @@ class Product(Expr):
 
     __hash__ = Expr.__hash__
     __eq__ = _equal
-
-    def __reduce__(self):
-        return Product, (self.factors,)
+    __reduce__ = _reduce_flat
 
     def __repr__(self):
         return "(" + " ".join(map(repr, self.factors)) + ")"
@@ -137,9 +141,7 @@ class Sum(Expr):
 
     __hash__ = Expr.__hash__
     __eq__ = _equal
-
-    def __reduce__(self):
-        return Sum, (self.terms,)
+    __reduce__ = _reduce_flat
 
     def __repr__(self):
         return "(" + " + ".join(map(repr, self.terms)) + ")"
@@ -155,9 +157,7 @@ class Seq(Expr):
 
     __hash__ = Expr.__hash__
     __eq__ = _equal
-
-    def __reduce__(self):
-        return Seq, (self.arg,)
+    __reduce__ = _reduce_flat
 
     def __repr__(self):
         return f"Seq{self.arg!r}"
@@ -280,6 +280,28 @@ def fold(roots, fn, memo=None, children=children, key=id) -> list:
     steps, position = plan(roots, children, () if memo is None else memo, key)
     values = evaluate(steps, fn, memo)
     return [values[position[(key or _same)(root)]] for root in roots]
+
+
+def _flat_form(steps) -> list:
+    """Plan steps in flat form, which pickles without recursion: a leaf as
+    itself, a compound node as its type; children stay step positions."""
+    compound = (Sum, Product, Seq)
+    return [(type(node) if isinstance(node, compound) else node, kids) for node, kids in steps]
+
+
+def _from_flat_form(flat) -> list:
+    """The plan steps that :func:`_flat_form` gave, nodes rebuilt in step order."""
+    steps = []
+    for node, kids in flat:
+        if isinstance(node, type):
+            args = [steps[k][0] for k in kids]
+            node = node(args[0] if node is Seq else tuple(args))
+        steps.append((node, kids))
+    return steps
+
+
+def _node_from_flat_form(flat) -> Expr:
+    return _from_flat_form(flat)[-1][0]  # a single root is planned last
 
 
 def nodes(expr: Expr) -> list:

@@ -15,16 +15,18 @@ from __future__ import annotations
 from typing import Sequence, Union
 
 from .expr import AtomRef, ClassRef, Product, Sum, Z, ZL, ZLR, ZR, E_EXPR, SpecError, rewrite
-from .operators import _REVERSE_ATOMS, _expand_equations, _map_spec, _renamer, _sz
+from .operators import _REVERSE_ATOMS, _expand_equations, _sz
 from .series import _productive_valuations
 from .spec import (
     Equation,
     Specification,
+    SZ_NAME,
     TrackingError,
     TrackingKind,
     _close,
+    _map_spec,
+    _renamer,
     classify,
-    inline_seq,
 )
 
 TRACK_RIGHT = "right"
@@ -81,28 +83,23 @@ def juxtapose(
             f"root {spec.root!r} does not track its {far} entry; track mode 'both' unavailable"
         )
 
-    if classify(spec).regular:
-        # run classes must appear as Seq nodes, not as SZ references, for the
-        # operators to use the sequence rules; that keeps regular inputs
-        # yielding regular outputs.  A context-free input keeps SZ as a plain
-        # symbol, whose expansion stays Seq-free.
-        spec = inline_seq(spec)
-    # the input is mapped once into the right/increasing case; atoms and flip
-    # are each their own inverse, so the same pair maps the output back
+    # the input is mapped at most once: into the right/increasing case (atoms
+    # and flip are each their own inverse, so they map the output back), with
+    # the far side's markers erased when they are not kept, and with SZ as
+    # Seq(Z) when it is regular, so that the sequence rules keep it regular
+    # (a context-free input keeps SZ, whose expansion stays Seq-free)
+    inline = SZ_NAME in spec._by_name and classify(spec).regular
     atoms = _REVERSE_ATOMS if side == SIDE_LEFT else {}
     flip = (side == SIDE_LEFT) == (direction == DIR_INC)
     forget = track_mode == TRACK_RIGHT and has_far
-    into = atoms
-    if forget:
-        # the far side's markers are erased: its atom becomes Z, ZLR the near one
-        into = {**atoms, (ZR if side == SIDE_LEFT else ZL): Z, ZLR: ZR}
+    into = {**atoms, (ZR if side == SIDE_LEFT else ZL): Z, ZLR: ZR} if forget else atoms
 
     def track(old: TrackingKind) -> TrackingKind:
         has_r, has_l = (old.has_l, old.has_r) if atoms else (old.has_r, old.has_l)
         return TrackingKind(has_r, has_l and not forget)
 
-    if into or flip:
-        spec = _map_spec(spec, into, flip, track)
+    if into or flip or inline:
+        spec = _map_spec(spec, into, flip, track, inline)
 
     root = spec.root
     new_root = f"{root}.jux"

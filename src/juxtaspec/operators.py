@@ -28,7 +28,7 @@ twice returns a structurally identical specification.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Sequence, Tuple
 
 from .expr import (
     AtomRef,
@@ -48,6 +48,7 @@ from .expr import (
     ZLR,
     ZR,
     ZeroExpr,
+    evaluate,
     fold,
     make_product,
     make_seq,
@@ -61,7 +62,8 @@ from .spec import (
     TrackingKind,
     UNTRACKED,
     _close,
-    marked_content,
+    _map_spec,
+    _renamer,
 )
 
 # The six insertion-operator tags.  Decorated symbols are rendered
@@ -123,30 +125,6 @@ def apply_atom(op: str, kind: str) -> Expr:
     return Product((AtomRef(Z), _sz(), AtomRef(ZR), tail))  # ii
 
 
-def expr_tracks_r(expr: Expr, tracking: Mapping[str, TrackingKind], memo=None) -> bool:
-    """True when every nonempty object of the expression carries one ZR."""
-
-    def visit(node, kids):
-        if isinstance(node, AtomRef):
-            return node.atom in R_ATOMS
-        if isinstance(node, ClassRef):
-            return tracking.get(node.name, UNTRACKED).has_r
-        return isinstance(node, (Product, Sum)) and any(kids)  # Zero, Seq: False
-
-    return fold([expr], visit, memo)[0]
-
-
-def _renamer(atoms: Mapping[str, str]):
-    """Leaf function for :func:`rewrite`: atoms renamed by ``atoms``."""
-
-    def leaf(node):
-        if isinstance(node, AtomRef) and node.atom in atoms:
-            return AtomRef(atoms[node.atom])
-        return node
-
-    return leaf
-
-
 class _Insertion:
     """Images of expressions under the insertion operators.
 
@@ -160,14 +138,25 @@ class _Insertion:
     ``atoms`` and ``flip`` map every image as :func:`rewrite` would: atoms
     renamed, products reversed.  That builds the image of a symmetric input
     directly in the orientation of the original one.
+
+    Whether a product head carries the rightmost marker is read from one
+    evaluation of the specification's plan, made here.
     """
 
-    def __init__(self, tracking: Mapping[str, TrackingKind], table: dict,
+    def __init__(self, spec: Specification, table: dict,
                  atoms: Mapping[str, str] = {}, flip: bool = False):
-        self.tracking, self.table = tracking, table
-        self.leaf, self.flip = _renamer(atoms), flip
-        self.images, self.tracks_r = {}, {}
-        self.needed = set()
+        def tracks_r(node, kids) -> bool:
+            if isinstance(node, AtomRef):
+                return node.atom in R_ATOMS
+            if isinstance(node, ClassRef):
+                return spec.tracking.get(node.name, UNTRACKED).has_r
+            return isinstance(node, (Product, Sum)) and any(kids)  # Zero, Seq: False
+
+        steps = spec._plan[0]
+        flags = evaluate(steps, tracks_r)
+        self.tracks_r = {id(node): flag for (node, _), flag in zip(steps, flags)}
+        self.table, self.leaf, self.flip = table, _renamer(atoms), flip
+        self.images, self.needed = {}, set()
         self.planned = {}  # job -> its terms, from planning until built
 
     def apply(self, op: str, expr: Expr, needed: set) -> Expr:
@@ -186,7 +175,7 @@ class _Insertion:
                 return [[(False, (op, f, 0)) for f in node.factors[k:]]]
             head = node.factors[k]
             rule = _PRODUCT_RULE[op]
-            if op in _ZR_SENSITIVE and expr_tracks_r(head, self.tracking, self.tracks_r):
+            if op in _ZR_SENSITIVE and self.tracks_r[id(head)]:
                 rule = rule[:-1]
             last = k + 2 == len(node.factors)
             return [
@@ -217,26 +206,6 @@ class _Insertion:
         return make_sum([make_product(f[::-1] if self.flip else f, table) for f in factors], table)
 
 
-def apply_expr(
-    op: str,
-    expr: Expr,
-    tracking: Mapping[str, TrackingKind],
-    needed: Optional[set] = None,
-) -> Expr:
-    """Rewrite an expression under an insertion operator.
-
-    Linear over sums; products are split head-versus-rest, with the reduced
-    rule whenever the head carries the rightmost marker; class references
-    become decorated references, recorded in ``needed`` when given.
-    """
-    if op not in INSERTION_TAGS:
-        raise SpecError(f"unknown insertion operator {op!r}")
-    problem = fold([expr], marked_content(tracking))[0][1]
-    if problem:
-        raise SpecError(f"operator applied to Seq: {problem}")
-    return _Insertion(tracking, {}).apply(op, expr, set() if needed is None else needed)
-
-
 def _expand_equations(
     spec: Specification,
     needed: Sequence[Tuple[str, str]],
@@ -247,7 +216,7 @@ def _expand_equations(
     """Equations for the transitive closure of the requested decorated
     symbols, hash-consed into ``table`` and mapped by ``atoms`` and ``flip``
     as in :class:`_Insertion`; some may define the empty class."""
-    images = _Insertion(spec.tracking, table, atoms, flip)
+    images = _Insertion(spec, table, atoms, flip)
     queue = deque(needed)
     seen = set(needed)
     out = []
@@ -282,26 +251,6 @@ def expand(spec: Specification, needed: Iterable) -> Specification:
     table = {}
     eqs = _expand_equations(spec, pairs, table)
     return _close(eqs, f"{pairs[0][0]}.{pairs[0][1]}", table, prune=True)
-
-
-def _map_spec(spec: Specification, atoms: Mapping[str, str], flip: bool, track) -> Specification:
-    """One rewrite of every equation: atoms renamed, products reversed if flip.
-
-    The reserved SZ equation stays canonical: runs of plain atoms are fixed
-    by every symmetry.  Its nodes are hash-consed together with the others,
-    and each symbol's tracking is ``track`` of its old one, so the result is
-    what :func:`make_spec` would return without inferring anything again.
-    The result plans its equations when an analysis first needs them.
-    """
-    table = {}
-    sz = rewrite([eq.rhs for eq in spec.equations if eq.lhs == SZ_NAME], table=table)
-    leaf = _renamer(atoms)
-    rhs = iter(rewrite([eq.rhs for eq in spec.equations if eq.lhs != SZ_NAME], leaf, flip, table))
-    eqs = tuple(
-        Equation(eq.lhs, sz[0] if eq.lhs == SZ_NAME else next(rhs)) for eq in spec.equations
-    )
-    tracking = {name: track(kind) for name, kind in spec.tracking.items()}
-    return Specification(eqs, spec.root, tracking, {eq.lhs: eq.rhs for eq in eqs})
 
 
 def complement(spec: Specification) -> Specification:

@@ -57,7 +57,7 @@ def _valuation_step(node, kids: list, vals: dict) -> Optional[int]:
 def _valuations(spec: Specification) -> tuple:
     """``(unproductive symbols, the minimal object size of every plan step or
     None where it has no objects)``: the least fixpoint of :func:`_valuation_step`."""
-    steps, roots = spec._planned()
+    steps, roots = spec._plan
     vals, values = least_fixpoint(steps, zip(spec.symbols, roots), _valuation_step, None)
     return tuple(name for name in spec.symbols if vals[name] is None), values
 
@@ -65,7 +65,7 @@ def _valuations(spec: Specification) -> tuple:
 def _seq_argument_problems(spec: Specification, values: list) -> list:
     """One problem per Seq occurrence whose argument contains the empty
     object; ``values`` are the valuations of the plan's steps."""
-    steps, roots = spec._planned()
+    steps, roots = spec._plan
     if not any(isinstance(node, Seq) and values[kids[0]] == 0 for node, kids in steps):
         return []
     bad = []  # per step: bad Seq occurrences in its expression tree
@@ -143,7 +143,7 @@ def _schedule(spec: Specification, values: list, order: int) -> tuple:
     """
     symbols = spec.symbols
     index = {name: i for i, name in enumerate(symbols)}
-    steps, roots = spec._planned()
+    steps, roots = spec._plan
     # per cell: [operation, operand cells, valuation, zero-lag operands, series]
     cells = [[None, None, values[r], None, None] for r in roots]
     at, pairs = [], {}  # the cell of each plan step; binary products by operands

@@ -29,6 +29,8 @@ from .expr import (
     ZERO,
     Z_EXPR,
     ZeroExpr,
+    _flat_form,
+    _from_flat_form,
     children,
     evaluate,
     least_fixpoint,
@@ -72,51 +74,31 @@ def sz_equation() -> Equation:
 
 @dataclass(frozen=True)
 class Specification:
-    """Immutable equation system.
+    """Immutable equation system, never written to after it is built.
 
     Build through :func:`make_spec`, the readers of :mod:`juxtaspec.dsl` or
     the operations of the library, which all return canonical, hash-consed
     equations (root first) with the tracking that :func:`make_spec` infers
-    for them.  The readers and each expansion step build their equations
-    canonical in one table and close them with the checks of
-    :func:`make_spec` without rebuilding; :func:`make_spec` rebuilds only
-    equations given from outside.  The closing pass keeps its plan of the
-    equations for the analyses.  The symmetries build one directly,
-    carrying tracking over.
+    for them: the readers and each expansion step close theirs without
+    rebuilding, the symmetries and :func:`inline_seq` map one.  ``_plan``,
+    made as it is built, is ``(steps, roots)``: the :func:`~juxtaspec.expr.plan`
+    steps of the distinct nodes of all right-hand sides and the step of
+    each, in equation order.  Every analysis evaluates it.
     """
 
     equations: tuple
     root: str
     tracking: Mapping[str, TrackingKind] = field(compare=False)
     _by_name: Mapping[str, Expr] = field(compare=False, repr=False)
-    _plan: Optional[tuple] = field(default=None, compare=False, repr=False)
+    _plan: tuple = field(compare=False, repr=False)
 
     @property
     def symbols(self) -> tuple:
         return tuple(eq.lhs for eq in self.equations)
 
-    def _planned(self) -> tuple:
-        """``(steps, roots)``: the :func:`~juxtaspec.expr.plan` steps of the
-        distinct nodes of all right-hand sides, and the step of each
-        equation's right-hand side, in equation order.
-
-        Every analysis evaluates these steps instead of planning again.  The
-        closing pass hands over the plan it made; a symmetry's output plans
-        on first use and keeps the result, which is the same every time, so
-        a race between threads only plans twice.  Steps refer to each other
-        by index, so a pickled or copied specification keeps a valid plan.
-        """
-        if self._plan is None:
-            steps, position = plan([eq.rhs for eq in self.equations])
-            roots = tuple(position[id(eq.rhs)] for eq in self.equations)
-            object.__setattr__(self, "_plan", (tuple(steps), roots))
-        return self._plan
-
     def __reduce__(self):
-        # the plan in flat form: pickling nodes would recurse once per level
-        steps, roots = self._planned()
-        flat = [(type(node) if kids else node, kids) for node, kids in steps]
-        return _unpickled, (flat, roots, self.symbols, self.root, self.tracking)
+        steps, roots = self._plan
+        return _unpickled, (_flat_form(steps), roots, self.symbols, self.root, self.tracking)
 
     def rhs(self, name: str) -> Expr:
         try:
@@ -129,16 +111,10 @@ class Specification:
 
 
 def _unpickled(flat, roots, symbols, root, tracking) -> Specification:
-    """The specification that :meth:`Specification.__reduce__` flattened,
-    its nodes rebuilt in step order, each from its children's steps."""
-    steps = []
-    for node, kids in flat:
-        if kids:
-            args = [steps[k][0] for k in kids]
-            node = node(args[0] if node is Seq else tuple(args))
-        steps.append((node, kids))
+    """The specification that :meth:`Specification.__reduce__` flattened."""
+    steps = tuple(_from_flat_form(flat))
     eqs = tuple(Equation(lhs, steps[at][0]) for lhs, at in zip(symbols, roots))
-    return Specification(eqs, root, tracking, {eq.lhs: eq.rhs for eq in eqs}, (tuple(steps), roots))
+    return Specification(eqs, root, tracking, {eq.lhs: eq.rhs for eq in eqs}, (steps, roots))
 
 
 def make_spec(equations: Iterable[Equation], root: Optional[str] = None) -> Specification:
@@ -220,9 +196,13 @@ def _close(eqs: list, root: Optional[str], table: dict, prune: bool = False) -> 
             problem = marks[position[id(eq.rhs)]][1]
             if problem:
                 raise SpecError(f"Seq argument in {eq.lhs!r}: {problem}")
-    by_name = {eq.lhs: eq.rhs for eq in eqs}
-    roots = tuple(position[id(eq.rhs)] for eq in eqs)
-    return Specification(tuple(eqs), root, tracking, by_name, (tuple(reachable), roots))
+    return _planned_spec(eqs, root, tracking, reachable, position)
+
+
+def _planned_spec(eqs, root: str, tracking: dict, steps, position: dict) -> Specification:
+    """The specification of ``eqs`` and their plan (``steps``, ``position``)."""
+    by_name, roots = {eq.lhs: eq.rhs for eq in eqs}, tuple(position[id(eq.rhs)] for eq in eqs)
+    return Specification(tuple(eqs), root, tracking, by_name, (tuple(steps), roots))
 
 
 def _prune(eqs: list, root: str, table: dict, steps: list, position: dict, sz_rhs) -> tuple:
@@ -380,7 +360,7 @@ def classify(spec: Specification) -> Classification:
     SZ counts as Seq(Z), a leaf, unless it is the root.  Both flags may hold
     at once.
     """
-    context_free = not any(isinstance(node, Seq) for node, _ in spec._planned()[0])
+    context_free = not any(isinstance(node, Seq) for node, _ in spec._plan[0])
 
     def through_refs(node):
         if isinstance(node, ClassRef) and (node.name != SZ_NAME or spec.root == SZ_NAME):
@@ -395,16 +375,42 @@ def classify(spec: Specification) -> Classification:
     return Classification(regular=regular, context_free=context_free)
 
 
-def inline_seq(spec: Specification) -> Specification:
-    """Replace every SZ reference by Seq(Z) and drop the SZ equation."""
-    if SZ_NAME not in spec._by_name or spec.root == SZ_NAME:
-        return spec
-    table = {}
-    seq_z = make_seq(table.setdefault(Z_EXPR, Z_EXPR), table)
+def _renamer(atoms: Mapping[str, str], seq_z: Optional[Expr] = None):
+    """Leaf function for :func:`~juxtaspec.expr.rewrite`: atoms renamed by
+    ``atoms`` and, when ``seq_z`` is given, SZ references replaced by it."""
 
     def leaf(node):
-        return seq_z if isinstance(node, ClassRef) and node.name == SZ_NAME else node
+        if isinstance(node, AtomRef) and node.atom in atoms:
+            return AtomRef(atoms[node.atom])
+        if seq_z is not None and isinstance(node, ClassRef) and node.name == SZ_NAME:
+            return seq_z
+        return node
 
-    kept = [eq for eq in spec.equations if eq.lhs != SZ_NAME]
-    rhs = rewrite([eq.rhs for eq in kept], leaf, table=table)
-    return _close([Equation(eq.lhs, expr) for eq, expr in zip(kept, rhs)], spec.root, table)
+    return leaf
+
+
+def _map_spec(spec: Specification, atoms: Mapping[str, str], flip: bool, track,
+              inline: bool = False) -> Specification:
+    """One rewrite of every equation: atoms renamed, products reversed if
+    flip and, with ``inline``, SZ references replaced by Seq(Z) and the SZ
+    equation dropped.  A kept SZ equation stays canonical: runs of plain
+    atoms are fixed by every symmetry.  Each symbol's tracking is ``track``
+    of its old one (SZ and Seq(Z) carry no marker, so inlining changes no
+    count): the result is what :func:`make_spec` would return, planned.
+    """
+    table = {}
+    sz = rewrite([eq.rhs for eq in spec.equations if eq.lhs == SZ_NAME and not inline], table=table)
+    leaf = _renamer(atoms, make_seq(table.setdefault(Z_EXPR, Z_EXPR), table) if inline else None)
+    rhs = iter(rewrite([eq.rhs for eq in spec.equations if eq.lhs != SZ_NAME], leaf, flip, table))
+    eqs = [Equation(eq.lhs, sz[0] if eq.lhs == SZ_NAME else next(rhs))
+           for eq in spec.equations if not (inline and eq.lhs == SZ_NAME)]
+    tracking = {eq.lhs: track(spec.tracking[eq.lhs]) for eq in eqs}
+    return _planned_spec(eqs, spec.root, tracking, *plan([eq.rhs for eq in eqs]))
+
+
+def inline_seq(spec: Specification) -> Specification:
+    """Replace every SZ reference by Seq(Z) and drop the SZ equation: one
+    :func:`_map_spec`, with the tracking carried over."""
+    if SZ_NAME not in spec._by_name or spec.root == SZ_NAME:
+        return spec
+    return _map_spec(spec, {}, False, lambda kind: kind, inline=True)

@@ -16,7 +16,7 @@ from juxtaspec.expr import (
     fold,
 )
 from juxtaspec.juxtapose import build_grid
-from juxtaspec.operators import apply_expr, complement
+from juxtaspec.operators import complement, expand
 from juxtaspec.series import count_series
 from juxtaspec.spec import Equation, classify, make_spec
 from helpers import (
@@ -79,8 +79,8 @@ def test_deep_nesting_through_the_pipeline():
 
 
 def test_long_product_under_an_operator():
-    operand = Product((Z_EXPR,) * 5000)
-    image = apply_expr("oo", operand, {})
+    spec = make_spec([Equation("X", Product((Z_EXPR,) * 5000))])
+    image = expand(spec, [("X", "oo")]).rhs("X.oo")
     assert image.factors == (ClassRef("SZ"), Z_EXPR) * 5000
 
 

@@ -17,16 +17,14 @@ from juxtaspec.expr import (
 from juxtaspec.operators import (
     INSERTION_TAGS,
     apply_atom,
-    apply_expr,
     complement,
     expand,
-    expr_tracks_r,
     forget_left,
     reverse,
 )
 from juxtaspec.oracle import Basis, count_class
 from juxtaspec.series import count_series
-from juxtaspec.spec import TrackingKind, UNTRACKED, make_spec
+from juxtaspec.spec import Equation, make_spec
 from helpers import library_specs
 
 SZ = ClassRef("SZ")
@@ -93,19 +91,26 @@ def _distribute(expr):
     return [expr]
 
 
-FIG_TRACKING = {
-    "A": UNTRACKED,
-    "B": UNTRACKED,
-    "CR": TrackingKind(True, False),
-    "D": UNTRACKED,
-}
+def _fig_spec(operand):
+    """The system X = operand over A = B = D = Z and CR = ZR: only CR
+    carries the rightmost marker."""
+    others = [Equation(name, Z_EXPR) for name in ("A", "B", "D")] + [Equation("CR", ZR)]
+    return make_spec([Equation("X", operand)] + others)
+
+
+def _image(op, operand):
+    """The image of operand under op, read from the expansion of X; no image
+    of a symbol above is empty, so none is dropped."""
+    return expand(_fig_spec(operand), [("X", op)]).rhs("X." + op)
+
+
+def _image_terms(op, operand):
+    return {render_expr(t) for t in _distribute(_image(op, operand))}
 
 
 def test_nine_term_product_expansion():
     # ii over a four-factor product whose third factor carries the marker
     operand = _p(ClassRef("A"), ClassRef("B"), ClassRef("CR"), ClassRef("D"))
-    result = apply_expr("ii", operand, FIG_TRACKING)
-    got = {render_expr(t) for t in _distribute(result)}
     expected = {
         "A.ii B.o CR.o D.o",
         "A.io B.oi CR.o D.o",
@@ -117,42 +122,61 @@ def test_nine_term_product_expansion():
         "A.o B.o CR.ii D.o",
         "A.o B.o CR.io D.oi",
     }
-    assert got == expected
+    assert _image_terms("ii", operand) == expected
+
+
+# Heads that carry the rightmost marker, with the images of (head B) under
+# i, io and ii: the term that applies the operator to B is dropped.
+MARKED_HEADS = [
+    (ClassRef("CR"), {  # a class that tracks the marker
+        "i": {"CR.i B.o"},
+        "io": {"CR.io B.oo"},
+        "ii": {"CR.ii B.o", "CR.io B.oi"},
+    }),
+    (ZR, {  # the marker atom itself
+        "i": {"ZR Z B.o"},
+        "io": {"Z SZ Z B.oo"},
+        "ii": {"Z SZ ZR Z B.o", "Z SZ Z B.oi"},
+    }),
+    (Sum((ZR, _p(ClassRef("A"), ZR))), {  # a parenthesized sum carrying it
+        "i": {"ZR Z B.o", "A.i Z B.o", "A.o ZR Z B.o"},
+        "io": {"Z SZ Z B.oo", "A.io SZ Z B.oo", "A.o Z SZ Z B.oo"},
+        "ii": {
+            "Z SZ ZR Z B.o", "Z SZ Z B.oi", "A.ii Z B.o", "A.io SZ ZR Z B.o",
+            "A.io SZ Z B.oi", "A.o Z SZ ZR Z B.o", "A.o Z SZ Z B.oi",
+        },
+    }),
+]
 
 
 def test_marked_head_loses_final_term():
-    operand = _p(ClassRef("CR"), ClassRef("B"))
-    got = {render_expr(t) for t in _distribute(apply_expr("i", operand, FIG_TRACKING))}
-    assert got == {"CR.i B.o"}
-    got = {render_expr(t) for t in _distribute(apply_expr("io", operand, FIG_TRACKING))}
-    assert got == {"CR.io B.oo"}
-    got = {render_expr(t) for t in _distribute(apply_expr("ii", operand, FIG_TRACKING))}
-    assert got == {"CR.ii B.o", "CR.io B.oi"}
+    for head, images in MARKED_HEADS:
+        for op, expected in images.items():
+            assert _image_terms(op, _p(head, ClassRef("B"))) == expected, (head, op)
 
 
 def test_unmarked_head_keeps_all_terms():
-    operand = _p(ClassRef("A"), ClassRef("B"))
-    got = {render_expr(t) for t in _distribute(apply_expr("i", operand, FIG_TRACKING))}
-    assert got == {"A.i B.o", "A.o B.i"}
+    assert _image_terms("i", _p(ClassRef("A"), ClassRef("B"))) == {"A.i B.o", "A.o B.i"}
+    # a run carries no marker
+    assert _image_terms("i", _p(Seq(Z_EXPR), ClassRef("B"))) == {"Seq(Z) ZR Z Seq(Z) B.o", "Seq(Z) B.i"}
 
 
 def test_zr_invariant_rule_ignores_marker():
     for operand in (_p(ClassRef("CR"), ClassRef("B")), _p(ClassRef("A"), ClassRef("B"))):
-        result = apply_expr("oi", operand, FIG_TRACKING)
-        assert len(_distribute(result)) == 2
+        assert len(_distribute(_image("oi", operand))) == 2
 
 
 def test_sequence_rules():
     a = ClassRef("A")
-    assert apply_expr("o", Seq(a), FIG_TRACKING) == Seq(ClassRef("A.o"))
-    assert apply_expr("oo", Seq(a), FIG_TRACKING) == Seq(ClassRef("A.oo"))
-    got = apply_expr("i", Seq(a), FIG_TRACKING)
+    assert _image("o", Seq(a)) == Seq(ClassRef("A.o"))
+    assert _image("oo", Seq(a)) == Seq(ClassRef("A.oo"))
+    got = _image("i", Seq(a))
     assert got == _p(Seq(ClassRef("A.o")), ClassRef("A.i"), Seq(ClassRef("A.o")))
-    got = apply_expr("io", Seq(a), FIG_TRACKING)
+    got = _image("io", Seq(a))
     assert got == _p(Seq(ClassRef("A.o")), ClassRef("A.io"), Seq(ClassRef("A.oo")))
-    got = apply_expr("oi", Seq(a), FIG_TRACKING)
+    got = _image("oi", Seq(a))
     assert got == _p(Seq(ClassRef("A.oo")), ClassRef("A.oi"), Seq(ClassRef("A.o")))
-    got = apply_expr("ii", Seq(a), FIG_TRACKING)
+    got = _image("ii", Seq(a))
     assert got == Sum((
         _p(Seq(ClassRef("A.o")), ClassRef("A.io"), Seq(ClassRef("A.oo")),
            ClassRef("A.oi"), Seq(ClassRef("A.o"))),
@@ -161,18 +185,10 @@ def test_sequence_rules():
 
 
 def test_seq_with_marked_content_rejected():
-    with pytest.raises(SpecError, match="Seq"):
-        apply_expr("i", Seq(ClassRef("CR")), FIG_TRACKING)
-    with pytest.raises(SpecError, match="Seq"):
-        apply_expr("o", Seq(ZR), FIG_TRACKING)
-
-
-def test_expr_tracks_r():
-    assert expr_tracks_r(ZR, {})
-    assert expr_tracks_r(_p(ClassRef("A"), ZR), FIG_TRACKING)
-    assert expr_tracks_r(ClassRef("CR"), FIG_TRACKING)
-    assert not expr_tracks_r(Seq(Z_EXPR), {})
-    assert not expr_tracks_r(ClassRef("A"), FIG_TRACKING)
+    with pytest.raises(SpecError, match="Seq argument in 'X': class 'CR' carries a marker"):
+        _fig_spec(Seq(ClassRef("CR")))
+    with pytest.raises(SpecError, match="Seq argument in 'X': marked atom ZR"):
+        _fig_spec(Seq(ZR))
 
 
 def test_expand_golden_first_insertion():

@@ -15,7 +15,16 @@ import juxtaspec.spec as spec_module
 from juxtaspec.builtins import builtin_names, builtin_spec, builtin_text
 from juxtaspec.dsl import parse_spec, render_spec, spec_to_json
 from juxtaspec.expr import ZR, AtomRef, Product, Seq, Sum, Z_EXPR, ZeroExpr, children
-from juxtaspec.juxtapose import DIR_INC, SIDE_LEFT, SIDE_RIGHT, TRACK_MODES, build_grid, juxtapose
+from juxtaspec.juxtapose import (
+    DIR_DEC,
+    DIR_INC,
+    SIDE_LEFT,
+    SIDE_RIGHT,
+    TRACK_BOTH,
+    TRACK_MODES,
+    build_grid,
+    juxtapose,
+)
 from juxtaspec.operators import complement, expand, forget_left, reverse
 from juxtaspec.series import (
     EnumerationError,
@@ -36,9 +45,7 @@ def _variants(spec):
     yield "forget_left", forget_left(spec)
     yield "inline_seq", inline_seq(spec)
     yield "pickled", pickle.loads(pickle.dumps(spec))
-    planned = reverse(spec)
-    planned._planned()  # a plan made on first use travels with it too
-    yield "reverse, planned, pickled", pickle.loads(pickle.dumps(planned))
+    yield "reverse, pickled", pickle.loads(pickle.dumps(reverse(spec)))
     kept = [eq for eq in spec.equations if eq.lhs != SZ_NAME]
     if len(kept) < len(spec.equations):
         yield "SZ injected", make_spec(kept, root=spec.root)
@@ -49,7 +56,7 @@ def _variants(spec):
 def _assert_plan_of_equations(spec):
     """The carried plan is a plan of the distinct nodes of the equations,
     children first, with each equation's right-hand side at its root."""
-    steps, roots = spec._planned()
+    steps, roots = spec._plan
     assert len(roots) == len(spec.equations)
     assert all(steps[at][0] is eq.rhs for eq, at in zip(spec.equations, roots))
     for i, (node, kids) in enumerate(steps):
@@ -175,15 +182,18 @@ def test_analyses_evaluate_the_carried_plan(plan_calls, fixpoint_calls, build):
 
 def _closing_passes():
     """(how, a call that closes one system)."""
-    av321, with_sz = builtin_spec("av321"), parse_spec("A = ZR + Z SZ A\n")
+    av321 = builtin_spec("av321")
     empty_symbols = parse_spec("A = B ZR + Z ZR\nB = C C\nC = E\n")
+    # a regular input with SZ, which a step inlines in the same map
+    regular = juxtapose(builtin_spec("monotone"), SIDE_RIGHT, DIR_INC, TRACK_BOTH)
+    assert classify(regular).regular and SZ_NAME in regular.symbols
     yield "parse_spec", lambda: parse_spec(builtin_text("av321"))
     yield "make_spec", lambda: make_spec(av321.equations)
-    yield "inline_seq", lambda: inline_seq(with_sz)
     yield "expand", lambda: expand(empty_symbols, [("A", "i")])
     for side in (SIDE_RIGHT, SIDE_LEFT):
         for mode in TRACK_MODES:
             yield f"juxtapose {side} {mode}", lambda s=side, m=mode: juxtapose(av321, s, DIR_INC, m)
+        yield f"juxtapose regular {side}", lambda s=side: juxtapose(regular, s, DIR_INC)
 
 
 def _analysis(fn) -> str:
@@ -217,6 +227,33 @@ def test_closing_pass_runs_at_most_three_fixpoints(monkeypatch, fixpoint_calls):
     assert seen == {"empty", "rightmost", "leftmost"}
 
 
+def test_expansion_folds_once_per_emitted_equation(monkeypatch):
+    """An insertion operator's image of an equation is one fold; the marker
+    flags of product heads come from one evaluation of the input's plan."""
+    folds, emitted = [], []
+    real_fold, real_expand = operators_module.fold, operators_module._expand_equations
+    monkeypatch.setattr(operators_module, "fold", lambda *a, **k: folds.append(a) or real_fold(*a, **k))
+
+    def expand_equations(*args, **kwargs):
+        out = real_expand(*args, **kwargs)
+        emitted.append(len(out))
+        return out
+
+    for module in LIBRARY_MODULES:
+        if hasattr(module, "_expand_equations"):
+            monkeypatch.setattr(module, "_expand_equations", expand_equations)
+    av321 = builtin_spec("av321")
+    builds = [lambda: expand(av321, [("C.R", tag) for tag in ("i", "io", "ii")])]
+    builds += [lambda s=side, d=d: juxtapose(av321, s, d, TRACK_BOTH)
+               for side in (SIDE_RIGHT, SIDE_LEFT) for d in (DIR_INC, DIR_DEC)]
+    builds.append(lambda: build_grid(av321, "inc|core|inc|dec"))
+    for build in builds:
+        del folds[:], emitted[:]
+        build()
+        assert len(folds) == sum(emitted) > 0
+        assert all(len(roots) == 1 and roots[0][2] == 0 for roots, *_ in folds)
+
+
 # ---------------------------------------------------------------------------
 # pickling
 
@@ -229,5 +266,8 @@ def test_deeply_nested_specification_pickles():
     again = pickle.loads(pickle.dumps(spec))
     assert again == spec and again.tracking == spec.tracking
     _assert_plan_of_equations(again)
-    assert again._planned()[1] == spec._planned()[1]
+    assert again._plan[1] == spec._plan[1]
     assert count_series(again, 12) == count_series(spec, 12)
+    # a bare equation or expression pickles in the same flat form
+    for part in (spec.equations[0], spec.rhs("A")):
+        assert pickle.loads(pickle.dumps(part)) == part
