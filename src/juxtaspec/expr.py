@@ -55,7 +55,7 @@ class Expr:
         return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ZeroExpr(Expr):
     """Annihilator: the empty class with no objects at all."""
 
@@ -66,7 +66,7 @@ class ZeroExpr(Expr):
 ZERO = ZeroExpr()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomRef(Expr):
     atom: str
 
@@ -78,7 +78,7 @@ class AtomRef(Expr):
         return self.atom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassRef(Expr):
     name: str
 
@@ -115,7 +115,7 @@ def _equal(a, b) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Product(Expr):
     _hash: int = field(init=False, repr=False)
     factors: tuple
@@ -131,7 +131,7 @@ class Product(Expr):
         return "(" + " ".join(map(repr, self.factors)) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum(Expr):
     _hash: int = field(init=False, repr=False)
     terms: tuple
@@ -147,7 +147,7 @@ class Sum(Expr):
         return "(" + " + ".join(map(repr, self.terms)) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Seq(Expr):
     _hash: int = field(init=False, repr=False)
     arg: Expr
@@ -313,6 +313,12 @@ def _intern(node: Expr, table) -> Expr:
     return node if table is None else table.setdefault(node, node)
 
 
+def _cons_key(node) -> tuple:
+    """The key under which the canonical constructors hash-cons a compound
+    node: its type and its children (a Seq's one argument)."""
+    return type(node), (node.arg if isinstance(node, Seq) else children(node))
+
+
 def _hash_consed(cls, kids, table) -> Expr:
     # a compound node is looked up by its type and children before it is
     # built: the children are interned already, so the key compares them by
@@ -373,7 +379,12 @@ def rewrite(exprs, leaf=None, flip: bool = False, table=None) -> list:
     in ``table`` (a fresh one by default): equal subexpressions of all of
     them, and of anything else built through the same table, are one object.
     """
-    table = {} if table is None else table
+    return fold(exprs, _rebuilder({} if table is None else table, leaf, flip))
+
+
+def _rebuilder(table: dict, leaf=None, flip: bool = False):
+    """The fold function of :func:`rewrite`: evaluating a plan with it
+    rebuilds the planned nodes, hash-consed into ``table``."""
 
     def build(node, kids):
         if isinstance(node, Sum):
@@ -387,7 +398,7 @@ def rewrite(exprs, leaf=None, flip: bool = False, table=None) -> list:
         new = leaf(node) if leaf is not None else node
         return table.setdefault(new, new)
 
-    return fold(exprs, build)
+    return build
 
 
 def canonicalize(expr: Expr) -> Expr:

@@ -25,6 +25,7 @@ from .spec import (
     TrackingKind,
     _close,
     _map_spec,
+    _merge_equivalent,
     _renamer,
     classify,
 )
@@ -55,7 +56,9 @@ def juxtapose(
     topmost one is the new rightmost entry.  The other sides and directions
     are that step seen through the complement (decreasing right side,
     increasing left side) and reverse (left side) symmetries: it runs on the
-    mapped input and builds its output mapped back.
+    mapped input and builds its output mapped back.  Output symbols that
+    define the same class by the same equations are merged, each set keeping
+    its first name in equation order.
 
     track_mode selects what the output keeps for further juxtapositions:
     "right" tracks the new entry on the juxtaposed side (markers of the
@@ -142,7 +145,7 @@ def juxtapose(
     want_far = has_far and track_mode != TRACK_RIGHT
     if (got_near, got_far) != (track_mode != TRACK_NONE, want_far):
         raise SpecError("juxtaposition produced unexpected tracking")
-    return out
+    return _merge_equivalent(out)
 
 
 CELL_CORE = "core"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Iterable, Mapping, Optional
 
 from .expr import (
@@ -29,8 +30,10 @@ from .expr import (
     ZERO,
     Z_EXPR,
     ZeroExpr,
+    _cons_key,
     _flat_form,
     _from_flat_form,
+    _rebuilder,
     children,
     evaluate,
     least_fixpoint,
@@ -295,19 +298,20 @@ def _marker_fixpoint(eqs, steps: list, position: dict, markers: frozenset, label
 
     values = evaluate(steps, exact)
     for eq in eqs:
-        for t in terms(eq.rhs):
+        for i, t in enumerate(terms(eq.rhs), 1):
             if t == E_EXPR:
                 continue
             value = values[position[id(t)]]
+            where = f" (term {i} of {eq.lhs!r})"
             if value < 0:
-                raise TrackingError(f"mixed {label}-marker counts inside a factor")
+                raise TrackingError(f"mixed {label}-marker counts inside a factor" + where)
             if value > 1:
                 raise TrackingError(
-                    f"term of {eq.lhs!r} carries the {label} marker more than once"
+                    f"term of {eq.lhs!r} carries the {label} marker more than once" + where
                 )
             if value != counts[eq.lhs]:
                 raise TrackingError(
-                    f"mixed terms in {eq.lhs!r}: some carry the {label} marker, others do not"
+                    f"mixed terms in {eq.lhs!r}: some carry the {label} marker, others do not" + where
                 )
     return counts
 
@@ -391,21 +395,120 @@ def _renamer(atoms: Mapping[str, str], seq_z: Optional[Expr] = None):
 
 def _map_spec(spec: Specification, atoms: Mapping[str, str], flip: bool, track,
               inline: bool = False) -> Specification:
-    """One rewrite of every equation: atoms renamed, products reversed if
-    flip and, with ``inline``, SZ references replaced by Seq(Z) and the SZ
-    equation dropped.  A kept SZ equation stays canonical: runs of plain
+    """One rebuild of every equation, from the plan the input carries:
+    atoms renamed, products reversed if flip and, with ``inline``, SZ
+    references replaced by Seq(Z) and the SZ equation dropped.  A kept SZ equation stays canonical: runs of plain
     atoms are fixed by every symmetry.  Each symbol's tracking is ``track``
     of its old one (SZ and Seq(Z) carry no marker, so inlining changes no
     count): the result is what :func:`make_spec` would return, planned.
     """
-    table = {}
-    sz = rewrite([eq.rhs for eq in spec.equations if eq.lhs == SZ_NAME and not inline], table=table)
-    leaf = _renamer(atoms, make_seq(table.setdefault(Z_EXPR, Z_EXPR), table) if inline else None)
-    rhs = iter(rewrite([eq.rhs for eq in spec.equations if eq.lhs != SZ_NAME], leaf, flip, table))
-    eqs = [Equation(eq.lhs, sz[0] if eq.lhs == SZ_NAME else next(rhs))
-           for eq in spec.equations if not (inline and eq.lhs == SZ_NAME)]
+    table, (steps, roots) = {}, spec._plan
+    seq_z = make_seq(table.setdefault(Z_EXPR, Z_EXPR), table) if inline else None
+    values = evaluate(steps, _rebuilder(table, _renamer(atoms, seq_z), flip))
+    rhs = [values[at] for at in roots]
+    if SZ_NAME in spec._by_name and not inline:
+        sz_rhs = rewrite([sz_equation().rhs], table=table)[0]
+        rhs = [sz_rhs if eq.lhs == SZ_NAME else new for eq, new in zip(spec.equations, rhs)]
+    eqs = [Equation(eq.lhs, new) for eq, new in zip(spec.equations, rhs)
+           if not (inline and eq.lhs == SZ_NAME)]
     tracking = {eq.lhs: track(spec.tracking[eq.lhs]) for eq in eqs}
     return _planned_spec(eqs, spec.root, tracking, *plan([eq.rhs for eq in eqs]))
+
+
+def _merge_equivalent(spec: Specification) -> Specification:
+    """The specification with each set of equivalent symbols merged into one.
+
+    Two symbols are equivalent when they have the same tracking and their
+    right-hand sides have the same shape, term and factor order kept, with
+    every reference read as the set of symbols it names: the coarsest such
+    partition, refined from the tracking classes (SZ alone) until no set
+    splits (Hopcroft 1971; Paige and Tarjan 1987).  An alias ``X = Y`` joins
+    ``Y``'s set first.  Each set keeps its first symbol in equation order,
+    so the root keeps its name, and that symbol's tracking: equivalent
+    symbols count alike, so the result is what :func:`make_spec` would
+    return for its equations, and it is planned once.
+    """
+    by_name = spec._by_name
+
+    def alias_of(name: str):
+        rhs = by_name[name]
+        return rhs.name if isinstance(rhs, ClassRef) and rhs.name != SZ_NAME else None
+
+    # canon: each symbol's alias chain followed to its end; the symbols of a
+    # cycle of aliases keep their equations
+    canon = {}
+    for name in spec.symbols:
+        chain, on_chain = [], set()
+        while name not in canon and name not in on_chain and alias_of(name) is not None:
+            chain.append(name)
+            on_chain.add(name)
+            name = alias_of(name)
+        if name in on_chain:
+            canon.update((m, m) for m in chain[chain.index(name):])
+        end = canon.setdefault(name, name)
+        for m in chain:
+            canon.setdefault(m, end)
+
+    steps, roots = spec._plan
+    at = dict(zip(spec.symbols, roots))
+    members = [name for name in spec.symbols if canon[name] == name]
+    ids = {}  # the number of each set, by what sets it apart
+    block = {name: ids.setdefault(name if name == SZ_NAME else spec.tracking[name], len(ids))
+             for name in members}
+
+    while True:
+        # the hash-consed shape of every step: one number per distinct shape
+        shapes, of_step, count, ids = {}, [], len(ids), {}
+        for node, kids in steps:
+            if kids:  # a compound node
+                key = (type(node), *[of_step[k] for k in kids])
+            elif type(node) is ClassRef:
+                key = (block[canon[node.name]],)
+            else:
+                key = node
+            of_step.append(shapes.setdefault(key, len(shapes)))
+        block = {name: ids.setdefault((block[name], of_step[at[name]]), len(ids)) for name in members}
+        if len(ids) == count:
+            break
+    if count == len(by_name):
+        return spec
+
+    rename, first = {}, {}
+    for name in spec.symbols:
+        rename[name] = first.setdefault(block[canon[name]], name)
+
+    def leaf(node):
+        if isinstance(node, ClassRef) and rename[node.name] != node.name:
+            return ClassRef(rename[node.name])
+        return node
+
+    # one pass, in plan order, over the steps the kept equations reach: a
+    # node whose children come back as they were is kept, entered into the
+    # table, and the others (about a tenth on wide grids) are rebuilt; the
+    # values, in order of first appearance, are the plan of the result
+    reached, stack = bytearray(len(steps)), [at[canon[name]] for name in first.values()]
+    while stack:
+        i = stack.pop()
+        if not reached[i]:
+            reached[i] = 1
+            stack.extend(steps[i][1])
+    table, values, new_steps, position = {}, [None] * len(steps), [], {}
+    build = _rebuilder(table, leaf)
+    for i, (node, kids) in enumerate(steps):
+        if not reached[i]:
+            continue
+        args = [values[k] for k in kids]
+        if args and all(map(is_, args, children(node))):
+            value = table.setdefault(_cons_key(node), node)
+        else:
+            value = build(node, args)
+        values[i] = value
+        if id(value) not in position:
+            position[id(value)] = len(new_steps)
+            new_steps.append((value, [position[id(a)] for a in args]))
+    eqs = [Equation(name, values[at[canon[name]]]) for name in first.values()]
+    tracking = {eq.lhs: spec.tracking[eq.lhs] for eq in eqs}
+    return _planned_spec(eqs, spec.root, tracking, new_steps, position)
 
 
 def inline_seq(spec: Specification) -> Specification:

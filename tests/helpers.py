@@ -4,8 +4,9 @@ Everything here is deliberately written without reusing the library's
 traversals: a bivariate marker-counting enumerator (plain Jacobi iteration
 over polynomials in a marker variable), an exact rational-series expander,
 the geometric substitution z -> z/(1-z) via binomial coefficients, a
-regularity check by repeated substitution and the iterated elimination of
-empty-class symbols, with its own canonical form.
+regularity check by repeated substitution, the iterated elimination of
+empty-class symbols, with its own canonical form, and a pairwise fixpoint
+for equivalent symbols.
 """
 
 from __future__ import annotations
@@ -396,6 +397,67 @@ def closed_outputs(spec, tags=None):
             yield expand(spec, [(spec.root, tag)])
         except SpecError:
             pass
+
+
+# ---------------------------------------------------------------------------
+# equivalent symbols, by a naive pairwise fixpoint
+
+
+def _same_shape(x, y, related):
+    """Equal shapes by plain recursion, term and factor order kept, with
+    references equal when ``related`` holds for their symbols."""
+    if isinstance(x, ClassRef) and isinstance(y, ClassRef):
+        return related(x.name, y.name)
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, (Sum, Product)):
+        xs, ys = (x.terms, y.terms) if isinstance(x, Sum) else (x.factors, y.factors)
+        return len(xs) == len(ys) and all(_same_shape(a, b, related) for a, b in zip(xs, ys))
+    if isinstance(x, Seq):
+        return _same_shape(x.arg, y.arg, related)
+    return x == y
+
+
+def equivalence_classes(spec):
+    """The symbols of spec grouped into classes of symbols that define the
+    same class by the same equations, each class and the list of them in
+    equation order.
+
+    Two symbols are related while they have the same tracking, neither is
+    SZ, and their right-hand sides have the same shape with related (or
+    equal) symbols in matching references; pairs are dropped until none
+    fails.  An alias X = Y (Y not SZ) stands for the end of its chain."""
+    defs = {eq.lhs: eq.rhs for eq in spec.equations}
+
+    def end(name):
+        seen = set()
+        while isinstance(defs[name], ClassRef) and defs[name].name != "SZ" and name not in seen:
+            seen.add(name)
+            name = defs[name].name
+        return name
+
+    ends = {name: end(name) for name in defs}
+    bodies = sorted(set(ends.values()), key=list(defs).index)
+    pairs = {
+        (a, b) for i, a in enumerate(bodies) for b in bodies[i + 1:]
+        if "SZ" not in (a, b) and spec.tracking[a] == spec.tracking[b]
+    }
+
+    def related(x, y):
+        x, y = ends[x], ends[y]
+        return x == y or (x, y) in pairs or (y, x) in pairs
+
+    while True:
+        failed = {(a, b) for a, b in pairs if not _same_shape(defs[a], defs[b], related)}
+        if not failed:
+            break
+        pairs -= failed
+    classes = {}
+    for name in defs:
+        body = ends[name]
+        first = next((b for b in bodies if b == body or (b, body) in pairs), body)
+        classes.setdefault(first, []).append(name)
+    return list(classes.values())
 
 
 # ---------------------------------------------------------------------------

@@ -198,3 +198,15 @@ def test_unpickled_node_equals_a_fresh_one_in_another_process(tmp_path):
     src = str(Path(juxtaspec.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="12345")
     assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
+
+
+def test_nodes_carry_no_instance_dict():
+    # slotted nodes: the DAG of a wide build is made of many small objects
+    compound = canonicalize(Sum((Z_EXPR, Product((ClassRef("A"), Seq(Z_EXPR))))))
+    for node in nodes(compound) + [ZERO]:
+        assert not hasattr(node, "__dict__"), type(node).__name__
+    assert {type(node).__name__ for node in nodes(compound) + [ZERO]} == {
+        "ZeroExpr", "AtomRef", "ClassRef", "Sum", "Product", "Seq",
+    }
+    for node in nodes(compound) + [ZERO]:
+        assert pickle.loads(pickle.dumps(node)) == node

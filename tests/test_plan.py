@@ -180,6 +180,29 @@ def test_analyses_evaluate_the_carried_plan(plan_calls, fixpoint_calls, build):
     assert len(fixpoint_calls) == 0
 
 
+@pytest.mark.parametrize("symmetry", [complement, reverse, forget_left, inline_seq])
+def test_symmetries_plan_only_their_output(monkeypatch, symmetry):
+    """A symmetry rebuilds its input by evaluating the plan the input
+    carries: the only nodes it plans are its output's and, when an SZ
+    equation is kept, the five of the reserved right-hand side."""
+    planned, real = [], expr_module.plan
+
+    def counting(*args, **kwargs):
+        steps, position = real(*args, **kwargs)
+        planned.append(len(steps))
+        return steps, position
+
+    for module in LIBRARY_MODULES:
+        if hasattr(module, "plan"):
+            monkeypatch.setattr(module, "plan", counting)
+    regular = juxtapose(builtin_spec("monotone"), SIDE_RIGHT, DIR_INC, TRACK_BOTH)
+    for spec in [builtin_spec(name) for name in builtin_names()] + [regular]:
+        del planned[:]
+        out = symmetry(spec)
+        kept_sz = SZ_NAME in out.symbols and out is not spec
+        assert sum(planned) == (len(out._plan[0]) + 5 * kept_sz if out is not spec else 0)
+
+
 def _closing_passes():
     """(how, a call that closes one system)."""
     av321 = builtin_spec("av321")

@@ -36,6 +36,18 @@ def test_mixed_nested_sum_rejected():
         parse_spec("A = (E + ZR) Z\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("A = Z B + ZR\nB = E + Z\n",
+     "mixed terms in 'A': some carry the rightmost marker, others do not (term 1 of 'A')"),
+    ("A = ZR ZR\n", "term of 'A' carries the rightmost marker more than once (term 1 of 'A')"),
+    ("A = E + Z (E + ZL)\n","mixed leftmost-marker counts inside a factor (term 2 of 'A')"),
+])
+def test_refusals_name_the_term(text, message):
+    with pytest.raises(TrackingError) as refused:
+        parse_spec(text)
+    assert str(refused.value) == message
+
+
 def test_empty_term_exemption():
     # E stands for the empty object and is exempt from the marker count
     spec = parse_spec("A = E + ZR\n")
