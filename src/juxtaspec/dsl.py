@@ -45,7 +45,7 @@ from .expr import (
     make_seq,
     make_sum,
 )
-from .spec import NAME, Equation, Specification, _close
+from .spec import NAME, RESERVED_NAMES, Equation, Specification, TrackingError, _close
 
 
 class ParseError(SpecError):
@@ -57,112 +57,132 @@ class ParseError(SpecError):
 
 # One token after optional blanks: a comment, punctuation, a NAME, or any
 # other character, which is an error.  The last never matches a blank, so a
-# line may end in blanks.
+# line may end in blanks.  Only an error's column is read with it.
 _TOKEN = re.compile(rf"[ \t]*(?:(#)|([+=()])|({NAME.pattern})|([^ \t]))")
+# The same tokens as plain strings, for a line cut at its comment.
+_WORD = re.compile(rf"[+=()]|{NAME.pattern}|[^ \t]")
+# The characters a NAME may start with.
+_LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
+_TERM_END = frozenset(("+", ")", "=", ""))  # "" stands for the end of the line
 
 
-def _tokenize_line(text: str, lineno: int):
-    tokens = []
-    for match in _TOKEN.finditer(text):
-        kind, col = match.lastindex, match.start(match.lastindex) + 1
-        if kind == 1:
-            break
-        if kind == 4:
-            raise ParseError(f"unexpected character {match[4]!r}", lineno, col)
-        tokens.append((match[2], match[2], col) if kind == 2 else ("NAME", match[3], col))
-    return tokens
+class _Refused(Exception):
+    """A syntax error at the line's token ``index``; :func:`parse_spec` reads
+    its column."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
 
 
-class _LineParser:
-    """Parses one line.  ``table`` and ``memo`` are shared by every line of one
-    :func:`parse_spec` call: the parser builds through the canonical
-    constructors, hash-consing into ``table``, and ``memo`` maps source text
-    (a name, or a parenthesized group from ``(`` to its matching ``)``) to
-    the node it parsed to, so each distinct group is parsed once."""
+def _found(token: str) -> str:
+    return repr(token or "end of line")
 
-    def __init__(self, tokens, lineno, text, table, memo):
-        self.tokens = tokens
-        self.lineno = lineno
-        self.text = text
+
+class _Line:
+    """Parses the tokens of one line by recursive descent.  ``table`` and
+    ``memo`` are shared by every line of one :func:`parse_spec` call: the
+    parser builds through the canonical constructors, hash-consing into
+    ``table``, and ``memo`` maps a name, or the tokens of a parenthesized
+    group from ``(`` to its matching ``)``, to the node it parsed to, so
+    each distinct group is parsed once."""
+
+    def __init__(self, tokens: list, table: dict, memo: dict):
+        self.tokens = tokens + [""]
         self.table = table
         self.memo = memo
         self.pos = 0
         self.closing = {}  # index of a "(" token -> index of its matching ")"
-        opened = []
-        for i, tok in enumerate(tokens):
-            if tok[0] == "(":
-                opened.append(i)
-            elif tok[0] == ")" and opened:
-                self.closing[opened.pop()] = i
+        if "(" in tokens:
+            opened = []
+            for i, tok in enumerate(tokens):
+                if tok == "(":
+                    opened.append(i)
+                elif tok == ")" and opened:
+                    self.closing[opened.pop()] = i
 
-    def peek(self):
-        if self.pos < len(self.tokens):
-            return self.tokens[self.pos]
-        return ("EOL", "", (self.tokens[-1][2] + len(self.tokens[-1][1])) if self.tokens else 1)
+    def equation(self) -> Equation:
+        name, equals = self.tokens[:2]
+        if name[0] not in _LETTERS:
+            raise _Refused(f"expected NAME, found {_found(name)}", 0)
+        if name in RESERVED_NAMES:
+            raise _Refused(f"{name!r} is reserved", 0)
+        if equals != "=":
+            raise _Refused(f"expected =, found {_found(equals)}", 1)
+        self.pos = 2
+        rhs = self.expr()
+        trailing = self.tokens[self.pos]
+        if trailing:
+            raise _Refused(f"unexpected {trailing!r}", self.pos)
+        return Equation(name, rhs)
 
-    def take(self, kind: Optional[str] = None):
-        tok = self.peek()
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1] or 'end of line'!r}", self.lineno, tok[2])
-        self.pos += 1
-        return tok
-
-    def parse_equation(self) -> Equation:
-        name_tok = self.take("NAME")
-        if name_tok[1] in ATOM_KINDS or name_tok[1] == "Seq":
-            raise ParseError(f"{name_tok[1]!r} is reserved", self.lineno, name_tok[2])
-        self.take("=")
-        rhs = self.parse_expr()
-        trailing = self.peek()
-        if trailing[0] != "EOL":
-            raise ParseError(f"unexpected {trailing[1]!r}", self.lineno, trailing[2])
-        return Equation(name_tok[1], rhs)
-
-    def parse_expr(self) -> Expr:
-        parts = [self.parse_term()]
-        while self.peek()[0] == "+":
-            self.take("+")
-            parts.append(self.parse_term())
+    def expr(self) -> Expr:
+        parts = [self.term()]
+        while self.tokens[self.pos] == "+":
+            self.pos += 1
+            parts.append(self.term())
         return make_sum(parts, self.table)
 
-    def parse_term(self) -> Expr:
-        factors = [self.parse_factor()]
-        while self.peek()[0] in ("NAME", "("):
-            factors.append(self.parse_factor())
+    def term(self) -> Expr:
+        factors = [self.factor()]
+        while self.tokens[self.pos] not in _TERM_END:
+            factors.append(self.factor())
         return make_product(factors, self.table)
 
-    def parse_group(self) -> Expr:
+    def factor(self) -> Expr:
+        tok = self.tokens[self.pos]
+        if tok == "(":
+            return self.group()
+        if not tok or tok[0] not in _LETTERS:
+            raise _Refused(f"expected a factor, found {_found(tok)}", self.pos)
+        self.pos += 1
+        if tok == "Seq":
+            return make_seq(self.group(), self.table)
+        node = self.memo.get(tok)
+        if node is None:
+            node = AtomRef(tok) if tok in ATOM_KINDS else ClassRef(tok)
+            node = self.memo[tok] = self.table.setdefault(node, node)
+        return node
+
+    def group(self) -> Expr:
         # "(" expr ")": a group already parsed elsewhere is skipped.  Only
         # successful parses are stored, so errors are found and reported
         # exactly where a full parse finds them.
-        end = self.closing.get(self.pos)
-        key = None if end is None else self.text[self.tokens[self.pos][2] - 1 : self.tokens[end][2]]
+        tokens, start = self.tokens, self.pos
+        end = self.closing.get(start)
+        key = None if end is None else tuple(tokens[start : end + 1])
         node = self.memo.get(key)
         if node is not None:
             self.pos = end + 1
             return node
-        self.take("(")
-        node = self.parse_expr()
-        self.take(")")
+        if tokens[start] != "(":
+            raise _Refused(f"expected (, found {_found(tokens[start])}", start)
+        self.pos += 1
+        node = self.expr()
+        if tokens[self.pos] != ")":
+            raise _Refused(f"expected ), found {_found(tokens[self.pos])}", self.pos)
+        self.pos += 1
         if key is not None:
             self.memo[key] = node
         return node
 
-    def parse_factor(self) -> Expr:
-        tok = self.peek()
-        if tok[0] == "(":
-            return self.parse_group()
-        if tok[0] != "NAME":
-            raise ParseError(f"expected a factor, found {tok[1] or 'end of line'!r}", self.lineno, tok[2])
-        self.take()
-        name = tok[1]
-        if name == "Seq":
-            return make_seq(self.parse_group(), self.table)
-        node = self.memo.get(name)
-        if node is None:
-            node = AtomRef(name) if name in ATOM_KINDS else ClassRef(name)
-            node = self.memo[name] = self.table.setdefault(node, node)
-        return node
+
+def _column(text: str, lineno: int, index: int) -> int:
+    """The column of token ``index`` of a line (one past its last token for
+    the end of the line); a character that starts no token is refused
+    first, wherever it is on the line."""
+    columns, end = [], 1
+    for match in _TOKEN.finditer(text):
+        kind = match.lastindex
+        col = match.start(kind) + 1
+        if kind == 1:
+            break
+        if kind == 4:
+            raise ParseError(f"unexpected character {match[4]!r}", lineno, col)
+        columns.append(col)
+        end = match.end() + 1
+    columns.append(end)
+    return columns[index]
 
 
 def parse_spec(text: str) -> Specification:
@@ -170,18 +190,26 @@ def parse_spec(text: str) -> Specification:
 
     The root is the first equation's symbol.
     """
-    equations, table, memo = [], {}, {}
+    equations, table, memo, lines = [], {}, {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(raw, lineno)
+        tokens = _WORD.findall(raw.partition("#")[0])
         if not tokens:
             continue
         try:
-            equations.append(_LineParser(tokens, lineno, raw, table, memo).parse_equation())
+            eq = _Line(tokens, table, memo).equation()
+        except _Refused as exc:
+            raise ParseError(str(exc), lineno, _column(raw, lineno, exc.index)) from None
         except RecursionError:
+            _column(raw, lineno, 0)  # a bad character is refused first
             raise ParseError("expression nested too deeply", lineno, 1) from None
+        equations.append(eq)
+        lines.setdefault(eq.lhs, lineno)
     if not equations:
         raise SpecError("empty input: no equations found")
-    return _close(equations, equations[0].lhs, table)
+    try:
+        return _close(equations, equations[0].lhs, table)
+    except TrackingError as exc:
+        raise TrackingError(exc.problem, exc.symbol, exc.term, lines.get(exc.symbol)) from None
 
 
 def _interleave(separator: str, parts: list) -> tuple:

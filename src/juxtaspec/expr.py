@@ -10,7 +10,9 @@ caches its hash at construction, and the canonical constructors hash-cons
 what they build into a table passed to them (Filliatre & Conchon,
 "Type-safe modular hash-consing", 2006): the readers and :func:`rewrite`
 use one table per specification, so equal subexpressions of one
-specification are one object.  Every traversal is a :func:`plan` of the
+specification are one object.  The table keys a leaf by its value and a
+compound node by its type and the identities of its children, so a lookup
+hashes no node.  Every traversal is a :func:`plan` of the
 distinct nodes, then one :func:`evaluate` of it: iterative, each node
 visited once.  :func:`fold` does both; a specification keeps the plan of its
 equations, so its analyses only evaluate, and a per-symbol analysis is one
@@ -182,12 +184,11 @@ _PENDING = object()  # position of a node whose children are being planned
 _FINISH = object()  # stack marker: the two entries below it are a node and its children
 
 
-def plan(roots, children=children, known=(), key=id) -> tuple:
+def plan(roots, children=children, key=id) -> tuple:
     """The distinct nodes under ``roots``, each once and after its children.
 
     Returns ``(steps, position)``: a step is ``(node, positions of its
-    children)``, or ``(node, None)`` for a node in ``known``, which is not
-    expanded; ``position`` maps ``key(node)`` to its step.  Nodes are told
+    children)``; ``position`` maps ``key(node)`` to its step.  Nodes are told
     apart by identity, which suits canonical expressions; pass ``key=None``
     for any other graph, whose nodes are equal by value.  A cycle raises
     :class:`CycleError`.  Iterative: depth is bounded by memory only.
@@ -208,10 +209,6 @@ def plan(roots, children=children, known=(), key=id) -> tuple:
                     keys = [key(p) for p in path]
                     raise CycleError(node, path[keys.index(key(node)):])
                 continue
-            if node in known:
-                position[key(node)] = len(steps)
-                steps.append((node, None))
-                continue
             kids = children(node)
             if kids:
                 position[key(node)] = _PENDING
@@ -227,19 +224,12 @@ def _same(node):
     return node
 
 
-def evaluate(steps: list, fn, memo=None) -> list:
-    """``fn(node, values of its children)`` of every step, read from ``memo``
-    for known steps and stored there for the others."""
+def evaluate(steps: list, fn) -> list:
+    """``fn(node, values of its children)`` of every step, in step order."""
     values = []
     value_at = values.__getitem__
     for node, kids in steps:
-        if kids is None:
-            value = memo[node]
-        else:
-            value = fn(node, list(map(value_at, kids)))
-            if memo is not None:
-                memo[node] = value
-        values.append(value)
+        values.append(fn(node, list(map(value_at, kids))))
     return values
 
 
@@ -272,14 +262,12 @@ def least_fixpoint(steps: list, symbols, fn, bottom) -> tuple:
     return value, values
 
 
-def fold(roots, fn, memo=None, children=children, key=id) -> list:
+def fold(roots, fn) -> list:
     """Bottom-up values of ``roots``: ``fn(node, values of its children)`` once
-    per distinct node under them all, children first and left to right.
-    ``memo`` maps nodes to values; one dict passed to several calls shares
-    their work."""
-    steps, position = plan(roots, children, () if memo is None else memo, key)
-    values = evaluate(steps, fn, memo)
-    return [values[position[(key or _same)(root)]] for root in roots]
+    per distinct node under them all, children first and left to right."""
+    steps, position = plan(roots)
+    values = evaluate(steps, fn)
+    return [values[position[id(root)]] for root in roots]
 
 
 def _flat_form(steps) -> list:
@@ -315,17 +303,19 @@ def _intern(node: Expr, table) -> Expr:
 
 def _cons_key(node) -> tuple:
     """The key under which the canonical constructors hash-cons a compound
-    node: its type and its children (a Seq's one argument)."""
-    return type(node), (node.arg if isinstance(node, Seq) else children(node))
+    node: its type and the identities of its children."""
+    return (type(node), *map(id, children(node)))
 
 
 def _hash_consed(cls, kids, table) -> Expr:
-    # a compound node is looked up by its type and children before it is
-    # built: the children are interned already, so the key compares them by
-    # identity and a node found is never built again
+    # a compound node is looked up by its type and the identities of its
+    # children (a Seq's one argument) before it is built, so a lookup hashes
+    # no node and a node found is never built again.  An identity stays
+    # valid while its key is in the table: the node stored under the key
+    # holds those children alive, so no other object can take their ids.
     if table is None:
         return cls(kids)
-    key = (cls, kids)
+    key = (cls, id(kids)) if cls is Seq else (cls, *map(id, kids))
     node = table.get(key)
     if node is None:
         node = table[key] = cls(kids)

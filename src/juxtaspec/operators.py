@@ -49,7 +49,6 @@ from .expr import (
     ZR,
     ZeroExpr,
     evaluate,
-    fold,
     make_product,
     make_seq,
     make_sum,
@@ -130,10 +129,12 @@ class _Insertion:
 
     A job ``(op, node, k)`` is the image under ``op`` of the node or, for a
     product, of its factors from the k-th on: a product is scanned right to
-    left through the suffix images its rule uses.  Jobs are folded with one
-    memo per instance, so each image is built once, canonical and
-    hash-consed into ``table``.  The class references met are recorded in
-    ``needed`` as (symbol, operator) pairs.
+    left through the suffix images its rule uses.  Jobs run in one
+    iterative depth-first walk, each after the jobs its terms use, and
+    their images are kept by ``(op, id(node), k)`` for the life of the
+    instance, so each image is built once, canonical and hash-consed into
+    ``table``.  The class references met are recorded in the ``needed`` set
+    of the :meth:`apply` call that builds them, as (symbol, operator) pairs.
 
     ``atoms`` and ``flip`` map every image as :func:`rewrite` would: atoms
     renamed, products reversed.  That builds the image of a symmetric input
@@ -156,16 +157,24 @@ class _Insertion:
         flags = evaluate(steps, tracks_r)
         self.tracks_r = {id(node): flag for (node, _), flag in zip(steps, flags)}
         self.table, self.leaf, self.flip = table, _renamer(atoms), flip
-        self.images, self.needed = {}, set()
-        self.planned = {}  # job -> its terms, from planning until built
+        self.images = {}
 
     def apply(self, op: str, expr: Expr, needed: set) -> Expr:
-        self.needed = needed
-        return fold([(op, expr, 0)], self._build, self.images, self._jobs, None)[0]
+        images = self.images
+        stack = [(op, expr, 0, None)]
+        while stack:
+            tag, node, k, terms = stack.pop()
+            key = (tag, id(node), k)
+            if terms is not None:
+                images[key] = self._build(tag, node, terms, needed)
+            elif key not in images:  # built after the jobs its terms use
+                terms = self._terms(tag, node, k)
+                stack.append((tag, node, k, terms))
+                stack += [(*job, None) for term in terms for _, job in term]
+        return images[op, id(expr), 0]
 
-    def _terms(self, job) -> list:
+    def _terms(self, op: str, node, k: int) -> list:
         """Terms of a job's image: lists of (inside Seq, job) factors."""
-        op, node, k = job
         if isinstance(node, Sum):
             return [[(False, (op, t, 0))] for t in node.terms]
         if isinstance(node, Seq):
@@ -186,22 +195,20 @@ class _Insertion:
             return []
         raise SpecError(f"not an expression: {node!r}")
 
-    def _jobs(self, job) -> list:
-        terms = self.planned[job] = self._terms(job)
-        return [j for term in terms for _, j in term]
-
-    def _build(self, job, kids) -> Expr:
-        op, node, _ = job
-        terms = self.planned.pop(job)
+    def _build(self, op: str, node, terms: list, needed: set) -> Expr:
+        """The image of a job whose terms' jobs are built."""
         table = self.table
         if isinstance(node, AtomRef):
             return rewrite([apply_atom(op, node.atom)], self.leaf, self.flip, table)[0]
         if isinstance(node, ClassRef):
-            self.needed.add((node.name, op))
+            needed.add((node.name, op))
             ref = ClassRef(f"{node.name}.{op}")
             return table.setdefault(ref, ref)
-        values = iter(kids)
-        factors = ([make_seq(next(values), table) if seq else next(values) for seq, _ in term] for term in terms)
+        images = self.images
+        factors = (
+            [make_seq(images[o, id(n), i], table) if seq else images[o, id(n), i] for seq, (o, n, i) in term]
+            for term in terms
+        )
         # Zero has no terms
         return make_sum([make_product(f[::-1] if self.flip else f, table) for f in factors], table)
 

@@ -120,7 +120,7 @@ def _productive_valuations(spec: Specification) -> list:
     return values
 
 
-_SUM, _PRODUCT, _SEQ = "sum", "product", "seq"
+_SUM, _PRODUCT, _SHIFT, _SEQ = "sum", "product", "shift", "seq"
 
 
 def _schedule(spec: Specification, values: list, order: int) -> tuple:
@@ -140,6 +140,8 @@ def _schedule(spec: Specification, values: list, order: int) -> tuple:
     Cells take their valuations from ``values``, those of the plan's steps.
     Returns the root's series and the steps ``(op, out, a, b, va, vb)`` that
     append one coefficient to ``out`` per index; atoms are filled in full.
+    A product with an atom of size v is a shift: coefficient n is the other
+    operand's n - v.
     """
     symbols = spec.symbols
     index = {name: i for i, name in enumerate(symbols)}
@@ -189,9 +191,17 @@ def _schedule(spec: Specification, values: list, order: int) -> tuple:
         op, operands, _, _, out = cells[c]
         if op is _SUM:
             schedule.append((op, out, [cells[k][4] for k in operands], None, 0, 0))
-        elif op is _PRODUCT or op is _SEQ:
-            a, b = cells[operands[0]], cells[operands[1] if op is _PRODUCT else c]
-            schedule.append((op, out, a[4], b[4], a[2], b[2]))
+        elif op is _PRODUCT:
+            a, b = cells[operands[0]], cells[operands[1]]
+            if isinstance(b[0], AtomRef):
+                a, b = b, a
+            if isinstance(a[0], AtomRef):
+                schedule.append((_SHIFT, out, b[4], None, a[2], 0))
+            else:
+                schedule.append((op, out, a[4], b[4], a[2], b[2]))
+        elif op is _SEQ:
+            a = cells[operands[0]]
+            schedule.append((op, out, a[4], out, a[2], 0))
     return cells[index[spec.root]][4], schedule
 
 
@@ -218,6 +228,8 @@ def count_series(spec: Specification, order: int) -> Series:
                     if n >= va + vb
                     else 0
                 )
+            elif op is _SHIFT:
+                out.append(a[n - va] if n >= va else 0)
             elif op is _SUM:
                 out.append(sum([t[n] for t in a]))
             else:  # Seq: s[n] = sum of a[j] s[n - j] over j >= va >= 1

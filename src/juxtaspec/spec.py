@@ -52,7 +52,17 @@ NAME = re.compile(r"[A-Za-z][A-Za-z0-9._]*")
 
 
 class TrackingError(SpecError):
-    """Marker usage is inconsistent across the terms of some equation."""
+    """Marker usage is inconsistent across the terms of some equation:
+    ``problem`` says how, in term ``term`` (1-based, E terms counted) of the
+    equation of ``symbol``, which stands on DSL line ``line`` when known."""
+
+    def __init__(self, problem: str, symbol: str, term: int, line: Optional[int] = None):
+        where = f"term {term} of {symbol!r}" + ("" if line is None else f", line {line}")
+        super().__init__(f"{problem} ({where})")
+        self.problem, self.symbol, self.term, self.line = problem, symbol, term, line
+
+    def __reduce__(self):
+        return TrackingError, (self.problem, self.symbol, self.term, self.line)
 
 
 @dataclass(frozen=True)
@@ -302,17 +312,15 @@ def _marker_fixpoint(eqs, steps: list, position: dict, markers: frozenset, label
             if t == E_EXPR:
                 continue
             value = values[position[id(t)]]
-            where = f" (term {i} of {eq.lhs!r})"
             if value < 0:
-                raise TrackingError(f"mixed {label}-marker counts inside a factor" + where)
-            if value > 1:
-                raise TrackingError(
-                    f"term of {eq.lhs!r} carries the {label} marker more than once" + where
-                )
-            if value != counts[eq.lhs]:
-                raise TrackingError(
-                    f"mixed terms in {eq.lhs!r}: some carry the {label} marker, others do not" + where
-                )
+                problem = f"mixed {label}-marker counts inside a factor"
+            elif value > 1:
+                problem = f"term of {eq.lhs!r} carries the {label} marker more than once"
+            elif value != counts[eq.lhs]:
+                problem = f"mixed terms in {eq.lhs!r}: some carry the {label} marker, others do not"
+            else:
+                continue
+            raise TrackingError(problem, eq.lhs, i)
     return counts
 
 

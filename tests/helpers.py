@@ -5,8 +5,9 @@ traversals: a bivariate marker-counting enumerator (plain Jacobi iteration
 over polynomials in a marker variable), an exact rational-series expander,
 the geometric substitution z -> z/(1-z) via binomial coefficients, a
 regularity check by repeated substitution, the iterated elimination of
-empty-class symbols, with its own canonical form, and a pairwise fixpoint
-for equivalent symbols.
+empty-class symbols, with its own canonical form, a pairwise fixpoint
+for equivalent symbols, and a reference DSL reader that tokenizes into
+(kind, text, column) tuples and parses through peek/take calls.
 """
 
 from __future__ import annotations
@@ -14,18 +15,26 @@ from __future__ import annotations
 import functools
 import math
 import random
+import re
 import sys
 from pathlib import Path
 
+from juxtaspec.dsl import ParseError
 from juxtaspec.expr import (
+    ATOM_KINDS,
     AtomRef,
     ClassRef,
     EMPTY,
     Product,
     Seq,
+    SpecError,
     Sum,
     ZeroExpr,
+    make_product,
+    make_seq,
+    make_sum,
 )
+from juxtaspec.spec import NAME, Equation, TrackingError, _close
 
 # ---------------------------------------------------------------------------
 # bivariate series: coefficient of z^n is a dict {marker_power: count}
@@ -520,6 +529,17 @@ def library_specs():
     return tuple(specs)
 
 
+def benchmark_grids():
+    """The grids of the benchmark's grids workload, in its order."""
+    from juxtaspec.builtins import builtin_spec
+    from juxtaspec.juxtapose import build_grid
+
+    return [
+        build_grid(builtin_spec(session.core), session.build[1])
+        for session in _workloads()["grids"].sessions
+    ]
+
+
 def deep_series_specs():
     """The four juxtapositions of the benchmark's deep-series workload."""
     from juxtaspec.builtins import builtin_spec
@@ -529,3 +549,134 @@ def deep_series_specs():
         juxtapose(builtin_spec(session.core), *session.build[1:])
         for session in _workloads()["deep-series"].sessions
     ]
+
+
+# ---------------------------------------------------------------------------
+# a reference DSL reader: one (kind, text, column) tuple per token and a
+# peek/take call per token; the group memo is keyed by the group's text
+
+
+_REFERENCE_TOKEN = re.compile(rf"[ \t]*(?:(#)|([+=()])|({NAME.pattern})|([^ \t]))")
+
+
+def reference_tokens(text, lineno):
+    """(kind, text, column) of each token of a DSL line."""
+    tokens = []
+    for match in _REFERENCE_TOKEN.finditer(text):
+        kind, col = match.lastindex, match.start(match.lastindex) + 1
+        if kind == 1:
+            break
+        if kind == 4:
+            raise ParseError(f"unexpected character {match[4]!r}", lineno, col)
+        tokens.append((match[2], match[2], col) if kind == 2 else ("NAME", match[3], col))
+    return tokens
+
+
+class _ReferenceLine:
+    def __init__(self, tokens, lineno, text, table, memo):
+        self.tokens = tokens
+        self.lineno = lineno
+        self.text = text
+        self.table = table
+        self.memo = memo
+        self.pos = 0
+        self.closing = {}
+        opened = []
+        for i, tok in enumerate(tokens):
+            if tok[0] == "(":
+                opened.append(i)
+            elif tok[0] == ")" and opened:
+                self.closing[opened.pop()] = i
+
+    def peek(self):
+        if self.pos < len(self.tokens):
+            return self.tokens[self.pos]
+        return ("EOL", "", (self.tokens[-1][2] + len(self.tokens[-1][1])) if self.tokens else 1)
+
+    def take(self, kind=None):
+        tok = self.peek()
+        if kind is not None and tok[0] != kind:
+            raise ParseError(f"expected {kind}, found {tok[1] or 'end of line'!r}", self.lineno, tok[2])
+        self.pos += 1
+        return tok
+
+    def parse_equation(self):
+        name_tok = self.take("NAME")
+        if name_tok[1] in ATOM_KINDS or name_tok[1] == "Seq":
+            raise ParseError(f"{name_tok[1]!r} is reserved", self.lineno, name_tok[2])
+        self.take("=")
+        rhs = self.parse_expr()
+        trailing = self.peek()
+        if trailing[0] != "EOL":
+            raise ParseError(f"unexpected {trailing[1]!r}", self.lineno, trailing[2])
+        return Equation(name_tok[1], rhs)
+
+    def parse_expr(self):
+        parts = [self.parse_term()]
+        while self.peek()[0] == "+":
+            self.take("+")
+            parts.append(self.parse_term())
+        return make_sum(parts, self.table)
+
+    def parse_term(self):
+        factors = [self.parse_factor()]
+        while self.peek()[0] in ("NAME", "("):
+            factors.append(self.parse_factor())
+        return make_product(factors, self.table)
+
+    def parse_group(self):
+        end = self.closing.get(self.pos)
+        key = None if end is None else self.text[self.tokens[self.pos][2] - 1 : self.tokens[end][2]]
+        node = self.memo.get(key)
+        if node is not None:
+            self.pos = end + 1
+            return node
+        self.take("(")
+        node = self.parse_expr()
+        self.take(")")
+        if key is not None:
+            self.memo[key] = node
+        return node
+
+    def parse_factor(self):
+        tok = self.peek()
+        if tok[0] == "(":
+            return self.parse_group()
+        if tok[0] != "NAME":
+            raise ParseError(f"expected a factor, found {tok[1] or 'end of line'!r}", self.lineno, tok[2])
+        self.take()
+        name = tok[1]
+        if name == "Seq":
+            return make_seq(self.parse_group(), self.table)
+        node = self.memo.get(name)
+        if node is None:
+            node = AtomRef(name) if name in ATOM_KINDS else ClassRef(name)
+            node = self.memo[name] = self.table.setdefault(node, node)
+        return node
+
+
+def reference_equations(text):
+    """``(equations, their lines by symbol, the table they are hash-consed
+    into)`` of DSL text, read by the reference reader."""
+    equations, lines, table, memo = [], {}, {}, {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = reference_tokens(raw, lineno)
+        if not tokens:
+            continue
+        try:
+            equations.append(_ReferenceLine(tokens, lineno, raw, table, memo).parse_equation())
+        except RecursionError:
+            raise ParseError("expression nested too deeply", lineno, 1) from None
+        lines.setdefault(equations[-1].lhs, lineno)
+    return equations, lines, table
+
+
+def reference_parse_spec(text):
+    """What parse_spec returns or raises, by the reference reader."""
+    equations, lines, table = reference_equations(text)
+    if not equations:
+        raise SpecError("empty input: no equations found")
+    try:
+        return _close(equations, equations[0].lhs, table)
+    except TrackingError as exc:
+        raise TrackingError(exc.problem, exc.symbol, exc.term, lines.get(exc.symbol)) from None

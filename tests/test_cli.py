@@ -259,6 +259,21 @@ def test_deeply_nested_dsl_rejected(tmp_path, capsys):
     assert err.startswith("error: ") and "nested too deeply" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("A = Z B + ZR\nB = E + Z\n",
+     "mixed terms in 'A': some carry the rightmost marker, others do not (term 1 of 'A', line 1)"),
+    ("A = ZR ZR\n",
+     "term of 'A' carries the rightmost marker more than once (term 1 of 'A', line 1)"),
+])
+def test_tracking_refusal_names_term_and_line(tmp_path, capsys, text, message):
+    path = tmp_path / "spec.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "enumerate", "--spec", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_deeply_nested_json_rejected(tmp_path, capsys):
     z = '{"kind": "atom", "name": "Z"}'
     rhs = '{"kind": "product", "factors": [%s, ' % z * 3000 + z + "]}" * 3000

@@ -20,6 +20,7 @@ from juxtaspec.operators import complement, expand
 from juxtaspec.series import count_series
 from juxtaspec.spec import Equation, classify, make_spec
 from helpers import (
+    benchmark_grids,
     library_specs,
     random_markerless_spec,
     random_recursive_spec,
@@ -41,6 +42,20 @@ def test_fold_visits_each_distinct_node_once(source):
     # equal subexpressions of one specification are one object
     assert objects == distinct
     assert tree > 5 * distinct
+
+
+def test_sharing_is_maximal():
+    """No two steps of a carried plan are structurally equal: a leaf is told
+    apart by its value and a compound node by its type and the steps of its
+    children, so a lost share would show as two steps with one key.  Checked
+    on every library specification, the benchmark's grids and their DSL
+    round trips."""
+    grids = benchmark_grids()
+    assert len(grids) == 8
+    for spec in [*library_specs(), *grids, *(parse_spec(render_spec(g)) for g in grids)]:
+        steps = spec._plan[0]
+        keys = {(type(node), *kids) if kids else node for node, kids in steps}
+        assert len(keys) == len(steps), render_spec(spec)[:200]
 
 
 def _deep_expr(depth):

@@ -17,7 +17,7 @@ from juxtaspec.expr import AtomRef, ClassRef, Product, Seq, SpecError, Sum, Z_EX
 from juxtaspec.juxtapose import build_grid
 from juxtaspec.spec import SZ_NAME, _close as close, inline_seq
 from juxtaspec.series import count_series
-from helpers import library_specs, random_markerless_spec, tree_walk
+from helpers import library_specs, random_markerless_spec, reference_parse_spec, tree_walk
 
 
 def test_parse_basic():
@@ -231,3 +231,18 @@ def test_errors_around_repeated_groups(text, message):
         parse_spec(text)
     assert str(info.value) == message
 
+
+
+# A line nested too deeply for the parser is refused as such, unless a
+# character on it starts no token: that is refused first, as the reference
+# reader, which tokenizes the whole line before parsing, refuses it.
+@pytest.mark.parametrize("text, message", [
+    ("A = " + "(" * 3000 + "Z" + ")" * 3000 + "\n", "line 1, column 1: expression nested too deeply"),
+    ("A = " + "(" * 3000 + "Z ?" + ")" * 3000 + "\n", "line 1, column 3007: unexpected character '?'"),
+    ("A = Z\nB = " + "Seq(" * 3000 + "Z" + ")" * 3000 + " ~\n", "line 2, column 15007: unexpected character '~'"),
+], ids=["nested", "bad character inside", "bad character after"])
+def test_deep_nesting_refusals(text, message):
+    for parse in (parse_spec, reference_parse_spec):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == message

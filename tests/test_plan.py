@@ -250,31 +250,44 @@ def test_closing_pass_runs_at_most_three_fixpoints(monkeypatch, fixpoint_calls):
     assert seen == {"empty", "rightmost", "leftmost"}
 
 
-def test_expansion_folds_once_per_emitted_equation(monkeypatch):
-    """An insertion operator's image of an equation is one fold; the marker
-    flags of product heads come from one evaluation of the input's plan."""
-    folds, emitted = [], []
-    real_fold, real_expand = operators_module.fold, operators_module._expand_equations
-    monkeypatch.setattr(operators_module, "fold", lambda *a, **k: folds.append(a) or real_fold(*a, **k))
+def test_expansion_builds_each_image_once(monkeypatch):
+    """Within one step, each image of a node (or of a product's suffix from
+    its k-th factor) under an operator is built exactly once, however many
+    equations use it; the marker flags of product heads come from one
+    evaluation of the input's plan."""
+    Insertion = operators_module._Insertion
+    planned, built, evaluated, instances = [], [], [], []
+    real_terms, real_build, real_init = Insertion._terms, Insertion._build, Insertion.__init__
 
-    def expand_equations(*args, **kwargs):
-        out = real_expand(*args, **kwargs)
-        emitted.append(len(out))
-        return out
+    def terms(self, op, node, k):
+        planned.append((id(self), op, id(node), k))
+        return real_terms(self, op, node, k)
 
-    for module in LIBRARY_MODULES:
-        if hasattr(module, "_expand_equations"):
-            monkeypatch.setattr(module, "_expand_equations", expand_equations)
+    def build(self, *args):
+        built.append(id(self))
+        return real_build(self, *args)
+
+    def init(self, *args, **kwargs):
+        instances.append(self)
+        return real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Insertion, "_terms", terms)
+    monkeypatch.setattr(Insertion, "_build", build)
+    monkeypatch.setattr(Insertion, "__init__", init)
+    real_evaluate = operators_module.evaluate
+    monkeypatch.setattr(operators_module, "evaluate",
+                        lambda *a, **k: evaluated.append(a) or real_evaluate(*a, **k))
     av321 = builtin_spec("av321")
     builds = [lambda: expand(av321, [("C.R", tag) for tag in ("i", "io", "ii")])]
     builds += [lambda s=side, d=d: juxtapose(av321, s, d, TRACK_BOTH)
                for side in (SIDE_RIGHT, SIDE_LEFT) for d in (DIR_INC, DIR_DEC)]
     builds.append(lambda: build_grid(av321, "inc|core|inc|dec"))
     for build in builds:
-        del folds[:], emitted[:]
+        del planned[:], built[:], evaluated[:], instances[:]
         build()
-        assert len(folds) == sum(emitted) > 0
-        assert all(len(roots) == 1 and roots[0][2] == 0 for roots, *_ in folds)
+        assert len(set(planned)) == len(planned) == len(built) > 0
+        assert len(evaluated) == len(instances) > 0
+        assert sum(len(step.images) for step in instances) == len(built)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Property tests over random specifications (tests/helpers.py) and random
-cell rows for the oracle."""
+"""Property tests over random specifications (tests/helpers.py), mutated
+DSL lines for the reader, and random cell rows for the oracle."""
 
+import functools
 from itertools import permutations
 
 import pytest
@@ -8,8 +9,10 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st  # noqa: E402
 
+from juxtaspec.builtins import builtin_names, builtin_spec  # noqa: E402
+from juxtaspec.dsl import parse_spec, render_spec  # noqa: E402
 from juxtaspec.expr import SpecError  # noqa: E402
-from juxtaspec.juxtapose import juxtapose  # noqa: E402
+from juxtaspec.juxtapose import build_grid, juxtapose  # noqa: E402
 from juxtaspec.operators import complement, forget_left, reverse  # noqa: E402
 from juxtaspec.oracle import DEC, INC, Basis, class_counts, count_class, juxt_membership  # noqa: E402
 from juxtaspec.series import count_series, productivity_check  # noqa: E402
@@ -21,6 +24,8 @@ from helpers import (  # noqa: E402
     marker_totals,
     random_markerless_spec,
     random_recursive_spec,
+    reference_parse_spec,
+    reference_tokens,
     sandwich_juxtapose,
     under_tracked_root,
 )
@@ -97,6 +102,55 @@ def test_closing_pass_agrees_with_make_spec_on_random_specs(rng, recursive):
                 except SpecError:
                     continue
                 assert_closed(out)
+
+
+@functools.cache
+def _rendered_texts():
+    """Rendered builtins, a juxtaposition and two grids, and the monotone
+    builtin written with tabs, comments and blank lines."""
+    specs = [builtin_spec(name) for name in builtin_names()]
+    specs.append(juxtapose(builtin_spec("av321"), "right", "inc", "both"))
+    specs.append(build_grid(builtin_spec("monotone"), "inc|core|inc"))
+    specs.append(build_grid(builtin_spec("separable"), "core|inc"))
+    texts = [render_spec(spec) for spec in specs]
+    return texts + ["# monotone\n\n\tM\t=ZLR+ZL Seq( Z )ZR  # one run\n"]
+
+
+_CHARACTERS = " \t()+=#ZRLESeq.3_?\u00e9"
+_TOKENS = ("(", ")", "+", "=", "#", "Z", "ZR", "ZL", "ZLR", "E", "Seq", "SZ", "C", "C.R", "?", "3")
+
+
+def _read(parse, text):
+    try:
+        spec = parse(text)
+    except SpecError as exc:
+        return type(exc).__name__, str(exc)
+    return spec.root, spec.equations, spec.tracking
+
+
+@given(st.data())
+def test_reader_agrees_with_reference_on_mutated_lines(data):
+    """A rendered line with one character or one token inserted, deleted or
+    replaced: parse_spec returns the specification the reference reader
+    returns, or raises the same error with the same text."""
+    lines = data.draw(st.sampled_from(_rendered_texts())).splitlines()
+    at = data.draw(st.integers(0, len(lines) - 1))
+    line = lines[at]
+    if data.draw(st.booleans()):  # a character
+        spans, pieces = [(i, i + 1) for i in range(len(line))], _CHARACTERS
+    else:  # a token
+        spans = [(col - 1, col - 1 + len(text)) for _, text, col in reference_tokens(line, at + 1)]
+        pieces = _TOKENS
+    edit = data.draw(st.sampled_from(["insert", "delete", "replace"] if spans else ["insert"]))
+    if edit == "insert":
+        cut = data.draw(st.sampled_from([start for start, _ in spans] + [len(line)]))
+        start = end = cut
+    else:
+        start, end = data.draw(st.sampled_from(spans))
+    piece = "" if edit == "delete" else data.draw(st.sampled_from(pieces))
+    lines[at] = line[:start] + piece + line[end:]
+    text = "\n".join(lines) + "\n"
+    assert _read(parse_spec, text) == _read(reference_parse_spec, text)
 
 
 patterns = st.integers(1, 4).flatmap(lambda k: st.permutations(range(1, k + 1)).map(tuple))

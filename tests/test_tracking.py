@@ -1,11 +1,13 @@
+import pickle
+
 import pytest
 
 from juxtaspec.builtins import builtin_names, builtin_spec
 from juxtaspec.dsl import parse_spec
 from juxtaspec.expr import L_ATOMS, R_ATOMS
 from juxtaspec.juxtapose import juxtapose
-from juxtaspec.spec import TrackingError
-from helpers import marker_series
+from juxtaspec.spec import TrackingError, make_spec
+from helpers import marker_series, reference_equations
 
 
 def test_av321_classic_pair():
@@ -43,9 +45,32 @@ def test_mixed_nested_sum_rejected():
     ("A = E + Z (E + ZL)\n","mixed leftmost-marker counts inside a factor (term 2 of 'A')"),
 ])
 def test_refusals_name_the_term(text, message):
+    """The texts name the term; parse_spec adds the equation's DSL line."""
+    with pytest.raises(TrackingError) as refused:
+        make_spec(reference_equations(text)[0])
+    assert str(refused.value) == message
+    assert (refused.value.symbol, refused.value.line) == ("A", None)
     with pytest.raises(TrackingError) as refused:
         parse_spec(text)
-    assert str(refused.value) == message
+    assert str(refused.value) == message.removesuffix(")") + ", line 1)"
+    assert (refused.value.symbol, refused.value.line) == ("A", 1)
+
+
+def test_refusal_pickles():
+    with pytest.raises(TrackingError) as refused:
+        parse_spec("A = Z\nB = ZR ZR\n")
+    again = pickle.loads(pickle.dumps(refused.value))
+    assert str(again) == str(refused.value)
+    assert (again.symbol, again.term, again.line) == ("B", 1, 2)
+
+
+def test_refusal_names_the_line_of_its_equation():
+    text = "# B's second term carries no marker\n\nA = B Z\nB = ZR + Z Z\n"
+    with pytest.raises(TrackingError) as refused:
+        parse_spec(text)
+    assert str(refused.value) == (
+        "mixed terms in 'B': some carry the rightmost marker, others do not (term 2 of 'B', line 4)"
+    )
 
 
 def test_empty_term_exemption():
