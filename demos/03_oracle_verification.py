@@ -26,8 +26,9 @@ print("greedy cut of 2413:", greedy_cut((2, 4, 1, 3)))
 print()
 
 # Cell lists use the same syntax as the command line.  class_counts counts
-# the members of every size in one walk of a generating tree (one appended
-# entry at a time, one greedy cut each); on small sizes it agrees with
+# the members of every size level by level on a generating tree (one
+# appended entry at a time, one greedy cut each, members that share their
+# open block and open cell counted together); on small sizes it agrees with
 # juxt_membership over all n!.
 cells = parse_cells("basis:2413,3142 | inc")
 print("separable|inc sizes 0..6 by generating tree:", class_counts(cells, 6))

@@ -51,8 +51,10 @@ from .spec import NAME, RESERVED_NAMES, Equation, Specification, TrackingError, 
 class ParseError(SpecError):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"line {line}, column {column}: {message}")
-        self.line = line
-        self.column = column
+        self.message, self.line, self.column = message, line, column
+
+    def __reduce__(self):
+        return ParseError, (self.message, self.line, self.column)
 
 
 # One token after optional blanks: a comment, punctuation, a NAME, or any

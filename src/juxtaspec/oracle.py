@@ -4,15 +4,15 @@ Pattern containment by backtracking over subsequences and juxtaposition
 membership by trying every cut tuple are deliberately naive: they are
 obviously correct, and they are the reference the rest is checked against.
 ``class_counts`` counts the members of a juxtaposition of every size up to
-n without testing every permutation: it grows the members one appended
-entry at a time on one generating tree and decides each child by one greedy
-cut, so its cost follows the number of members rather than n!.  A basis
-cell decides a grown block from its one-point deletions, which are members
-with memoized verdicts, so no pattern search runs there.  ``count_class`` is
-the count of one size.  The tests compare both with exhaustive
-``juxt_membership`` counting.  Sizes are capped at MAX_LENGTH; the largest
-class the tests and the benchmark use, separable|inc, takes about 0.5 s at
-n = 9 (Python 3.11, one core).
+n on a generating tree, deciding each child by one greedy cut.  Members that
+share their open block and open cell share their subtree, so it counts each
+level by distinct state: its cost follows the states, not the members.  A
+basis cell decides a grown block from its one-point deletions, which are
+members with memoized verdicts, so no pattern search runs there.
+``count_class`` is the count of one size.  The tests check both against
+exhaustive ``juxt_membership`` counting and a per-member walk.  Sizes are
+capped at MAX_LENGTH; the largest class the tests and the benchmark use,
+separable|inc, takes about 0.1 s at n = 9 (Python 3.11, one core).
 """
 
 from __future__ import annotations
@@ -183,10 +183,10 @@ def class_counts(cells: Sequence[Cell], max_len: int) -> List[int]:
     Appending an entry changes only the last, open block of that cut: the
     open cell either accepts the longer block or closes, and the new entry
     opens the next cell that accepts a one-entry block.  A node is therefore
-    (open block, open cell).  One depth-first walk counts every size: the
-    nodes at depth m are the members of length m, and the children of a node
-    at depth max_len - 1 are counted by the rank of the new entry among the
-    open block without being built.
+    (open block, open cell), and its subtree depends only on that state and
+    its depth, so each level maps each distinct state to its number of
+    members and grows it once.  The last level is counted without being
+    built, by the rank of the new entry among the open block.
     """
     if max_len > MAX_LENGTH:
         raise ValueError(f"size {max_len} exceeds the configured maximum {MAX_LENGTH}")
@@ -213,27 +213,25 @@ def class_counts(cells: Sequence[Cell], max_len: int) -> List[int]:
             yield lo, hi, j if verdicts >> r & 1 else opens[j + 1]
             lo = hi + 1
 
-    def children(block: Perm, j: int, m: int) -> Iterator[Tuple[Perm, int]]:
-        for lo, hi, cell in ranks(block, j, m):
-            if cell < k:
-                for v in range(lo, hi + 1):
-                    kept = tuple(x + (x >= v) for x in block) if cell == j else ()
-                    yield kept + (v,), cell
-
-    counts = [0] * (max_len + 1)
-    stack = [iter([((), 0)])]  # the children still to visit, one iterator per depth
-    while stack:
-        node = next(stack[-1], None)
-        m = len(stack) - 1  # the length of node's permutation
-        if node is None:
-            stack.pop()
-            continue
-        counts[m] += 1
-        if m == max_len - 1:
-            counts[max_len] += sum(hi - lo + 1 for lo, hi, cell in ranks(*node, m) if cell < k)
-        else:
-            stack.append(children(*node, m))
-    return counts
+    counts = [1]
+    level: Dict[Tuple[Perm, int], int] = {((), 0): 1}  # members of length m by state
+    for m in range(max_len - 1):
+        grown: Dict[Tuple[Perm, int], int] = {}
+        for (block, j), mult in level.items():
+            for lo, hi, cell in ranks(block, j, m):
+                if cell < k:
+                    for v in range(lo, hi + 1):
+                        kept = tuple(x + (x >= v) for x in block) if cell == j else ()
+                        state = (kept + (v,), cell)
+                        grown[state] = grown.get(state, 0) + mult
+        counts.append(sum(grown.values()))
+        level = grown
+    last = 0  # the children of the last level, counted without being built
+    for (block, j), mult in level.items():
+        # with a later cell to open, every child is a member: no verdicts needed
+        spans = [(1, max_len, j)] if opens[j + 1] < k else ranks(block, j, max_len - 1)
+        last += mult * sum(hi - lo + 1 for lo, hi, cell in spans if cell < k)
+    return counts + [last]
 
 
 def count_class(cells: Sequence[Cell], n: int) -> int:

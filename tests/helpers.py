@@ -6,8 +6,9 @@ over polynomials in a marker variable), an exact rational-series expander,
 the geometric substitution z -> z/(1-z) via binomial coefficients, a
 regularity check by repeated substitution, the iterated elimination of
 empty-class symbols, with its own canonical form, a pairwise fixpoint
-for equivalent symbols, and a reference DSL reader that tokenizes into
-(kind, text, column) tuples and parses through peek/take calls.
+for equivalent symbols, a reference DSL reader that tokenizes into
+(kind, text, column) tuples and parses through peek/take calls, and the
+oracle's generating tree walked one member at a time.
 """
 
 from __future__ import annotations
@@ -489,6 +490,42 @@ def tree_walk(exprs):
         elif isinstance(node, Seq):
             stack.append(node.arg)
     return tree, len(values), len(ids)
+
+
+# ---------------------------------------------------------------------------
+# the oracle's generating tree, one node per member
+
+
+def reference_class_counts(cells, max_len):
+    """What oracle.class_counts returns, by a depth-first walk that visits
+    every member of each length up to max_len as its own node (open block,
+    open cell, length); no two members are merged.  Only the cells' one-entry
+    extension tests are shared with the library."""
+    from juxtaspec.oracle import _extension_test
+
+    k = len(cells)
+    tests = [_extension_test(cell) for cell in cells]
+    opens = [k] * (k + 1)  # the first cell at or after j that takes one entry
+    for j in reversed(range(k)):
+        opens[j] = j if tests[j](()) & 1 else opens[j + 1]
+    counts = [0] * (max_len + 1)
+    stack = [((), 0, 0)]
+    while stack:
+        block, j, m = stack.pop()
+        counts[m] += 1
+        if m == max_len:
+            continue
+        verdicts = tests[j](block)
+        for v in range(1, m + 2):
+            cell = j if verdicts >> sum(x < v for x in block) & 1 else opens[j + 1]
+            if cell == k:
+                continue
+            if m + 1 == max_len:
+                counts[max_len] += 1  # a leaf: counted, not visited
+            else:
+                kept = tuple(x + (x >= v) for x in block) if cell == j else ()
+                stack.append((kept + (v,), cell, m + 1))
+    return counts
 
 
 # ---------------------------------------------------------------------------

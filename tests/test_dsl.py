@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -44,6 +45,14 @@ def test_parse_syntax_error_has_position():
     with pytest.raises(ParseError) as info:
         parse_spec("C = E +\nD = Z\n")
     assert info.value.line == 1
+
+
+def test_parse_error_pickles():
+    with pytest.raises(ParseError) as info:
+        parse_spec("A = ?")
+    again = pickle.loads(pickle.dumps(info.value))
+    assert str(again) == "line 1, column 5: unexpected character '?'"
+    assert (again.line, again.column) == (1, 5)
 
 
 def test_parse_bad_character_position():

@@ -12,7 +12,7 @@ from juxtaspec.juxtapose import (
     parse_grid_pattern,
 )
 from juxtaspec.operators import complement
-from juxtaspec.oracle import Basis, DEC, INC, count_class
+from juxtaspec.oracle import Basis, DEC, INC, class_counts, count_class
 from juxtaspec.series import count_series
 from juxtaspec.spec import classify, inline_seq
 from helpers import juxtapose_outcome, library_specs, sandwich_juxtapose
@@ -274,3 +274,11 @@ def test_grid_triple_monotone_small():
     b21 = Basis(((2, 1),))
     oracle = [count_class([INC, b21, INC], n) for n in range(7)]
     assert count_series(out, 6) == oracle
+
+
+@pytest.mark.parametrize("name, max_n", [("monotone", 9), ("av321", 8)])
+def test_five_cell_grid_matches_oracle(name, max_n):
+    pattern = "inc|dec|core|inc|dec"
+    out = build_grid(builtin_spec(name), pattern)
+    cells = [BUILTIN_BASES[name] if cell == "core" else cell for cell in pattern.split("|")]
+    assert count_series(out, max_n) == class_counts(cells, max_n)

@@ -17,6 +17,8 @@ from juxtaspec.oracle import (
     parse_cells,
 )
 
+from helpers import reference_class_counts
+
 B321 = Basis(((3, 2, 1),))
 SEPARABLE = Basis(((2, 4, 1, 3), (3, 1, 4, 2)))
 
@@ -99,6 +101,23 @@ def test_count_class_matches_exhaustive_membership(row, max_n):
     for n in range(max_n + 1):
         assert class_counts(cells, n) == members[: n + 1], (row, n)
         assert count_class(cells, n) == members[n], (row, n)
+
+
+# past the reach of exhaustive membership counting: the four rows of the
+# benchmark's oracle workload one size further, and a 6-cell row
+WALK_ROWS = [
+    ("basis:321 | inc", 8),
+    ("basis:2413,3142 | inc", 8),
+    ("inc | basis:321 | dec", 8),
+    ("inc | basis:21 | inc", 8),
+    ("inc | dec | basis:321 | inc | dec | inc", 9),
+]
+
+
+@pytest.mark.parametrize("row, max_n", WALK_ROWS)
+def test_class_counts_matches_member_walk(row, max_n):
+    cells = parse_cells(row)
+    assert class_counts(cells, max_n) == reference_class_counts(cells, max_n)
 
 
 def test_count_class_rejects_empty_cells():
