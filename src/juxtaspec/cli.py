@@ -117,9 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_enumerate(args) -> int:
     if args.terms > MAX_TERMS:
         raise _CliError(f"--terms may be at most {MAX_TERMS}")
-    spec = _load_spec(args)
     if args.terms < 0:
         raise _CliError("--terms must be nonnegative")
+    spec = _load_spec(args)
     print(format_series(count_series(spec, args.terms)))
     return EXIT_OK
 

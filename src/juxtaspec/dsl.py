@@ -57,11 +57,9 @@ class ParseError(SpecError):
         return ParseError, (self.message, self.line, self.column)
 
 
-# One token after optional blanks: a comment, punctuation, a NAME, or any
-# other character, which is an error.  The last never matches a blank, so a
-# line may end in blanks.  Only an error's column is read with it.
-_TOKEN = re.compile(rf"[ \t]*(?:(#)|([+=()])|({NAME.pattern})|([^ \t]))")
-# The same tokens as plain strings, for a line cut at its comment.
+# One token of a line cut at its comment: punctuation, a NAME, or any other
+# non-blank character, which is an error.  The parser reads a line's tokens
+# with it, and an error's column is read from the same matches.
 _WORD = re.compile(rf"[+=()]|{NAME.pattern}|[^ \t]")
 # The characters a NAME may start with.
 _LETTERS = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz")
@@ -171,16 +169,14 @@ class _Line:
 
 def _column(text: str, lineno: int, index: int) -> int:
     """The column of token ``index`` of a line (one past its last token for
-    the end of the line); a character that starts no token is refused
-    first, wherever it is on the line."""
+    the end of the line); a token that is neither punctuation nor a NAME,
+    a character the grammar has no place for, is refused first, wherever
+    it is on the line before its comment."""
     columns, end = [], 1
-    for match in _TOKEN.finditer(text):
-        kind = match.lastindex
-        col = match.start(kind) + 1
-        if kind == 1:
-            break
-        if kind == 4:
-            raise ParseError(f"unexpected character {match[4]!r}", lineno, col)
+    for match in _WORD.finditer(text.partition("#")[0]):
+        word, col = match[0], match.start() + 1
+        if word[0] not in _LETTERS and word not in "+=()":
+            raise ParseError(f"unexpected character {word!r}", lineno, col)
         columns.append(col)
         end = match.end() + 1
     columns.append(end)

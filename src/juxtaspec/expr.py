@@ -6,13 +6,13 @@ stand for ("bottom to top"), so products are never reordered except by the
 explicit symmetry operators.
 
 Expressions are immutable and compared structurally.  Each compound node
-caches its hash at construction, and the canonical constructors hash-cons
-what they build into a table passed to them (Filliatre & Conchon,
-"Type-safe modular hash-consing", 2006): the readers and :func:`rewrite`
-use one table per specification, so equal subexpressions of one
-specification are one object.  The table keys a leaf by its value and a
-compound node by its type and the identities of its children, so a lookup
-hashes no node.  Every traversal is a :func:`plan` of the
+caches its hash at construction, and the canonical constructors always
+hash-cons what they build into the table passed to them (Filliatre &
+Conchon, "Type-safe modular hash-consing", 2006): the readers and
+:func:`rewrite` use one table per specification, so equal subexpressions
+of one specification are one object.  The table keys a leaf by its value
+and a compound node by its type and the identities of its children, so a
+lookup hashes no node.  Every traversal is a :func:`plan` of the
 distinct nodes, then one :func:`evaluate` of it: iterative, each node
 visited once.  :func:`fold` does both; a specification keeps the plan of its
 equations, so its analyses only evaluate, and a per-symbol analysis is one
@@ -297,10 +297,6 @@ def nodes(expr: Expr) -> list:
     return [node for node, _ in plan((expr,))[0]]
 
 
-def _intern(node: Expr, table) -> Expr:
-    return node if table is None else table.setdefault(node, node)
-
-
 def _cons_key(node) -> tuple:
     """The key under which the canonical constructors hash-cons a compound
     node: its type and the identities of its children."""
@@ -313,8 +309,6 @@ def _hash_consed(cls, kids, table) -> Expr:
     # no node and a node found is never built again.  An identity stays
     # valid while its key is in the table: the node stored under the key
     # holds those children alive, so no other object can take their ids.
-    if table is None:
-        return cls(kids)
     key = (cls, id(kids)) if cls is Seq else (cls, *map(id, kids))
     node = table.get(key)
     if node is None:
@@ -328,7 +322,7 @@ def _hash_consed(cls, kids, table) -> Expr:
 # than two children, no Seq of Zero.
 
 
-def make_sum(terms, table=None) -> Expr:
+def make_sum(terms, table: dict) -> Expr:
     flat = []
     for t in terms:
         if isinstance(t, Sum):
@@ -340,7 +334,7 @@ def make_sum(terms, table=None) -> Expr:
     return _hash_consed(Sum, tuple(flat), table)
 
 
-def make_product(factors, table=None) -> Expr:
+def make_product(factors, table: dict) -> Expr:
     flat = []
     for f in factors:
         if isinstance(f, ZeroExpr):
@@ -350,14 +344,14 @@ def make_product(factors, table=None) -> Expr:
         elif not (isinstance(f, AtomRef) and f.atom == EMPTY):
             flat.append(f)
     if len(flat) < 2:
-        return flat[0] if flat else _intern(E_EXPR, table)
+        return flat[0] if flat else table.setdefault(E_EXPR, E_EXPR)
     return _hash_consed(Product, tuple(flat), table)
 
 
-def make_seq(arg, table=None) -> Expr:
+def make_seq(arg, table: dict) -> Expr:
     if isinstance(arg, ZeroExpr):
         # sequences over the empty class: only the empty sequence remains
-        return _intern(E_EXPR, table)
+        return table.setdefault(E_EXPR, E_EXPR)
     return _hash_consed(Seq, arg, table)
 
 

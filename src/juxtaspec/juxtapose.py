@@ -70,6 +70,8 @@ def juxtapose(
         raise SpecError(f"unknown side {side!r}")
     if direction not in (DIR_INC, DIR_DEC):
         raise SpecError(f"unknown direction {direction!r}")
+    if track_mode not in TRACK_MODES:
+        raise SpecError(f"unknown track mode {track_mode!r}")
     kind = spec.root_tracking()
     if side == SIDE_RIGHT:
         near, far, has_near, has_far = "rightmost", "leftmost", kind.has_r, kind.has_l
@@ -79,8 +81,6 @@ def juxtapose(
         raise SpecError(
             f"root {spec.root!r} does not track its {near} entry; cannot juxtapose on the {side}"
         )
-    if track_mode not in TRACK_MODES:
-        raise SpecError(f"unknown track mode {track_mode!r}")
     if track_mode == TRACK_BOTH and not has_far:
         raise SpecError(
             f"root {spec.root!r} does not track its {far} entry; track mode 'both' unavailable"

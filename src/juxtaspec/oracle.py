@@ -288,11 +288,7 @@ def parse_cells(text: str) -> List[Cell]:
                 if sorted(pattern) != list(range(1, len(pattern) + 1)):
                     raise ValueError(f"bad basis pattern {word!r}: not a permutation")
                 patterns.append(pattern)
-            if not patterns:
-                raise ValueError("empty basis cell")
             cells.append(Basis(tuple(patterns)))
         else:
             raise ValueError(f"unknown cell {part!r} (expected inc, dec or basis:...)")
-    if not cells:
-        raise ValueError("no cells given")
     return cells

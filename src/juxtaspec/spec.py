@@ -219,17 +219,21 @@ def _planned_spec(eqs, root: str, tracking: dict, steps, position: dict) -> Spec
 
 
 def _prune(eqs: list, root: str, table: dict, steps: list, position: dict, sz_rhs) -> tuple:
-    """Drop the empty-class symbols of an expansion, substituting Zero into
-    their references, then the symbols unreachable from ``root``; returns
-    the kept equations and their plan.
+    """Drop the empty-class symbols of an expansion and the symbols
+    unreachable from ``root``; returns the kept equations and their plan.
 
     The empty symbols are a least fixpoint over the plan: a Sum is empty
     when all of its terms are, a Product when any factor is, a reference
     when its symbol is; Seq and atoms never are.  That is exactly when
-    canonical rebuilding turns a node into Zero, so one rewrite removes
-    them all.
+    canonical rebuilding turns a node into Zero, so the walk from the root
+    passes the empty steps.  Only when it drops a symbol are the kept
+    equations rebuilt, Zero for the empty symbols, in one evaluation of
+    the plan, and planned once.
     """
-    if any(isinstance(eq.rhs, ZeroExpr) for eq in eqs):
+    symbols = [(eq.lhs, position[id(eq.rhs)]) for eq in eqs]
+    has_empty = any(isinstance(eq.rhs, ZeroExpr) for eq in eqs)
+    visited = bytearray(len(steps))
+    if has_empty:
         def is_empty(node, kids, empty) -> bool:
             if isinstance(node, Sum):
                 return all(kids)
@@ -239,21 +243,14 @@ def _prune(eqs: list, root: str, table: dict, steps: list, position: dict, sz_rh
                 return empty.get(node.name, False)
             return isinstance(node, ZeroExpr)
 
-        empty, _ = least_fixpoint(steps, [(eq.lhs, position[id(eq.rhs)]) for eq in eqs], is_empty, False)
+        empty, values = least_fixpoint(steps, symbols, is_empty, False)
         if empty[root]:
             raise SpecError(f"expansion of {root} is the empty class")
-
-        def leaf(node):
-            return ZERO if isinstance(node, ClassRef) and empty.get(node.name) else node
-
-        kept = [eq for eq in eqs if not empty[eq.lhs]]
-        rhs = rewrite([eq.rhs for eq in kept], leaf, table=table)
-        eqs = [Equation(eq.lhs, expr) for eq, expr in zip(kept, rhs)]
-        steps, position = plan([eq.rhs for eq in eqs] + [sz_rhs])
+        visited = bytearray(values)  # the walk passes the empty steps
 
     # one walk from the root, each step of the plan visited at most once
-    at_symbol = {eq.lhs: position[id(eq.rhs)] for eq in eqs}
-    keep, visited, stack = {root}, bytearray(len(steps)), [at_symbol[root]]
+    at_symbol = dict(symbols)
+    keep, stack = {root}, [at_symbol[root]]
     while stack:
         at = stack.pop()
         if visited[at]:
@@ -264,10 +261,16 @@ def _prune(eqs: list, root: str, table: dict, steps: list, position: dict, sz_rh
             keep.add(node.name)
             stack.append(at_symbol[node.name])
         stack.extend(kids)
-    if len(keep) < len(eqs):
-        eqs = [eq for eq in eqs if eq.lhs in keep]
-        steps, position = plan([eq.rhs for eq in eqs] + [sz_rhs])
-    return eqs, steps, position
+    if len(keep) == len(eqs):
+        return eqs, steps, position
+    eqs = [eq for eq in eqs if eq.lhs in keep]
+    if has_empty:
+        def leaf(node):
+            return ZERO if isinstance(node, ClassRef) and empty.get(node.name) else node
+
+        values = evaluate(steps, _rebuilder(table, leaf))
+        eqs = [Equation(eq.lhs, values[position[id(eq.rhs)]]) for eq in eqs]
+    return (eqs, *plan([eq.rhs for eq in eqs] + [sz_rhs]))
 
 
 def _marker_fixpoint(eqs, steps: list, position: dict, markers: frozenset, label: str) -> dict:

@@ -44,6 +44,15 @@ def test_enumerate_terms_over_budget(monkeypatch, capsys, terms):
     assert err == f"error: --terms may be at most {MAX_TERMS}\n"
 
 
+def test_enumerate_negative_terms_refused_before_reading(capsys):
+    """Like ``verify --max-len``, a negative order is refused before the
+    specification is read."""
+    code, out, err = run(capsys, "enumerate", "--spec", "/nonexistent/x.txt", "--terms", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --terms must be nonnegative\n"
+
+
 def test_enumerate_bad_spec_file(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("C = E +\n")

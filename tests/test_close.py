@@ -9,13 +9,15 @@ import random
 
 import pytest
 
+import juxtaspec.expr as expr_module
+import juxtaspec.spec as spec_module
 from juxtaspec.builtins import builtin_names, builtin_spec
 from juxtaspec.dsl import parse_spec, render_expr
-from juxtaspec.expr import AtomRef, ClassRef, Product, SpecError, Sum
+from juxtaspec.expr import AtomRef, ClassRef, Product, SpecError, Sum, plan, rewrite
 from juxtaspec.juxtapose import build_grid
 from juxtaspec.operators import INSERTION_TAGS, _expand_equations, expand
 from juxtaspec.series import count_series
-from juxtaspec.spec import Equation, make_spec
+from juxtaspec.spec import Equation, _close, make_spec, sz_equation
 from helpers import (
     assert_closed,
     closed_outputs,
@@ -84,6 +86,31 @@ def test_empty_symbols_over_two_rounds():
     assert render_expr(out.rhs("A.i")) == "B.o ZR Z + ZR Z Z + Z ZR Z"
     assert "B.i" not in out.symbols and "C.i" not in out.symbols
     assert count_series(out, 5) == [0, 0, 1, 2, 0, 0]
+
+
+def test_pruning_plans_the_pruned_system_once(monkeypatch):
+    """The closing pass of an expansion with empty symbols plans the
+    expansion once and the pruned system once, besides the reserved SZ
+    right-hand side: the Zero substitution evaluates the plan it holds."""
+    spec = parse_spec("A = B ZR + Z ZR\nB = C C\nC = E\n")
+    table = {}
+    eqs = _expand_equations(spec, [("A", "i")], table)
+    sizes = []
+
+    def recording_plan(*args, **kwargs):
+        steps, position = plan(*args, **kwargs)
+        sizes.append(len(steps))
+        return steps, position
+
+    monkeypatch.setattr(expr_module, "plan", recording_plan)
+    monkeypatch.setattr(spec_module, "plan", recording_plan)
+    out = _close(eqs, "A.i", table, prune=True)
+    monkeypatch.undo()
+    assert out.symbols == ("A.i", "B.o", "C.o")
+    sz_rhs = rewrite([sz_equation().rhs], table=table)[0]  # the one the pass made
+    expansion = plan([eq.rhs for eq in eqs] + [sz_rhs])[0]
+    pruned = plan([eq.rhs for eq in out.equations] + [sz_rhs])[0]
+    assert sizes == [5, len(expansion), len(pruned)]
 
 
 @pytest.mark.parametrize("text, pair, rounds", [

@@ -152,6 +152,14 @@ def test_library_juxtapositions_match_the_symmetry_sandwich():
                     assert got == want, (spec.root, side, direction, mode)
 
 
+def test_unknown_track_mode_refused_before_tracking():
+    # the root tracks no rightmost entry, but the mode is refused first
+    spec = parse_spec("A = Z + Z A\n")
+    with pytest.raises(SpecError) as refused:
+        juxtapose(spec, "right", "inc", "bogus")
+    assert str(refused.value) == "unknown track mode 'bogus'"
+
+
 def test_bad_arguments_rejected():
     spec = builtin_spec("monotone")
     with pytest.raises(SpecError):

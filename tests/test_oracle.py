@@ -166,8 +166,12 @@ def test_parse_cells():
         parse_cells("wibble")
     with pytest.raises(ValueError):
         parse_cells("basis:331")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^bad basis pattern ''$"):
         parse_cells("basis:")
+    for text in ("", "|"):
+        with pytest.raises(ValueError) as info:
+            parse_cells(text)
+        assert str(info.value) == "unknown cell '' (expected inc, dec or basis:...)"
 
 
 @pytest.mark.parametrize(
