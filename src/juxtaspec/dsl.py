@@ -258,8 +258,6 @@ def render_spec(spec: Specification) -> str:
 
 
 def _json_node(node, kids) -> dict:
-    if isinstance(node, ZeroExpr):
-        return {"kind": "zero"}
     if isinstance(node, AtomRef):
         return {"kind": "atom", "name": node.atom}
     if isinstance(node, ClassRef):
@@ -268,16 +266,13 @@ def _json_node(node, kids) -> dict:
         return {"kind": "sum", "terms": kids}
     if isinstance(node, Product):
         return {"kind": "product", "factors": kids}
-    if isinstance(node, Seq):
-        return {"kind": "seq", "arg": kids[0]}
-    raise SpecError(f"not an expression: {node!r}")
+    return {"kind": "seq", "arg": kids[0]}
 
 
-def expr_from_node(node: dict, table=None) -> Expr:
+def expr_from_node(node: dict, table: dict) -> Expr:
     """Read a JSON node through the canonical constructors, hash-consing into
-    ``table`` (a fresh one by default); one table passed to several calls
-    makes equal subexpressions of all their results one object."""
-    table = {} if table is None else table
+    ``table``; one table passed to several calls makes equal subexpressions
+    of all their results one object."""
     if not isinstance(node, dict) or "kind" not in node:
         raise SpecError(f"malformed expression node: {node!r}")
     kind = node["kind"]

@@ -187,10 +187,11 @@ _FINISH = object()  # stack marker: the two entries below it are a node and its 
 def plan(roots, children=children, key=id) -> tuple:
     """The distinct nodes under ``roots``, each once and after its children.
 
-    Returns ``(steps, position)``: a step is ``(node, positions of its
-    children)``; ``position`` maps ``key(node)`` to its step.  Nodes are told
-    apart by identity, which suits canonical expressions; pass ``key=None``
-    for any other graph, whose nodes are equal by value.  A cycle raises
+    Returns ``(steps, position)``: a step is ``(node, tuple of child
+    positions)``, so it cannot be written after it is made; ``position``
+    maps ``key(node)`` to its step.  Nodes are told apart by identity, which
+    suits canonical expressions; pass ``key=None`` for any other graph,
+    whose nodes are equal by value.  A cycle raises
     :class:`CycleError`.  Iterative: depth is bounded by memory only.
     """
     key = key or _same
@@ -216,7 +217,7 @@ def plan(roots, children=children, key=id) -> tuple:
                 stack.extend(reversed(kids))
                 continue
         position[key(node)] = len(steps)
-        steps.append((node, [position[key(k)] for k in kids]))
+        steps.append((node, tuple([position[key(k)] for k in kids])))
     return steps, position
 
 

@@ -27,6 +27,7 @@ from .spec import (
     _map_spec,
     _merge_equivalent,
     _renamer,
+    _tracking_through,
     classify,
 )
 
@@ -72,16 +73,16 @@ def juxtapose(
         raise SpecError(f"unknown direction {direction!r}")
     if track_mode not in TRACK_MODES:
         raise SpecError(f"unknown track mode {track_mode!r}")
-    kind = spec.root_tracking()
-    if side == SIDE_RIGHT:
-        near, far, has_near, has_far = "rightmost", "leftmost", kind.has_r, kind.has_l
-    else:
-        near, far, has_near, has_far = "leftmost", "rightmost", kind.has_l, kind.has_r
-    if not has_near:
+    # the root as the right/increasing case sees it: its near side is
+    # rightmost, its far side leftmost
+    atoms = _REVERSE_ATOMS if side == SIDE_LEFT else {}
+    kind = _tracking_through(atoms, spec.root_tracking())
+    near, far = ("rightmost", "leftmost") if side == SIDE_RIGHT else ("leftmost", "rightmost")
+    if not kind.has_r:
         raise SpecError(
             f"root {spec.root!r} does not track its {near} entry; cannot juxtapose on the {side}"
         )
-    if track_mode == TRACK_BOTH and not has_far:
+    if track_mode == TRACK_BOTH and not kind.has_l:
         raise SpecError(
             f"root {spec.root!r} does not track its {far} entry; track mode 'both' unavailable"
         )
@@ -92,22 +93,16 @@ def juxtapose(
     # Seq(Z) when it is regular, so that the sequence rules keep it regular
     # (a context-free input keeps SZ, whose expansion stays Seq-free)
     inline = SZ_NAME in spec._by_name and classify(spec).regular
-    atoms = _REVERSE_ATOMS if side == SIDE_LEFT else {}
     flip = (side == SIDE_LEFT) == (direction == DIR_INC)
-    forget = track_mode == TRACK_RIGHT and has_far
+    forget = track_mode == TRACK_RIGHT and kind.has_l
     into = {**atoms, (ZR if side == SIDE_LEFT else ZL): Z, ZLR: ZR} if forget else atoms
-
-    def track(old: TrackingKind) -> TrackingKind:
-        has_r, has_l = (old.has_l, old.has_r) if atoms else (old.has_r, old.has_l)
-        return TrackingKind(has_r, has_l and not forget)
-
     if into or flip or inline:
-        spec = _map_spec(spec, into, flip, track, inline)
+        spec = _map_spec(spec, into, flip, inline)
 
     root = spec.root
     new_root = f"{root}.jux"
     if track_mode == TRACK_NONE:
-        monotone_head = AtomRef(ZL) if has_far else AtomRef(Z)
+        monotone_head = AtomRef(ZL) if kind.has_l else AtomRef(Z)
         master = Sum((
             E_EXPR,
             Product((monotone_head, _sz())),
@@ -140,10 +135,8 @@ def juxtapose(
         _productive_valuations(spec)
         raise
 
-    got = out.root_tracking()
-    got_near, got_far = (got.has_r, got.has_l) if side == SIDE_RIGHT else (got.has_l, got.has_r)
-    want_far = has_far and track_mode != TRACK_RIGHT
-    if (got_near, got_far) != (track_mode != TRACK_NONE, want_far):
+    want = TrackingKind(track_mode != TRACK_NONE, kind.has_l and track_mode != TRACK_RIGHT)
+    if _tracking_through(atoms, out.root_tracking()) != want:
         raise SpecError("juxtaposition produced unexpected tracking")
     return _merge_equivalent(out)
 
@@ -181,9 +174,6 @@ def build_grid(core: Specification, pattern: Union[str, Sequence[str]]) -> Speci
     core_index = cells.index(CELL_CORE)
     steps = [(SIDE_RIGHT, cell) for cell in cells[core_index + 1 :]]
     steps += [(SIDE_LEFT, cell) for cell in reversed(cells[:core_index])]
-    if not steps:
-        return core
-
     current = core
     for i, (side, cell) in enumerate(steps):
         remaining = steps[i + 1 :]

@@ -47,7 +47,6 @@ from .expr import (
     ZL,
     ZLR,
     ZR,
-    ZeroExpr,
     evaluate,
     make_product,
     make_seq,
@@ -58,8 +57,6 @@ from .spec import (
     Equation,
     Specification,
     SZ_NAME,
-    TrackingKind,
-    UNTRACKED,
     _close,
     _map_spec,
     _renamer,
@@ -150,8 +147,8 @@ class _Insertion:
             if isinstance(node, AtomRef):
                 return node.atom in R_ATOMS
             if isinstance(node, ClassRef):
-                return spec.tracking.get(node.name, UNTRACKED).has_r
-            return isinstance(node, (Product, Sum)) and any(kids)  # Zero, Seq: False
+                return spec.tracking[node.name].has_r
+            return isinstance(node, (Product, Sum)) and any(kids)  # Seq: False
 
         steps = spec._plan[0]
         flags = evaluate(steps, tracks_r)
@@ -191,9 +188,7 @@ class _Insertion:
                 [(False, (h, head, 0)), (False, (r, node.factors[-1], 0) if last else (r, node, k + 1))]
                 for h, r in map(str.split, rule)
             ]
-        if isinstance(node, (ZeroExpr, AtomRef, ClassRef)):
-            return []
-        raise SpecError(f"not an expression: {node!r}")
+        return []  # an atom or a class reference
 
     def _build(self, op: str, node, terms: list, needed: set) -> Expr:
         """The image of a job whose terms' jobs are built."""
@@ -209,7 +204,6 @@ class _Insertion:
             [make_seq(images[o, id(n), i], table) if seq else images[o, id(n), i] for seq, (o, n, i) in term]
             for term in terms
         )
-        # Zero has no terms
         return make_sum([make_product(f[::-1] if self.flip else f, table) for f in factors], table)
 
 
@@ -263,10 +257,10 @@ def expand(spec: Specification, needed: Iterable) -> Specification:
 def complement(spec: Specification) -> Specification:
     """Specification for the complement class: every product reversed.
 
-    Atoms are fixed, Seq maps through, tracking is unchanged, and the
+    Atoms are fixed, so tracking is unchanged; Seq maps through, and the
     counting sequence is identical.  Involution.
     """
-    return _map_spec(spec, {}, True, lambda kind: kind)
+    return _map_spec(spec, {}, True)
 
 
 _REVERSE_ATOMS = {ZR: ZL, ZL: ZR}
@@ -275,15 +269,17 @@ _REVERSE_ATOMS = {ZR: ZL, ZL: ZR}
 def reverse(spec: Specification) -> Specification:
     """Specification for the reverse class: ZR and ZL swapped.
 
-    Products and Seq are preserved, tracking swaps rightmost with leftmost,
-    and the counting sequence is identical.  Involution.
+    Products and Seq are preserved.  The atom map sends each side's markers
+    to the other side, so the tracking derived from it swaps rightmost with
+    leftmost.  The counting sequence is identical.  Involution.
     """
-    return _map_spec(spec, _REVERSE_ATOMS, False, lambda kind: TrackingKind(kind.has_l, kind.has_r))
+    return _map_spec(spec, _REVERSE_ATOMS, False)
 
 
 _FORGET_LEFT = {ZL: Z, ZLR: ZR}
 
 
 def forget_left(spec: Specification) -> Specification:
-    """Erase leftmost markers (ZL -> Z, ZLR -> ZR); same class and series."""
-    return _map_spec(spec, _FORGET_LEFT, False, lambda kind: TrackingKind(kind.has_r, False))
+    """Erase leftmost markers (ZL -> Z, ZLR -> ZR); same class and series.
+    No marker lands on the leftmost side, so no symbol tracks it."""
+    return _map_spec(spec, _FORGET_LEFT, False)

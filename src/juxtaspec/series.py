@@ -26,7 +26,6 @@ from .expr import (
     Seq,
     SpecError,
     Sum,
-    ZeroExpr,
     least_fixpoint,
     plan,
 )
@@ -49,9 +48,7 @@ def _valuation_step(node, kids: list, vals: dict) -> Optional[int]:
         return 0
     if isinstance(node, Sum):
         return min((v for v in kids if v is not None), default=None)
-    if isinstance(node, Product):
-        return None if None in kids else sum(kids)
-    return None  # Zero
+    return None if None in kids else sum(kids)  # a Product
 
 
 def _valuations(spec: Specification) -> tuple:
@@ -151,9 +148,8 @@ def _schedule(spec: Specification, values: list, order: int) -> tuple:
     at, pairs = [], {}  # the cell of each plan step; binary products by operands
 
     def cell(op, operands, v, zero_lag):
-        # an atom's series is 1 at its size; Zero has no size (v is None)
-        constant = isinstance(op, (AtomRef, ZeroExpr))
-        out = [int(n == v) for n in range(order + 1)] if constant else []
+        # an atom's series is 1 at its size
+        out = [int(n == v) for n in range(order + 1)] if isinstance(op, AtomRef) else []
         cells.append([op, operands, v, zero_lag, out])
         return len(cells) - 1
 

@@ -404,14 +404,27 @@ def _renamer(atoms: Mapping[str, str], seq_z: Optional[Expr] = None):
     return leaf
 
 
-def _map_spec(spec: Specification, atoms: Mapping[str, str], flip: bool, track,
+def _tracking_through(atoms: Mapping[str, str], kind: TrackingKind) -> TrackingKind:
+    """The tracking of a symbol of tracking ``kind`` once its atoms are
+    renamed by ``atoms``: a side is tracked when exactly the markers of a
+    side the symbol tracked land on it."""
+    tracked = {R_ATOMS: kind.has_r, L_ATOMS: kind.has_l}
+
+    def lands(side) -> bool:
+        return tracked.get(frozenset(a for a in ATOM_KINDS if atoms.get(a, a) in side), False)
+
+    return TrackingKind(lands(R_ATOMS), lands(L_ATOMS))
+
+
+def _map_spec(spec: Specification, atoms: Mapping[str, str], flip: bool,
               inline: bool = False) -> Specification:
     """One rebuild of every equation, from the plan the input carries:
     atoms renamed, products reversed if flip and, with ``inline``, SZ
-    references replaced by Seq(Z) and the SZ equation dropped.  A kept SZ equation stays canonical: runs of plain
-    atoms are fixed by every symmetry.  Each symbol's tracking is ``track``
-    of its old one (SZ and Seq(Z) carry no marker, so inlining changes no
-    count): the result is what :func:`make_spec` would return, planned.
+    references replaced by Seq(Z) and the SZ equation dropped.  A kept SZ
+    equation stays canonical: runs of plain atoms are fixed by every
+    symmetry.  Each symbol's tracking is :func:`_tracking_through` the atom
+    map (SZ and Seq(Z) carry no marker, so inlining changes no count): the
+    result is what :func:`make_spec` would return, planned.
     """
     table, (steps, roots) = {}, spec._plan
     seq_z = make_seq(table.setdefault(Z_EXPR, Z_EXPR), table) if inline else None
@@ -422,7 +435,7 @@ def _map_spec(spec: Specification, atoms: Mapping[str, str], flip: bool, track,
         rhs = [sz_rhs if eq.lhs == SZ_NAME else new for eq, new in zip(spec.equations, rhs)]
     eqs = [Equation(eq.lhs, new) for eq, new in zip(spec.equations, rhs)
            if not (inline and eq.lhs == SZ_NAME)]
-    tracking = {eq.lhs: track(spec.tracking[eq.lhs]) for eq in eqs}
+    tracking = {eq.lhs: _tracking_through(atoms, spec.tracking[eq.lhs]) for eq in eqs}
     return _planned_spec(eqs, spec.root, tracking, *plan([eq.rhs for eq in eqs]))
 
 
@@ -433,11 +446,11 @@ def _merge_equivalent(spec: Specification) -> Specification:
     right-hand sides have the same shape, term and factor order kept, with
     every reference read as the set of symbols it names: the coarsest such
     partition, refined from the tracking classes (SZ alone) until no set
-    splits (Hopcroft 1971; Paige and Tarjan 1987).  An alias ``X = Y`` joins
-    ``Y``'s set first.  Each set keeps its first symbol in equation order,
-    so the root keeps its name, and that symbol's tracking: equivalent
-    symbols count alike, so the result is what :func:`make_spec` would
-    return for its equations, and it is planned once.
+    splits or every set is alone (Hopcroft 1971; Paige and Tarjan 1987).
+    An alias ``X = Y`` joins ``Y``'s set first.  Each set keeps its first
+    symbol in equation order, so the root keeps its name, and that symbol's
+    tracking: equivalent symbols count alike, so the result is what
+    :func:`make_spec` would return for its equations, and it is planned once.
     """
     by_name = spec._by_name
 
@@ -479,9 +492,9 @@ def _merge_equivalent(spec: Specification) -> Specification:
                 key = node
             of_step.append(shapes.setdefault(key, len(shapes)))
         block = {name: ids.setdefault((block[name], of_step[at[name]]), len(ids)) for name in members}
-        if len(ids) == count:
+        if len(ids) in (count, len(members)):  # no set split, or every set is alone
             break
-    if count == len(by_name):
+    if len(ids) == len(by_name):
         return spec
 
     rename, first = {}, {}
@@ -516,7 +529,7 @@ def _merge_equivalent(spec: Specification) -> Specification:
         values[i] = value
         if id(value) not in position:
             position[id(value)] = len(new_steps)
-            new_steps.append((value, [position[id(a)] for a in args]))
+            new_steps.append((value, tuple([position[id(a)] for a in args])))
     eqs = [Equation(name, values[at[canon[name]]]) for name in first.values()]
     tracking = {eq.lhs: spec.tracking[eq.lhs] for eq in eqs}
     return _planned_spec(eqs, spec.root, tracking, new_steps, position)
@@ -524,7 +537,7 @@ def _merge_equivalent(spec: Specification) -> Specification:
 
 def inline_seq(spec: Specification) -> Specification:
     """Replace every SZ reference by Seq(Z) and drop the SZ equation: one
-    :func:`_map_spec`, with the tracking carried over."""
+    :func:`_map_spec`, which renames no atom, so the tracking carries over."""
     if SZ_NAME not in spec._by_name or spec.root == SZ_NAME:
         return spec
-    return _map_spec(spec, {}, False, lambda kind: kind, inline=True)
+    return _map_spec(spec, {}, False, inline=True)

@@ -391,16 +391,19 @@ def assert_closed(out):
 
 
 def closed_outputs(spec, tags=None):
-    """What the library builds from spec through a closing pass: both
-    readers, inline_seq and expand at the root under each of tags (by
-    default every insertion operator)."""
+    """What the library builds from spec through a closing pass or a map of
+    one: both readers, the symmetries, inline_seq and expand at the root
+    under each of tags (by default every insertion operator)."""
     from juxtaspec.dsl import parse_spec, render_spec, spec_from_json, spec_to_json
     from juxtaspec.expr import SpecError
-    from juxtaspec.operators import INSERTION_TAGS, expand
+    from juxtaspec.operators import INSERTION_TAGS, complement, expand, forget_left, reverse
     from juxtaspec.spec import inline_seq
 
     yield parse_spec(render_spec(spec))
     yield spec_from_json(spec_to_json(spec))
+    yield complement(spec)
+    yield reverse(spec)
+    yield forget_left(spec)
     yield inline_seq(spec)
     for tag in INSERTION_TAGS if tags is None else tags:
         try:

@@ -53,6 +53,14 @@ def test_enumerate_negative_terms_refused_before_reading(capsys):
     assert err == "error: --terms must be nonnegative\n"
 
 
+def test_verify_negative_max_len_refused_before_reading(capsys):
+    code, out, err = run(capsys, "verify", "--spec", "/nonexistent/x.txt", "--cells", "inc",
+                         "--max-len", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --max-len must be nonnegative\n"
+
+
 def test_enumerate_bad_spec_file(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("C = E +\n")

@@ -12,7 +12,7 @@ from juxtaspec.juxtapose import (
     parse_grid_pattern,
 )
 from juxtaspec.operators import complement
-from juxtaspec.oracle import Basis, DEC, INC, class_counts, count_class
+from juxtaspec.oracle import Basis, DEC, INC, class_counts, count_class, parse_cells
 from juxtaspec.series import count_series
 from juxtaspec.spec import classify, inline_seq
 from helpers import juxtapose_outcome, library_specs, sandwich_juxtapose
@@ -256,7 +256,7 @@ def test_parse_grid_pattern():
 
 def test_grid_single_core_is_identity():
     spec = builtin_spec("av321")
-    assert build_grid(spec, "core") == spec
+    assert build_grid(spec, "core") is spec
 
 
 def test_grid_right_only_with_right_tracked_core():
@@ -290,3 +290,10 @@ def test_five_cell_grid_matches_oracle(name, max_n):
     out = build_grid(builtin_spec(name), pattern)
     cells = [BUILTIN_BASES[name] if cell == "core" else cell for cell in pattern.split("|")]
     assert count_series(out, max_n) == class_counts(cells, max_n)
+
+
+def test_six_cell_monotone_grid_matches_oracle():
+    out = build_grid(builtin_spec("monotone"), "inc|dec|core|inc|dec|inc")
+    want = class_counts(parse_cells("inc|dec|basis:21|inc|dec|inc"), 9)
+    assert want == [1, 1, 2, 6, 24, 120, 720, 4871, 34580, 245917]
+    assert count_series(out, 9) == want

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from juxtaspec.builtins import builtin_spec
@@ -325,3 +327,15 @@ def test_symmetries_carry_the_tracking_make_spec_infers():
             again = make_spec(out.equations, root=out.root)
             assert out == again, (symmetry.__name__, render_spec(spec))
             assert out.tracking == again.tracking, (symmetry.__name__, render_spec(spec))
+
+
+def test_o_and_oo_images_count_like_the_root_and_its_binomial_transform():
+    """The o image only erases the rightmost marker, so it counts like the
+    root.  The oo image puts a possibly empty run of new entries below every
+    entry: c'(0) = c(0) and c'(n) = sum over k of C(n - 1, k - 1) c(k)."""
+    for i, spec in enumerate(library_specs()):
+        c = count_series(spec, 12)
+        binomial = [c[0]] + [sum(comb(n - 1, k - 1) * c[k] for k in range(1, n + 1))
+                             for n in range(1, 13)]
+        assert count_series(expand(spec, [(spec.root, "o")]), 12) == c, i
+        assert count_series(expand(spec, [(spec.root, "oo")]), 12) == binomial, i

@@ -14,7 +14,7 @@ import juxtaspec.series as series_module
 import juxtaspec.spec as spec_module
 from juxtaspec.builtins import builtin_names, builtin_spec, builtin_text
 from juxtaspec.dsl import parse_spec, render_spec, spec_to_json
-from juxtaspec.expr import ZR, AtomRef, Product, Seq, Sum, Z_EXPR, ZeroExpr, children
+from juxtaspec.expr import ZR, AtomRef, ClassRef, Product, Seq, Sum, Z_EXPR, ZeroExpr, children
 from juxtaspec.juxtapose import (
     DIR_DEC,
     DIR_INC,
@@ -55,11 +55,14 @@ def _variants(spec):
 
 def _assert_plan_of_equations(spec):
     """The carried plan is a plan of the distinct nodes of the equations,
-    children first, with each equation's right-hand side at its root."""
+    children first, with each equation's right-hand side at its root.  Its
+    children are tuples, and it holds no Zero and nothing but expressions."""
     steps, roots = spec._plan
     assert len(roots) == len(spec.equations)
     assert all(steps[at][0] is eq.rhs for eq, at in zip(spec.equations, roots))
     for i, (node, kids) in enumerate(steps):
+        assert type(kids) is tuple
+        assert type(node) in (Sum, Product, Seq, AtomRef, ClassRef)
         assert all(k < i for k in kids)
         assert [id(steps[k][0]) for k in kids] == [id(kid) for kid in children(node)]
     _, _, objects = tree_walk([eq.rhs for eq in spec.equations])
