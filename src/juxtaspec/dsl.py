@@ -269,6 +269,33 @@ def _json_node(node, kids) -> dict:
     return {"kind": "seq", "arg": kids[0]}
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number", float: "number",
+               bool: "boolean", type(None): "null"}
+
+
+def _json_type(value) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _object(value, what: str) -> dict:
+    """``value``, which stands for ``what`` in a document, as a JSON object."""
+    if not isinstance(value, dict):
+        raise SpecError(f"malformed {what}: expected an object, found {_json_type(value)}")
+    return value
+
+
+def _field(obj: dict, name: str, what: str, array: bool = False):
+    """Field ``name`` of the JSON object ``obj``, the ``what`` of a
+    document; with ``array``, a JSON array, refused unread otherwise."""
+    if name not in obj:
+        raise SpecError(f"malformed {what}: missing field {name!r}")
+    value = obj[name]
+    if array and not isinstance(value, list):
+        found = _json_type(value)
+        raise SpecError(f"malformed {what}: field {name!r} must be an array, found {found}")
+    return value
+
+
 def expr_from_node(node: dict, table: dict) -> Expr:
     """Read a JSON node through the canonical constructors, hash-consing into
     ``table``; one table passed to several calls makes equal subexpressions
@@ -279,15 +306,17 @@ def expr_from_node(node: dict, table: dict) -> Expr:
     if kind == "zero":
         return ZERO
     if kind == "sum":
-        return make_sum([expr_from_node(t, table) for t in node["terms"]], table)
+        terms = _field(node, "terms", "sum node", array=True)
+        return make_sum([expr_from_node(t, table) for t in terms], table)
     if kind == "product":
-        return make_product([expr_from_node(f, table) for f in node["factors"]], table)
+        factors = _field(node, "factors", "product node", array=True)
+        return make_product([expr_from_node(f, table) for f in factors], table)
     if kind == "seq":
-        return make_seq(expr_from_node(node["arg"], table), table)
+        return make_seq(expr_from_node(_field(node, "arg", "seq node"), table), table)
     if kind == "atom":
-        leaf = AtomRef(node["name"])
+        leaf = AtomRef(_field(node, "name", "atom node"))
     elif kind == "ref":
-        name = node["name"]
+        name = _field(node, "name", "ref node")
         if not isinstance(name, str) or not name:
             raise SpecError(f"malformed ref node: {node!r}")
         leaf = ClassRef(name)
@@ -307,14 +336,17 @@ def spec_to_dict(spec: Specification) -> dict:
 
 
 def spec_from_dict(doc: dict) -> Specification:
+    what = "specification document"
+    table, equations = {}, []
     try:
-        table = {}
-        equations = [Equation(e["lhs"], expr_from_node(e["rhs"], table)) for e in doc["equations"]]
-        root = doc["root"]
-    except (KeyError, TypeError) as exc:
-        raise SpecError(f"malformed specification document: {exc}") from None
+        for i, eq in enumerate(_field(_object(doc, what), "equations", what, array=True), 1):
+            part = f"equation {i}"
+            eq = _object(eq, part)
+            lhs = _field(eq, "lhs", part)
+            equations.append(Equation(lhs, expr_from_node(_field(eq, "rhs", part), table)))
     except RecursionError:
         raise SpecError("specification document nested too deeply") from None
+    root = _field(doc, "root", what)
     if not isinstance(root, str):
         raise SpecError(f"root symbol {root!r} has no equation")
     return _close(equations, root, table)

@@ -16,7 +16,9 @@ lookup hashes no node.  Every traversal is a :func:`plan` of the
 distinct nodes, then one :func:`evaluate` of it: iterative, each node
 visited once.  :func:`fold` does both; a specification keeps the plan of its
 equations, so its analyses only evaluate, and a per-symbol analysis is one
-:func:`least_fixpoint` of evaluations.
+:func:`least_fixpoint`, which repeats the analysis's pass over the plan: a
+flat loop that dispatches on each node's type and reads its children's
+values by position, with no call per step.
 """
 
 from __future__ import annotations
@@ -234,32 +236,29 @@ def evaluate(steps: list, fn) -> list:
     return values
 
 
-def least_fixpoint(steps: list, symbols, fn, bottom) -> tuple:
+def least_fixpoint(steps: list, symbols, run_pass, bottom) -> tuple:
     """Least fixpoint of a per-symbol analysis over the plan ``steps``.
 
     ``symbols`` pairs each symbol with its right-hand side's step; two may
-    share one.  ``fn(node, values of its children, value)`` reads symbols'
-    current values from the dict ``value``, which starts at ``bottom``.  A
-    symbol takes its right-hand side's value as soon as that step is
-    evaluated, and passes repeat until one changes nothing.  There is no
-    round cap: ``fn`` must be monotone, with values that move one way in a
-    well-founded order (booleans, capped counts, sizes that only fall), so
-    any order of updates reaches the same least fixpoint and stops.  Returns
-    ``(value, the last pass's step values)``.
+    share one.  ``run_pass(steps, owners, value)`` is one pass of the
+    analysis: a flat loop over the steps that returns ``(step values,
+    whether a symbol changed)``.  It reads symbols' current values from the
+    dict ``value``, which starts at ``bottom``, and as soon as it has the
+    value of step ``i`` it stores it under each symbol of ``owners[i]``
+    (a tuple, empty for most steps).  Passes repeat until one changes
+    nothing.  There is no round cap: the analysis must be monotone, with
+    values that move one way in a well-founded order (booleans, capped
+    counts, sizes that only fall), so any order of updates reaches the same
+    least fixpoint and stops.  Returns ``(value, the last pass's step
+    values)``.
     """
-    value, owners = {}, {}
+    value, owners = {}, [()] * len(steps)
     for name, at in symbols:
         value[name] = bottom
-        owners.setdefault(at, []).append(name)
+        owners[at] += (name,)
     changed = True
     while changed:
-        changed, values = False, []
-        for at, (node, kids) in enumerate(steps):
-            v = fn(node, [values[k] for k in kids], value)
-            values.append(v)
-            for name in owners.get(at, ()):
-                if value[name] != v:
-                    value[name], changed = v, True
+        values, changed = run_pass(steps, owners, value)
     return value, values
 
 

@@ -38,24 +38,49 @@ class EnumerationError(SpecError):
     """The system cannot be enumerated (unproductive or ill-formed)."""
 
 
-def _valuation_step(node, kids: list, vals: dict) -> Optional[int]:
-    """Minimal object size of a node given its children's, None while unresolved."""
-    if isinstance(node, AtomRef):
-        return 0 if node.atom == EMPTY else 1
-    if isinstance(node, ClassRef):
-        return vals[node.name]
-    if isinstance(node, Seq):
-        return 0
-    if isinstance(node, Sum):
-        return min((v for v in kids if v is not None), default=None)
-    return None if None in kids else sum(kids)  # a Product
+def _valuation_pass(steps: list, owners: list, vals: dict) -> tuple:
+    """One pass of the valuations, for :func:`~juxtaspec.expr.least_fixpoint`:
+    the minimal object size of every step, None while it has none.  An atom
+    has size 1 (E: 0) and Seq 0; a sum takes its terms' least, a product
+    adds its factors' and has none while one factor has none."""
+    values, changed = [], False
+    append = values.append
+    for (node, kids), names in zip(steps, owners):
+        kind = type(node)
+        if kind is Product:
+            v = 0
+            for k in kids:
+                x = values[k]
+                if x is None:
+                    v = None
+                    break
+                v += x
+        elif kind is Sum:
+            v = None
+            for k in kids:
+                x = values[k]
+                if x is not None and (v is None or x < v):
+                    v = x
+        elif kind is ClassRef:
+            v = vals[node.name]
+        elif kind is AtomRef:
+            v = 0 if node.atom == EMPTY else 1
+        else:
+            v = 0  # Seq
+        append(v)
+        if names:
+            for name in names:
+                if vals[name] != v:
+                    vals[name], changed = v, True
+    return values, changed
 
 
 def _valuations(spec: Specification) -> tuple:
     """``(unproductive symbols, the minimal object size of every plan step or
-    None where it has no objects)``: the least fixpoint of :func:`_valuation_step`."""
+    None where it has no objects)``: the least fixpoint of
+    :func:`_valuation_pass`, one flat loop over the carried plan per pass."""
     steps, roots = spec._plan
-    vals, values = least_fixpoint(steps, zip(spec.symbols, roots), _valuation_step, None)
+    vals, values = least_fixpoint(steps, zip(spec.symbols, roots), _valuation_pass, None)
     return tuple(name for name in spec.symbols if vals[name] is None), values
 
 
@@ -146,29 +171,32 @@ def _schedule(spec: Specification, values: list, order: int) -> tuple:
     # per cell: [operation, operand cells, valuation, zero-lag operands, series]
     cells = [[None, None, values[r], None, None] for r in roots]
     at, pairs = [], {}  # the cell of each plan step; binary products by operands
-
-    def cell(op, operands, v, zero_lag):
-        # an atom's series is 1 at its size
-        out = [int(n == v) for n in range(order + 1)] if isinstance(op, AtomRef) else []
-        cells.append([op, operands, v, zero_lag, out])
-        return len(cells) - 1
-
     for (node, kids), v in zip(steps, values):
-        kids = [at[k] for k in kids]
-        if isinstance(node, ClassRef):
+        kind = type(node)
+        if kind is ClassRef:
             at.append(index[node.name])
-        elif isinstance(node, Product):
-            left = kids[0]
-            for right in kids[1:]:
-                vl, vr = cells[left][2], cells[right][2]
-                if (left, right) not in pairs:
-                    zero_lag = [c for c, v in ((left, vr), (right, vl)) if v == 0]
-                    pairs[left, right] = cell(_PRODUCT, (left, right), vl + vr, zero_lag)
-                left = pairs[left, right]
+        elif kind is Product:
+            left = at[kids[0]]
+            for i in range(1, len(kids)):
+                right = at[kids[i]]
+                cell = pairs.get((left, right))
+                if cell is None:
+                    vl, vr = cells[left][2], cells[right][2]
+                    zero_lag = [c for c, w in ((left, vr), (right, vl)) if w == 0]
+                    cell = pairs[left, right] = len(cells)
+                    cells.append([_PRODUCT, (left, right), vl + vr, zero_lag, []])
+                left = cell
             at.append(left)
-        else:
-            op = _SUM if isinstance(node, Sum) else _SEQ if isinstance(node, Seq) else node
-            at.append(cell(op, kids, v, kids))
+        elif kind is AtomRef:
+            out = [0] * (order + 1)  # an atom's series is 1 at its size
+            if v <= order:
+                out[v] = 1
+            at.append(len(cells))
+            cells.append([node, (), v, (), out])
+        else:  # Sum, Seq
+            operands = [at[k] for k in kids]
+            at.append(len(cells))
+            cells.append([_SUM if kind is Sum else _SEQ, operands, v, operands, []])
     for i, r in enumerate(roots):
         cells[i][3] = [at[r]]
     try:
@@ -189,9 +217,9 @@ def _schedule(spec: Specification, values: list, order: int) -> tuple:
             schedule.append((op, out, [cells[k][4] for k in operands], None, 0, 0))
         elif op is _PRODUCT:
             a, b = cells[operands[0]], cells[operands[1]]
-            if isinstance(b[0], AtomRef):
+            if type(b[0]) is AtomRef:
                 a, b = b, a
-            if isinstance(a[0], AtomRef):
+            if type(a[0]) is AtomRef:
                 schedule.append((_SHIFT, out, b[4], None, a[2], 0))
             else:
                 schedule.append((op, out, a[4], b[4], a[2], b[2]))

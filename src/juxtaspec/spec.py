@@ -20,6 +20,7 @@ from .expr import (
     ClassRef,
     CycleError,
     E_EXPR,
+    EMPTY,
     Expr,
     L_ATOMS,
     Product,
@@ -52,9 +53,10 @@ NAME = re.compile(r"[A-Za-z][A-Za-z0-9._]*")
 
 
 class TrackingError(SpecError):
-    """Marker usage is inconsistent across the terms of some equation:
-    ``problem`` says how, in term ``term`` (1-based, E terms counted) of the
-    equation of ``symbol``, which stands on DSL line ``line`` when known."""
+    """Marker usage is inconsistent across the terms of some equation, or a
+    marker stands inside Seq: ``problem`` says how, in term ``term`` (1-based,
+    E terms counted) of the equation of ``symbol``, which stands on DSL line
+    ``line`` when known."""
 
     def __init__(self, problem: str, symbol: str, term: int, line: Optional[int] = None):
         where = f"term {term} of {symbol!r}" + ("" if line is None else f", line {line}")
@@ -69,9 +71,6 @@ class TrackingError(SpecError):
 class TrackingKind:
     has_r: bool
     has_l: bool
-
-
-UNTRACKED = TrackingKind(False, False)
 
 
 @dataclass(frozen=True)
@@ -203,12 +202,8 @@ def _close(eqs: list, root: Optional[str], table: dict, prune: bool = False) -> 
     r_counts = _marker_fixpoint(eqs, steps, position, R_ATOMS, "rightmost")
     l_counts = _marker_fixpoint(eqs, steps, position, L_ATOMS, "leftmost")
     tracking = {eq.lhs: TrackingKind(r_counts[eq.lhs] == 1, l_counts[eq.lhs] == 1) for eq in eqs}
-    if any(isinstance(node, Seq) for node, _ in steps):  # else no Seq content to check
-        marks = evaluate(steps, marked_content(tracking))
-        for eq in eqs:
-            problem = marks[position[id(eq.rhs)]][1]
-            if problem:
-                raise SpecError(f"Seq argument in {eq.lhs!r}: {problem}")
+    if any(type(node) is Seq for node, _ in steps):  # else no Seq content to check
+        _check_seq_content(eqs, steps, position, tracking)
     return _planned_spec(eqs, root, tracking, reachable, position)
 
 
@@ -234,16 +229,7 @@ def _prune(eqs: list, root: str, table: dict, steps: list, position: dict, sz_rh
     has_empty = any(isinstance(eq.rhs, ZeroExpr) for eq in eqs)
     visited = bytearray(len(steps))
     if has_empty:
-        def is_empty(node, kids, empty) -> bool:
-            if isinstance(node, Sum):
-                return all(kids)
-            if isinstance(node, Product):
-                return any(kids)
-            if isinstance(node, ClassRef):
-                return empty.get(node.name, False)
-            return isinstance(node, ZeroExpr)
-
-        empty, values = least_fixpoint(steps, symbols, is_empty, False)
+        empty, values = least_fixpoint(steps, symbols, _empty_pass, False)
         if empty[root]:
             raise SpecError(f"expansion of {root} is the empty class")
         visited = bytearray(values)  # the walk passes the empty steps
@@ -273,46 +259,113 @@ def _prune(eqs: list, root: str, table: dict, steps: list, position: dict, sz_rh
     return (eqs, *plan([eq.rhs for eq in eqs] + [sz_rhs]))
 
 
+def _empty_pass(steps: list, owners: list, empty: dict) -> tuple:
+    """One pass of :func:`_prune`'s emptiness fixpoint, for
+    :func:`~juxtaspec.expr.least_fixpoint`: whether each step is empty."""
+    values, changed = [], False
+    append = values.append
+    for (node, kids), names in zip(steps, owners):
+        kind = type(node)
+        if kind is Sum:
+            v = True
+            for k in kids:
+                if not values[k]:
+                    v = False
+                    break
+        elif kind is Product:
+            v = False
+            for k in kids:
+                if values[k]:
+                    v = True
+                    break
+        elif kind is ClassRef:
+            v = empty.get(node.name, False)
+        else:
+            v = kind is ZeroExpr
+        append(v)
+        if names:
+            for name in names:
+                if empty[name] != v:
+                    empty[name], changed = v, True
+    return values, changed
+
+
 def _marker_fixpoint(eqs, steps: list, position: dict, markers: frozenset, label: str) -> dict:
     """Least fixpoint of per-symbol marker counts, then exactness check.
 
     A term that is literally E describes the empty object and is exempt from
     the count (the empty permutation carries no markers); every other term of
     a marker-carrying symbol must contain the marker exactly once.  Seq
-    content carries no markers.
+    content carries no markers.  Both the fixpoint's passes and the
+    exactness pass are flat loops over the plan: an atom counts 1 when it is
+    one of ``markers``, a reference its symbol's count, Seq 0.
     """
-    if not any(isinstance(node, AtomRef) and node.atom in markers for node, _ in steps):
+    if not any(type(node) is AtomRef and node.atom in markers for node, _ in steps):
         return {eq.lhs: 0 for eq in eqs}  # every count and every term is 0
 
-    def leaf(node, counts) -> int:
-        if isinstance(node, AtomRef):
-            return 1 if node.atom in markers else 0
-        if isinstance(node, ClassRef):
-            return counts.get(node.name, 0)
-        return 0  # Zero, Seq
-
-    def upper(node, kids, counts) -> int:
-        # an E term counts 0, which never raises the maximum of its equation
-        if isinstance(node, Product):
-            return min(2, sum(kids))
-        if isinstance(node, Sum):
-            return max(kids)
-        return leaf(node, counts)
+    def upper(steps, owners, counts) -> tuple:
+        # a product adds its factors' counts, capped at 2; a sum takes its
+        # terms' maximum, which an E term (0) never raises
+        values, changed = [], False
+        append = values.append
+        for (node, kids), names in zip(steps, owners):
+            kind = type(node)
+            if kind is Product:
+                v = 0
+                for k in kids:
+                    v += values[k]
+                if v > 2:
+                    v = 2
+            elif kind is Sum:
+                v = 0
+                for k in kids:
+                    if values[k] > v:
+                        v = values[k]
+            elif kind is AtomRef:
+                v = 1 if node.atom in markers else 0
+            elif kind is ClassRef:
+                v = counts.get(node.name, 0)
+            else:
+                v = 0  # Seq
+            append(v)
+            if names:
+                for name in names:
+                    if counts[name] != v:
+                        counts[name], changed = v, True
+        return values, changed
 
     counts, _ = least_fixpoint(steps, [(eq.lhs, position[id(eq.rhs)]) for eq in eqs], upper, 0)
 
-    def exact(node, kids) -> int:
-        # -1: a sum whose terms differ, or a product with one inside
-        if isinstance(node, Product):
-            return -1 if -1 in kids else sum(kids)
-        if isinstance(node, Sum):
-            return kids[0] if len(set(kids)) == 1 else -1
-        return leaf(node, counts)
+    # the exact count of every step: -1 for a sum whose terms differ, or a
+    # product with one inside
+    values = []
+    append = values.append
+    for node, kids in steps:
+        kind = type(node)
+        if kind is Product:
+            v = 0
+            for k in kids:
+                if values[k] < 0:
+                    v = -1
+                    break
+                v += values[k]
+        elif kind is Sum:
+            v = values[kids[0]]
+            for k in kids:
+                if values[k] != v:
+                    v = -1
+                    break
+        elif kind is AtomRef:
+            v = 1 if node.atom in markers else 0
+        elif kind is ClassRef:
+            v = counts.get(node.name, 0)
+        else:
+            v = 0  # Seq
+        append(v)
 
-    values = evaluate(steps, exact)
     for eq in eqs:
         for i, t in enumerate(terms(eq.rhs), 1):
-            if t == E_EXPR:
+            if type(t) is AtomRef and t.atom == EMPTY:
                 continue
             value = values[position[id(t)]]
             if value < 0:
@@ -327,29 +380,43 @@ def _marker_fixpoint(eqs, steps: list, position: dict, markers: frozenset, label
     return counts
 
 
-def marked_content(tracking: Mapping[str, TrackingKind]):
-    """Fold function: (first marked leaf, first Seq with marked content).
+def _check_seq_content(eqs, steps: list, position: dict, tracking: Mapping) -> None:
+    """Refuse a marked atom, or a class that carries a marker, inside Seq.
 
-    Both are error texts, found in preorder, or None.  Marked atoms and
-    classes that carry a marker can never appear inside Seq.
+    One flat loop over the plan finds, per step, the first such leaf in
+    preorder and the first Seq with one in its argument; the refusal names
+    the first term, in equation order, that holds such a Seq.
     """
-
-    def visit(node, kids):
-        if isinstance(node, AtomRef):
-            if node.atom in R_ATOMS | L_ATOMS:
-                return f"marked atom {node.atom} cannot appear inside Seq", None
-            return None, None
-        if isinstance(node, ClassRef):
-            kind = tracking.get(node.name, UNTRACKED)
-            if kind.has_r or kind.has_l:
-                return f"class {node.name!r} carries a marker and cannot appear inside Seq", None
-            return None, None
-        if isinstance(node, Seq):
-            return kids[0][0], kids[0][0]
-        marked = next((k[0] for k in kids if k[0]), None)
-        return marked, next((k[1] for k in kids if k[1]), None)
-
-    return visit
+    atoms = R_ATOMS | L_ATOMS
+    carriers = {name for name, kind in tracking.items() if kind.has_r or kind.has_l}
+    marked, inside = [], []  # per step: that leaf under it, and under a Seq under it
+    for node, kids in steps:
+        kind = type(node)
+        if kind is AtomRef:
+            m, s = (node if node.atom in atoms else None), None
+        elif kind is ClassRef:
+            m, s = (node if node.name in carriers else None), None
+        elif kind is Seq:
+            m = s = marked[kids[0]]
+        else:
+            m = s = None
+            for k in kids:
+                if m is None:
+                    m = marked[k]
+                if s is None:
+                    s = inside[k]
+        marked.append(m)
+        inside.append(s)
+    for eq in eqs:
+        for i, t in enumerate(terms(eq.rhs), 1):
+            leaf = inside[position[id(t)]]
+            if leaf is None:
+                continue
+            if type(leaf) is AtomRef:
+                problem = f"marked atom {leaf.atom} cannot appear inside Seq"
+            else:
+                problem = f"class {leaf.name!r} carries a marker and cannot appear inside Seq"
+            raise TrackingError(f"Seq argument in {eq.lhs!r}: {problem}", eq.lhs, i)
 
 
 @dataclass(frozen=True)

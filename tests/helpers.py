@@ -7,8 +7,9 @@ the geometric substitution z -> z/(1-z) via binomial coefficients, a
 regularity check by repeated substitution, the iterated elimination of
 empty-class symbols, with its own canonical form, a pairwise fixpoint
 for equivalent symbols, a reference DSL reader that tokenizes into
-(kind, text, column) tuples and parses through peek/take calls, and the
-oracle's generating tree walked one member at a time.
+(kind, text, column) tuples and parses through peek/take calls, the
+oracle's generating tree walked one member at a time, and the closing and
+counting passes as one callback call per plan step.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from juxtaspec.expr import (
     make_seq,
     make_sum,
 )
-from juxtaspec.spec import NAME, Equation, TrackingError, _close
+from juxtaspec.spec import NAME, Equation, TrackingError, TrackingKind, _close
 
 # ---------------------------------------------------------------------------
 # bivariate series: coefficient of z^n is a dict {marker_power: count}
@@ -720,3 +721,184 @@ def reference_parse_spec(text):
         return _close(equations, equations[0].lhs, table)
     except TrackingError as exc:
         raise TrackingError(exc.problem, exc.symbol, exc.term, lines.get(exc.symbol)) from None
+
+
+# ---------------------------------------------------------------------------
+# the closing and counting passes, one callback call per plan step: the
+# library runs each as a flat loop per pass
+
+
+def stepwise(fn):
+    """A pass for least_fixpoint that calls ``fn(node, values of its
+    children, value)`` once per step, with a fresh list of child values."""
+
+    def run(steps, owners, value):
+        values, changed = [], False
+        for (node, kids), names in zip(steps, owners):
+            v = fn(node, [values[k] for k in kids], value)
+            values.append(v)
+            for name in names:
+                if value[name] != v:
+                    value[name], changed = v, True
+        return values, changed
+
+    return run
+
+
+def reference_fixpoint(steps, symbols, fn, bottom):
+    """(value, the last pass's step values, passes) of the per-symbol
+    analysis ``fn(node, values of its children, value)``: Gauss-Seidel, a
+    symbol takes its right-hand side's value as soon as that step is
+    evaluated, and passes repeat until one changes nothing."""
+    value, owners = {}, {}
+    for name, at in symbols:
+        value[name] = bottom
+        owners.setdefault(at, []).append(name)
+    changed, passes = True, 0
+    while changed:
+        changed, values, passes = False, [], passes + 1
+        for at, (node, kids) in enumerate(steps):
+            v = fn(node, [values[k] for k in kids], value)
+            values.append(v)
+            for name in owners.get(at, ()):
+                if value[name] != v:
+                    value[name], changed = v, True
+    return value, values, passes
+
+
+def _reference_evaluate(steps, fn):
+    values = []
+    for node, kids in steps:
+        values.append(fn(node, [values[k] for k in kids]))
+    return values
+
+
+def is_empty(node, kids, empty) -> bool:
+    """Whether a node is of the empty class: a Sum when all of its terms
+    are, a Product when any factor is, a reference when its symbol is."""
+    if isinstance(node, Sum):
+        return all(kids)
+    if isinstance(node, Product):
+        return any(kids)
+    if isinstance(node, ClassRef):
+        return empty.get(node.name, False)
+    return isinstance(node, ZeroExpr)
+
+
+def _valuation_step(node, kids, vals):
+    """Minimal object size of a node given its children's, None while unresolved."""
+    if isinstance(node, AtomRef):
+        return 0 if node.atom == EMPTY else 1
+    if isinstance(node, ClassRef):
+        return vals[node.name]
+    if isinstance(node, Seq):
+        return 0
+    if isinstance(node, Sum):
+        return min((v for v in kids if v is not None), default=None)
+    return None if None in kids else sum(kids)  # a Product
+
+
+def reference_valuations(spec):
+    """What series._valuations returns, by _valuation_step."""
+    steps, roots = spec._plan
+    vals, values, _ = reference_fixpoint(steps, zip(spec.symbols, roots), _valuation_step, None)
+    return tuple(name for name in spec.symbols if vals[name] is None), values
+
+
+def marker_callbacks(markers):
+    """(leaf, upper, exact) of the marker count over the atoms ``markers``:
+    a leaf's count, the fixpoint's upper bound per node, and the exact count
+    per node once the symbols' counts are known (-1: a sum whose terms
+    differ, or a product with one inside)."""
+
+    def leaf(node, counts):
+        if isinstance(node, AtomRef):
+            return 1 if node.atom in markers else 0
+        if isinstance(node, ClassRef):
+            return counts.get(node.name, 0)
+        return 0  # Zero, Seq
+
+    def upper(node, kids, counts):
+        if isinstance(node, Product):
+            return min(2, sum(kids))
+        if isinstance(node, Sum):
+            return max(kids)
+        return leaf(node, counts)
+
+    def exact(counts):
+        def step(node, kids):
+            if isinstance(node, Product):
+                return -1 if -1 in kids else sum(kids)
+            if isinstance(node, Sum):
+                return kids[0] if len(set(kids)) == 1 else -1
+            return leaf(node, counts)
+
+        return step
+
+    return leaf, upper, exact
+
+
+def _terms(expr):
+    return expr.terms if isinstance(expr, Sum) else (expr,)
+
+
+def reference_marker_fixpoint(eqs, steps, position, markers, label):
+    """What spec._marker_fixpoint returns or raises, by marker_callbacks."""
+    if not any(isinstance(node, AtomRef) and node.atom in markers for node, _ in steps):
+        return {eq.lhs: 0 for eq in eqs}
+    _, upper, exact = marker_callbacks(markers)
+    symbols = [(eq.lhs, position[id(eq.rhs)]) for eq in eqs]
+    counts, _, _ = reference_fixpoint(steps, symbols, upper, 0)
+    values = _reference_evaluate(steps, exact(counts))
+    for eq in eqs:
+        for i, t in enumerate(_terms(eq.rhs), 1):
+            if t == AtomRef(EMPTY):
+                continue
+            value = values[position[id(t)]]
+            if value < 0:
+                problem = f"mixed {label}-marker counts inside a factor"
+            elif value > 1:
+                problem = f"term of {eq.lhs!r} carries the {label} marker more than once"
+            elif value != counts[eq.lhs]:
+                problem = f"mixed terms in {eq.lhs!r}: some carry the {label} marker, others do not"
+            else:
+                continue
+            raise TrackingError(problem, eq.lhs, i)
+    return counts
+
+
+def marked_content(tracking):
+    """Fold function: (first marked leaf, first Seq with marked content).
+
+    Both are error texts, found in preorder, or None.  Marked atoms and
+    classes that carry a marker can never appear inside Seq.
+    """
+    untracked = TrackingKind(False, False)
+
+    def visit(node, kids):
+        if isinstance(node, AtomRef):
+            if node.atom in ("ZL", "ZR", "ZLR"):
+                return f"marked atom {node.atom} cannot appear inside Seq", None
+            return None, None
+        if isinstance(node, ClassRef):
+            kind = tracking.get(node.name, untracked)
+            if kind.has_r or kind.has_l:
+                return f"class {node.name!r} carries a marker and cannot appear inside Seq", None
+            return None, None
+        if isinstance(node, Seq):
+            return kids[0][0], kids[0][0]
+        marked = next((k[0] for k in kids if k[0]), None)
+        return marked, next((k[1] for k in kids if k[1]), None)
+
+    return visit
+
+
+def reference_check_seq_content(eqs, steps, position, tracking):
+    """What spec._check_seq_content raises, by marked_content: the first
+    term, in equation order, whose tree holds a Seq over marked content."""
+    marks = _reference_evaluate(steps, marked_content(tracking))
+    for eq in eqs:
+        for i, t in enumerate(_terms(eq.rhs), 1):
+            problem = marks[position[id(t)]][1]
+            if problem:
+                raise TrackingError(f"Seq argument in {eq.lhs!r}: {problem}", eq.lhs, i)

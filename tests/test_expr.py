@@ -28,7 +28,7 @@ from juxtaspec.expr import (
     rewrite,
     terms,
 )
-from helpers import random_expr
+from helpers import random_expr, reference_fixpoint, stepwise
 
 
 def test_sum_drops_zero():
@@ -131,6 +131,21 @@ def _min_size(node, kids, value):
     return 1
 
 
+def _fixpoint(steps, symbols, fn, bottom):
+    """least_fixpoint of the per-step analysis fn, run one pass at a time;
+    it must give what the per-step reference gives, in as many passes."""
+    passes = []
+    run = stepwise(fn)
+
+    def counted(*args):
+        passes.append(1)
+        return run(*args)
+
+    value, values = least_fixpoint(steps, symbols, counted, bottom)
+    assert (value, values, len(passes)) == reference_fixpoint(steps, symbols, fn, bottom)
+    return value, values
+
+
 def _jacobi(steps, symbols, fn, bottom):
     """Reference: every symbol updated at once from the previous round's values."""
     value = {name: bottom for name, _ in symbols}
@@ -146,13 +161,13 @@ def test_least_fixpoint_shared_right_hand_side():
     # hash-consing can give two symbols one right-hand side object
     rhs = Sum((Product((Z_EXPR, Z_EXPR, ClassRef("A"))), Product((Z_EXPR, ClassRef("B")))))
     steps, position = plan([rhs])
-    value, values = least_fixpoint(steps, [("A", position[id(rhs)]), ("B", position[id(rhs)])],
-                                   _min_size, None)
+    value, values = _fixpoint(steps, [("A", position[id(rhs)]), ("B", position[id(rhs)])],
+                              _min_size, None)
     assert value == {"A": None, "B": None}  # neither ever has an object
     rhs = Sum((Z_EXPR, Product((Z_EXPR, ClassRef("A")))))
     steps, position = plan([rhs])
-    value, values = least_fixpoint(steps, [("A", position[id(rhs)]), ("B", position[id(rhs)])],
-                                   _min_size, None)
+    value, values = _fixpoint(steps, [("A", position[id(rhs)]), ("B", position[id(rhs)])],
+                              _min_size, None)
     assert value == {"A": 1, "B": 1}
     assert values[position[id(rhs)]] == 1
 
@@ -161,7 +176,7 @@ def test_least_fixpoint_keeps_bottom_for_a_symbol_never_raised():
     a, c = Sum((Z_EXPR, Product((Z_EXPR, ClassRef("A"))))), Product((Z_EXPR, ClassRef("C")))
     steps, position = plan([a, c])
     symbols = [("A", position[id(a)]), ("C", position[id(c)])]
-    value, values = least_fixpoint(steps, symbols, _min_size, None)
+    value, values = _fixpoint(steps, symbols, _min_size, None)
     assert value == {"A": 1, "C": None}
     assert values[position[id(c)]] is None
 
@@ -177,7 +192,7 @@ def test_least_fixpoint_matches_jacobi_on_a_reverse_ordered_chain():
     rhs += [Product((Z_EXPR, Z_EXPR)), Z_EXPR, Product((Z_EXPR, ref(39)))]
     steps, position = plan(rhs)
     symbols = [(f"S{i}", position[id(r)]) for i, r in enumerate(rhs)]
-    got = least_fixpoint(steps, symbols, _min_size, None)
+    got = _fixpoint(steps, symbols, _min_size, None)
     assert got == _jacobi(steps, symbols, _min_size, None)
     # S36 = 3, and each step of three symbols down costs 2 more
     assert got[0]["S0"] == 27 and got[0]["S39"] is None

@@ -4,6 +4,8 @@ from juxtaspec.builtins import BUILTIN_BASES, builtin_names, builtin_spec
 from juxtaspec.dsl import parse_spec, render_expr
 from juxtaspec.expr import SpecError
 from juxtaspec.juxtapose import (
+    DIR_DEC,
+    DIR_INC,
     TRACK_BOTH,
     TRACK_NONE,
     TRACK_RIGHT,
@@ -11,7 +13,7 @@ from juxtaspec.juxtapose import (
     juxtapose,
     parse_grid_pattern,
 )
-from juxtaspec.operators import complement
+from juxtaspec.operators import complement, reverse
 from juxtaspec.oracle import Basis, DEC, INC, class_counts, count_class, parse_cells
 from juxtaspec.series import count_series
 from juxtaspec.spec import classify, inline_seq
@@ -297,3 +299,20 @@ def test_six_cell_monotone_grid_matches_oracle():
     want = class_counts(parse_cells("inc|dec|basis:21|inc|dec|inc"), 9)
     assert want == [1, 1, 2, 6, 24, 120, 720, 4871, 34580, 245917]
     assert count_series(out, 9) == want
+
+
+@pytest.mark.parametrize("name, pattern", [
+    ("av321", "inc|core|inc|dec"),
+    ("av321", "dec|inc|core|inc"),
+    ("monotone", "inc|dec|core|inc"),
+    ("monotone", "inc|dec|core|inc|dec"),
+])
+def test_grid_symmetry_identities(name, pattern):
+    """Reversing a row reverses its cells and turns each monotone cell over;
+    complementing it turns them over in place.  So the grid of a core's
+    reverse (complement) over the reversed (turned) row counts alike."""
+    core = builtin_spec(name)
+    turned = [{DIR_INC: DIR_DEC, DIR_DEC: DIR_INC}.get(cell, cell) for cell in pattern.split("|")]
+    series = count_series(build_grid(core, pattern), 10)
+    assert count_series(build_grid(reverse(core), turned[::-1]), 10) == series
+    assert count_series(build_grid(complement(core), turned), 10) == series

@@ -187,10 +187,17 @@ def test_sequence_rules():
 
 
 def test_seq_with_marked_content_rejected():
-    with pytest.raises(SpecError, match="Seq argument in 'X': class 'CR' carries a marker"):
+    with pytest.raises(SpecError) as info:
         _fig_spec(Seq(ClassRef("CR")))
-    with pytest.raises(SpecError, match="Seq argument in 'X': marked atom ZR"):
+    assert str(info.value) == (
+        "Seq argument in 'X': class 'CR' carries a marker and cannot appear inside Seq"
+        " (term 1 of 'X')"
+    )
+    with pytest.raises(SpecError) as info:
         _fig_spec(Seq(ZR))
+    assert str(info.value) == (
+        "Seq argument in 'X': marked atom ZR cannot appear inside Seq (term 1 of 'X')"
+    )
 
 
 def test_expand_golden_first_insertion():

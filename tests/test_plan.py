@@ -161,6 +161,19 @@ def fixpoint_calls(monkeypatch):
     return _counting(monkeypatch, "least_fixpoint")
 
 
+def _analysis(args) -> str:
+    """Which per-symbol analysis the least_fixpoint call of ``args`` runs: a
+    pass is told by what it is or, for a marker count, by one pass over a
+    plan of the single step ZR."""
+    run_pass = args[2]
+    if run_pass is spec_module._empty_pass:
+        return "empty"
+    if run_pass is series_module._valuation_pass:
+        return "valuations"
+    values, _ = run_pass([(AtomRef(ZR), ())], [()], {})
+    return "rightmost" if values == [1] else "leftmost"
+
+
 @pytest.mark.parametrize("build", ["av321", "monotone", "av321 inc|core|inc"])
 def test_analyses_evaluate_the_carried_plan(plan_calls, fixpoint_calls, build):
     core, *pattern = build.split()
@@ -173,10 +186,12 @@ def test_analyses_evaluate_the_carried_plan(plan_calls, fixpoint_calls, build):
     assert len(plan_calls) == len(fixpoint_calls) == 0
     count_series(spec, 12)
     assert len(plan_calls) == 1  # the order of the schedule's cells
-    assert len(fixpoint_calls) == 1  # the valuations
+    assert [_analysis(args) for args in fixpoint_calls] == ["valuations"]
+    assert fixpoint_calls[0][0] is spec._plan[0]
     del plan_calls[:], fixpoint_calls[:]
     productivity_check(spec)
-    assert len(fixpoint_calls) == 1
+    assert [_analysis(args) for args in fixpoint_calls] == ["valuations"]
+    assert fixpoint_calls[0][0] is spec._plan[0]
     del plan_calls[:], fixpoint_calls[:]
     classify(spec)
     assert len(plan_calls) <= 1  # the walk through references
@@ -222,13 +237,6 @@ def _closing_passes():
         yield f"juxtapose regular {side}", lambda s=side: juxtapose(regular, s, DIR_INC)
 
 
-def _analysis(fn) -> str:
-    """Which per-symbol analysis a least_fixpoint call runs."""
-    if fn.__name__ == "is_empty":
-        return "empty"
-    return "rightmost" if fn(AtomRef(ZR), [], {}) else "leftmost"  # a marker count
-
-
 def test_closing_pass_runs_at_most_three_fixpoints(monkeypatch, fixpoint_calls):
     """Emptiness only when some right-hand side is Zero, then the rightmost
     and then the leftmost marker counts, each at most once."""
@@ -245,7 +253,9 @@ def test_closing_pass_runs_at_most_three_fixpoints(monkeypatch, fixpoint_calls):
     for how, build in _closing_passes():
         del fixpoint_calls[:], zero_rhs[:]
         build()
-        analyses = [_analysis(args[2]) for args in fixpoint_calls]
+        analyses = [_analysis(args) for args in fixpoint_calls]
+        # both marker counts evaluate the one plan of the closing pass
+        assert len({id(args[0]) for args in fixpoint_calls if _analysis(args) != "empty"}) <= 1, how
         assert len(zero_rhs) == 1, how
         assert analyses == [a for a in ("empty", "rightmost", "leftmost") if a in analyses], how
         assert ("empty" in analyses) == zero_rhs[0], how

@@ -1,31 +1,53 @@
 """Property tests over random specifications (tests/helpers.py), mutated
 DSL lines for the reader, and random cell rows for the oracle."""
 
+import contextlib
 import functools
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, strategies as st  # noqa: E402
 
+import juxtaspec.series as series_module  # noqa: E402
+import juxtaspec.spec as spec_module  # noqa: E402
 from juxtaspec.builtins import builtin_names, builtin_spec  # noqa: E402
-from juxtaspec.dsl import parse_spec, render_spec  # noqa: E402
-from juxtaspec.expr import SpecError  # noqa: E402
-from juxtaspec.juxtapose import build_grid, juxtapose  # noqa: E402
+from juxtaspec.dsl import parse_spec, render_spec, spec_from_dict  # noqa: E402
+from juxtaspec.expr import (  # noqa: E402
+    L_ATOMS,
+    R_ATOMS,
+    ZR,
+    AtomRef,
+    ClassRef,
+    Product,
+    Seq,
+    SpecError,
+    Sum,
+    Z_EXPR,
+)
+from juxtaspec.juxtapose import TRACK_MODES, build_grid, juxtapose  # noqa: E402
 from juxtaspec.operators import complement, forget_left, reverse  # noqa: E402
 from juxtaspec.oracle import DEC, INC, Basis, class_counts, count_class, juxt_membership  # noqa: E402
 from juxtaspec.series import count_series, productivity_check  # noqa: E402
-from juxtaspec.spec import make_spec  # noqa: E402
+from juxtaspec.spec import Equation, make_spec  # noqa: E402
 from helpers import (  # noqa: E402
+    _valuation_step,
     assert_closed,
     closed_outputs,
+    is_empty,
     juxtapose_outcome,
+    marker_callbacks,
     marker_totals,
+    random_expr,
     random_markerless_spec,
     random_recursive_spec,
+    reference_check_seq_content,
+    reference_fixpoint,
+    reference_marker_fixpoint,
     reference_parse_spec,
     reference_tokens,
+    reference_valuations,
     sandwich_juxtapose,
     under_tracked_root,
 )
@@ -102,6 +124,133 @@ def test_closing_pass_agrees_with_make_spec_on_random_specs(rng, recursive):
                 except SpecError:
                     continue
                 assert_closed(out)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except SpecError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _step_function(run_pass):
+    """The per-step reference callback of a pass the library hands to
+    least_fixpoint; a marker count is told by one pass over the step ZR."""
+    if run_pass is spec_module._empty_pass:
+        return "empty", is_empty
+    if run_pass is series_module._valuation_pass:
+        return "valuations", _valuation_step
+    values, _ = run_pass([(AtomRef(ZR), ())], [()], {})
+    markers = R_ATOMS if values == [1] else L_ATOMS
+    return "marker counts", marker_callbacks(markers)[1]
+
+
+@contextlib.contextmanager
+def _checked_against_references():
+    """Inside the block, every per-symbol fixpoint, marker exactness check
+    and Seq-content check the library runs is run again by its per-step
+    reference in tests/helpers.py, on the same input, and must give the
+    same values, passes and refusal text.  Yields the set of what was
+    checked."""
+    checked = set()
+    real_fixpoint = spec_module.least_fixpoint
+    real_markers, real_seq = spec_module._marker_fixpoint, spec_module._check_seq_content
+
+    def fixpoint(steps, symbols, run_pass, bottom):
+        symbols, passes = list(symbols), []
+        name, fn = _step_function(run_pass)
+
+        def counted(*args):
+            passes.append(1)
+            return run_pass(*args)
+
+        value, values = real_fixpoint(steps, symbols, counted, bottom)
+        want = reference_fixpoint(steps, symbols, fn, bottom)
+        assert (value, values, len(passes)) == want, name
+        checked.add(name)
+        return value, values
+
+    def markers(*args):
+        got = _outcome(real_markers, *args)
+        assert got == _outcome(reference_marker_fixpoint, *args)
+        checked.add("tracking")
+        return real_markers(*args)
+
+    def seq_content(*args):
+        got = _outcome(real_seq, *args)
+        assert got == _outcome(reference_check_seq_content, *args)
+        checked.add("Seq content")
+        return real_seq(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (spec_module, series_module):
+            patch.setattr(module, "least_fixpoint", fixpoint)
+        patch.setattr(spec_module, "_marker_fixpoint", markers)
+        patch.setattr(spec_module, "_check_seq_content", seq_content)
+        yield checked
+
+
+def _marked_variants(rng, tracked):
+    """Systems over ``tracked`` that put a random symbol and a marked atom
+    inside Seq, and random marked equations below its root."""
+    z = Z_EXPR
+    inside = ClassRef(rng.choice(tracked.symbols))
+    yield [Equation("Q", Sum((z, Product((z, Seq(inside)))))), *tracked.equations]
+    yield [Equation("Q", Sum((z, Product((z, Seq(Sum((z, AtomRef(ZR))))))))), *tracked.equations]
+    names = ["M0", "M1", "M2"]
+    marked = [Equation(name, random_expr(rng, names + [tracked.root], 2)) for name in names]
+    yield marked + list(tracked.equations)
+
+
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_flat_passes_agree_with_per_step_references(rng, recursive):
+    """On a random tracked system, on its 12 juxtapositions and on marked
+    variants of it, the closing passes (empty symbols, tracking, every
+    TrackingError and Seq-content text) and the valuations (unproductive
+    symbols, step values) are what the per-step callbacks give."""
+    with _checked_against_references() as checked:
+        if recursive:
+            spec = random_recursive_spec(rng, n_symbols=rng.randint(1, 4))
+        else:
+            spec = random_markerless_spec(rng, n_symbols=rng.randint(1, 4))
+        tracked = under_tracked_root(spec)
+        systems = [tracked]
+        for side, direction, mode in product(("left", "right"), ("inc", "dec"), TRACK_MODES):
+            try:
+                systems.append(juxtapose(tracked, side, direction, mode))
+            except SpecError:
+                pass
+        for eqs in _marked_variants(rng, tracked):
+            try:
+                systems.append(make_spec(eqs))
+            except SpecError:
+                pass
+        for system in systems:
+            assert series_module._valuations(system) == reference_valuations(system)
+    assert {"tracking", "marker counts", "valuations"} <= checked
+
+
+# JSON values made of the words a specification document uses
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 2)
+    | st.sampled_from(["A", "E", "Z", "ZR", "", "zero", "atom", "ref", "sum", "product", "seq"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["kind", "name", "terms", "factors", "arg", "lhs", "rhs", "root", "equations"]),
+        inner, max_size=4,
+    ),
+    max_leaves=12,
+)
+
+
+@given(_json_values)
+def test_json_reader_refuses_malformed_documents_by_spec_error(value):
+    """A document, or an equation's right-hand side, of any shape is read or
+    refused with a SpecError, never another exception."""
+    for doc in (value, {"root": "A", "equations": [{"lhs": "A", "rhs": value}]}):
+        try:
+            spec_from_dict(doc)
+        except SpecError:
+            pass
 
 
 @functools.cache

@@ -5,8 +5,8 @@ functions around it."""
 import pytest
 
 from juxtaspec.builtins import builtin_spec
-from juxtaspec.dsl import expr_from_node, render_expr, spec_from_dict
-from juxtaspec.expr import ZERO, Z_EXPR, SpecError
+from juxtaspec.dsl import expr_from_node, parse_spec, render_expr, spec_from_dict
+from juxtaspec.expr import ZERO, Z_EXPR, AtomRef, ClassRef, Product, Seq, SpecError, Sum
 from juxtaspec.juxtapose import parse_grid_pattern
 from juxtaspec.operators import apply_atom, expand
 from juxtaspec.oracle import Basis, avoids_cell, class_counts, greedy_unique
@@ -14,6 +14,13 @@ from juxtaspec.series import ProductivityReport, compare_series
 from juxtaspec.spec import Equation, make_spec
 
 _A_IS_Z = {"lhs": "A", "rhs": {"kind": "atom", "name": "Z"}}
+
+
+_ZR = AtomRef("ZR")
+
+
+def _doc(rhs):
+    return {"root": "A", "equations": [{"lhs": "A", "rhs": rhs}]}
 
 
 def _nested(depth):
@@ -39,6 +46,39 @@ def _nested(depth):
     (lambda: expr_from_node({"kind": "ref", "name": ""}, {}),
      "malformed ref node: {'kind': 'ref', 'name': ''}"),
     (lambda: spec_from_dict(_nested(3000)), "specification document nested too deeply"),
+    # each part of a JSON document is refused by its name and its field
+    (lambda: spec_from_dict([]),
+     "malformed specification document: expected an object, found array"),
+    (lambda: spec_from_dict({"root": "A"}),
+     "malformed specification document: missing field 'equations'"),
+    (lambda: spec_from_dict({"root": "A", "equations": 5}),
+     "malformed specification document: field 'equations' must be an array, found number"),
+    (lambda: spec_from_dict({"equations": [_A_IS_Z]}),
+     "malformed specification document: missing field 'root'"),
+    (lambda: spec_from_dict({"root": "A", "equations": [_A_IS_Z, "A = Z"]}),
+     "malformed equation 2: expected an object, found string"),
+    (lambda: spec_from_dict({"root": "A", "equations": [{"rhs": _A_IS_Z["rhs"]}]}),
+     "malformed equation 1: missing field 'lhs'"),
+    (lambda: spec_from_dict({"root": "A", "equations": [{"lhs": "A"}]}),
+     "malformed equation 1: missing field 'rhs'"),
+    (lambda: spec_from_dict(_doc({"kind": "seq"})), "malformed seq node: missing field 'arg'"),
+    (lambda: spec_from_dict(_doc({"kind": "sum", "terms": 5})),
+     "malformed sum node: field 'terms' must be an array, found number"),
+    (lambda: spec_from_dict(_doc({"kind": "product", "factors": {"a": 1}})),
+     "malformed product node: field 'factors' must be an array, found object"),
+    (lambda: spec_from_dict(_doc({"kind": "atom"})), "malformed atom node: missing field 'name'"),
+    (lambda: spec_from_dict(_doc({"kind": "ref"})), "malformed ref node: missing field 'name'"),
+    # a marker inside Seq names the term and, from the DSL, the line
+    (lambda: parse_spec("A = Z Seq(ZR)"),
+     "Seq argument in 'A': marked atom ZR cannot appear inside Seq (term 1 of 'A', line 1)"),
+    (lambda: make_spec([Equation("A", Product((Z_EXPR, Seq(_ZR))))]),
+     "Seq argument in 'A': marked atom ZR cannot appear inside Seq (term 1 of 'A')"),
+    (lambda: parse_spec("B = Z\n\nA = E + ZR + Z Seq(B + A) ZR\n"),
+     "Seq argument in 'A': class 'A' carries a marker and cannot appear inside Seq"
+     " (term 3 of 'A', line 3)"),
+    (lambda: make_spec([Equation("A", Sum((_ZR, Product((Seq(ClassRef("A")), _ZR)))))]),
+     "Seq argument in 'A': class 'A' carries a marker and cannot appear inside Seq"
+     " (term 2 of 'A')"),
     (lambda: render_expr(ZERO), "the empty class has no DSL form"),
 ])
 def test_specification_refusals(build, text):
