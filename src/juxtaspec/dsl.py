@@ -24,7 +24,6 @@ a specification document is ``{"root": NAME, "equations": [{"lhs": NAME,
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Optional
 
@@ -352,11 +351,19 @@ def spec_from_dict(doc: dict) -> Specification:
     return _close(equations, root, table)
 
 
+# json is imported by its reader and writer only: a process that never reads
+# or writes JSON does not load it.
+
+
 def spec_to_json(spec: Specification, indent: Optional[int] = 2) -> str:
+    import json
+
     return json.dumps(spec_to_dict(spec), indent=indent)
 
 
 def spec_from_json(text: str) -> Specification:
+    import json
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -23,8 +23,6 @@ values by position, with no call per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 # Atom kinds.  EMPTY is the neutral object of size 0; the other four all have
 # size 1.  ZL / ZR mark the positionally leftmost / rightmost entry, ZLR both.
 EMPTY = "E"
@@ -52,16 +50,35 @@ class CycleError(SpecError):
         self.cycle = cycle
 
 
+_set = object.__setattr__  # how a constructor writes the fields it refuses to rewrite
+
+
 class Expr:
+    """An immutable expression node: every field is written once, by its
+    constructor, and assigning or deleting one raises AttributeError."""
+
     __slots__ = ()
 
     def __hash__(self):
         return self._hash
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-@dataclass(frozen=True, slots=True)
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class ZeroExpr(Expr):
     """Annihilator: the empty class with no objects at all."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is ZeroExpr or NotImplemented
+
+    def __hash__(self):
+        return hash(ZeroExpr)
 
     def __repr__(self):
         return "Zero"
@@ -70,31 +87,51 @@ class ZeroExpr(Expr):
 ZERO = ZeroExpr()
 
 
-@dataclass(frozen=True, slots=True)
 class AtomRef(Expr):
-    atom: str
+    __slots__ = ("atom",)
 
-    def __post_init__(self):
-        if self.atom not in ATOM_KINDS:
-            raise SpecError(f"unknown atom kind {self.atom!r}")
+    def __init__(self, atom):
+        if atom not in ATOM_KINDS:
+            raise SpecError(f"unknown atom kind {atom!r}")
+        _set(self, "atom", atom)
+
+    def __eq__(self, other):
+        return self.atom == other.atom if type(other) is AtomRef else NotImplemented
+
+    def __hash__(self):
+        return hash(self.atom)
+
+    def __reduce__(self):
+        return AtomRef, (self.atom,)
 
     def __repr__(self):
         return self.atom
 
 
-@dataclass(frozen=True, slots=True)
 class ClassRef(Expr):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        return self.name == other.name if type(other) is ClassRef else NotImplemented
+
+    def __hash__(self):
+        return hash(self.name)
+
+    def __reduce__(self):
+        return ClassRef, (self.name,)
 
     def __repr__(self):
         return f"@{self.name}"
 
 
-# Compound nodes compare their cached hash first, so unequal nodes differ at
-# once and equal shared children compare by identity.  The hash is only valid
-# in the process that computed it, so unpickling rebuilds the node, from the
-# flat form of its plan: pickling nodes as nested objects would recurse once
-# per level.
+# Compound nodes cache their hash and compare it first, so unequal nodes
+# differ at once and equal shared children compare by identity.  The hash is
+# only valid in the process that computed it, so unpickling rebuilds the
+# node, from the flat form of its plan: pickling nodes as nested objects
+# would recurse once per level.
 
 
 def _reduce_flat(node):
@@ -119,13 +156,12 @@ def _equal(a, b) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
 class Product(Expr):
-    _hash: int = field(init=False, repr=False)
-    factors: tuple
+    __slots__ = ("_hash", "factors")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((Product, self.factors)))
+    def __init__(self, factors):
+        _set(self, "factors", factors)
+        _set(self, "_hash", hash((Product, factors)))
 
     __hash__ = Expr.__hash__
     __eq__ = _equal
@@ -135,13 +171,12 @@ class Product(Expr):
         return "(" + " ".join(map(repr, self.factors)) + ")"
 
 
-@dataclass(frozen=True, slots=True)
 class Sum(Expr):
-    _hash: int = field(init=False, repr=False)
-    terms: tuple
+    __slots__ = ("_hash", "terms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((Sum, self.terms)))
+    def __init__(self, terms):
+        _set(self, "terms", terms)
+        _set(self, "_hash", hash((Sum, terms)))
 
     __hash__ = Expr.__hash__
     __eq__ = _equal
@@ -151,13 +186,12 @@ class Sum(Expr):
         return "(" + " + ".join(map(repr, self.terms)) + ")"
 
 
-@dataclass(frozen=True, slots=True)
 class Seq(Expr):
-    _hash: int = field(init=False, repr=False)
-    arg: Expr
+    __slots__ = ("_hash", "arg")
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((Seq, self.arg)))
+    def __init__(self, arg):
+        _set(self, "arg", arg)
+        _set(self, "_hash", hash((Seq, arg)))
 
     __hash__ = Expr.__hash__
     __eq__ = _equal
@@ -186,17 +220,15 @@ _PENDING = object()  # position of a node whose children are being planned
 _FINISH = object()  # stack marker: the two entries below it are a node and its children
 
 
-def plan(roots, children=children, key=id) -> tuple:
+def plan(roots, children=children) -> tuple:
     """The distinct nodes under ``roots``, each once and after its children.
 
     Returns ``(steps, position)``: a step is ``(node, tuple of child
     positions)``, so it cannot be written after it is made; ``position``
-    maps ``key(node)`` to its step.  Nodes are told apart by identity, which
-    suits canonical expressions; pass ``key=None`` for any other graph,
-    whose nodes are equal by value.  A cycle raises
-    :class:`CycleError`.  Iterative: depth is bounded by memory only.
+    maps ``id(node)`` to its step.  Nodes are told apart by identity, which
+    suits canonical expressions.  A cycle raises :class:`CycleError`.
+    Iterative: depth is bounded by memory only.
     """
-    key = key or _same
     steps, position, stack = [], {}, list(reversed(roots))
     while stack:
         node = stack.pop()
@@ -204,27 +236,22 @@ def plan(roots, children=children, key=id) -> tuple:
             kids = stack.pop()
             node = stack.pop()
         else:
-            seen = position.get(key(node), stack)  # the stack itself means "not seen"
+            seen = position.get(id(node), stack)  # the stack itself means "not seen"
             if seen is not stack:
                 if seen is _PENDING:
                     # the nodes still being expanded are the path to this one
                     path = [stack[i - 2] for i, item in enumerate(stack) if item is _FINISH]
-                    keys = [key(p) for p in path]
-                    raise CycleError(node, path[keys.index(key(node)):])
+                    raise CycleError(node, path[[id(p) for p in path].index(id(node)):])
                 continue
             kids = children(node)
             if kids:
-                position[key(node)] = _PENDING
+                position[id(node)] = _PENDING
                 stack += (node, kids, _FINISH)
                 stack.extend(reversed(kids))
                 continue
-        position[key(node)] = len(steps)
-        steps.append((node, tuple([position[key(k)] for k in kids])))
+        position[id(node)] = len(steps)
+        steps.append((node, tuple([position[id(k)] for k in kids])))
     return steps, position
-
-
-def _same(node):
-    return node
 
 
 def evaluate(steps: list, fn) -> list:

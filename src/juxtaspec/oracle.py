@@ -17,7 +17,6 @@ separable|inc, takes about 0.1 s at n = 9 (Python 3.11, one core).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations
 from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Union
 
@@ -29,22 +28,41 @@ INC = "inc"
 DEC = "dec"
 
 
-@dataclass(frozen=True)
 class Basis:
     """A cell of the permutations avoiding every one of ``patterns``, each a
     nonempty permutation of 1..k.  An empty pattern, which every block
-    contains, is refused with the rest."""
+    contains, is refused with the rest.  Immutable, and equal to a basis of
+    the same patterns."""
 
-    patterns: Tuple[Perm, ...]
+    __slots__ = ("patterns",)
 
-    def __post_init__(self):
-        if not self.patterns:
+    def __init__(self, patterns: Tuple[Perm, ...]):
+        if not patterns:
             raise ValueError("empty basis")
-        for pattern in self.patterns:
+        for pattern in patterns:
             if not pattern:
                 raise ValueError("empty basis pattern")
             if sorted(pattern) != list(range(1, len(pattern) + 1)):
                 raise ValueError(f"basis pattern {pattern!r} is not a permutation")
+        object.__setattr__(self, "patterns", patterns)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self.patterns == other.patterns if type(other) is Basis else NotImplemented
+
+    def __hash__(self):
+        return hash(self.patterns)
+
+    def __reduce__(self):
+        return Basis, (self.patterns,)
+
+    def __repr__(self):
+        return f"Basis(patterns={self.patterns!r})"
 
 
 Cell = Union[str, Basis]

@@ -13,21 +13,18 @@ Coefficients are Python integers, so arbitrarily large counts are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 from .expr import (
     AtomRef,
     ClassRef,
-    CycleError,
     EMPTY,
     Product,
     Seq,
     SpecError,
     Sum,
     least_fixpoint,
-    plan,
 )
 from .spec import Specification
 
@@ -102,8 +99,7 @@ def _seq_argument_problems(spec: Specification, values: list) -> list:
     return problems
 
 
-@dataclass(frozen=True)
-class ProductivityReport:
+class ProductivityReport(NamedTuple):
     ok: bool
     unproductive: tuple
     problems: tuple
@@ -199,14 +195,7 @@ def _schedule(spec: Specification, values: list, order: int) -> tuple:
             cells.append([_SUM if kind is Sum else _SEQ, operands, v, operands, []])
     for i, r in enumerate(roots):
         cells[i][3] = [at[r]]
-    try:
-        ordered = [c for c, _ in plan(range(len(cells)), lambda c: cells[c][3], key=None)[0]]
-    except CycleError as exc:
-        name = next(symbols[c] for c in exc.cycle if c < len(symbols))
-        raise EnumerationError(
-            f"non-productive system: {name!r} depends on itself at equal size"
-        ) from None
-
+    ordered = _zero_lag_order(cells, symbols)
     for c in ordered:
         if c < len(symbols):
             cells[c][4] = cells[cells[c][3][0]][4]  # a symbol aliases its right-hand side
@@ -227,6 +216,42 @@ def _schedule(spec: Specification, values: list, order: int) -> tuple:
             a = cells[operands[0]]
             schedule.append((op, out, a[4], out, a[2], 0))
     return cells[index[spec.root]][4], schedule
+
+
+def _zero_lag_order(cells: list, symbols: tuple) -> list:
+    """The cells in depth-first postorder along their zero-lag operands,
+    from each cell in index order: every cell after the ones it reads at
+    equal index.  A zero-lag cycle raises an EnumerationError naming the
+    first symbol on it, counted from the cell the walk reached again."""
+    ordered, state = [], bytearray(len(cells))  # 1 while on the path, 2 once ordered
+    for start in range(len(cells)):
+        if state[start]:
+            continue
+        state[start] = 1
+        path, walks = [start], [iter(cells[start][3])]
+        while walks:
+            for c in walks[-1]:  # resumes after the operand it last went down
+                seen = state[c]
+                if not seen:
+                    operands = cells[c][3]
+                    if operands:
+                        state[c] = 1
+                        path.append(c)
+                        walks.append(iter(operands))
+                        break
+                    state[c] = 2  # reads nothing at equal index: ordered at once
+                    ordered.append(c)
+                elif seen == 1:
+                    name = next(symbols[d] for d in path[path.index(c):] if d < len(symbols))
+                    raise EnumerationError(
+                        f"non-productive system: {name!r} depends on itself at equal size"
+                    )
+            else:
+                c = path.pop()
+                walks.pop()
+                state[c] = 2
+                ordered.append(c)
+    return ordered
 
 
 def count_series(spec: Specification, order: int) -> Series:
@@ -261,8 +286,7 @@ def count_series(spec: Specification, order: int) -> Series:
     return root[: order + 1]
 
 
-@dataclass(frozen=True)
-class SeriesComparison:
+class SeriesComparison(NamedTuple):
     equal: bool
     overlap: int
     index: Optional[int] = None

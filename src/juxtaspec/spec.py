@@ -10,9 +10,8 @@ the equations, never declared.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from operator import is_
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .expr import (
     ATOM_KINDS,
@@ -35,6 +34,7 @@ from .expr import (
     _flat_form,
     _from_flat_form,
     _rebuilder,
+    _set,
     children,
     evaluate,
     least_fixpoint,
@@ -67,14 +67,12 @@ class TrackingError(SpecError):
         return TrackingError, (self.problem, self.symbol, self.term, self.line)
 
 
-@dataclass(frozen=True)
-class TrackingKind:
+class TrackingKind(NamedTuple):
     has_r: bool
     has_l: bool
 
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(NamedTuple):
     lhs: str
     rhs: Expr
 
@@ -84,7 +82,6 @@ def sz_equation() -> Equation:
     return Equation(SZ_NAME, Sum((E_EXPR, Product((ClassRef(SZ_NAME), Z_EXPR)))))
 
 
-@dataclass(frozen=True)
 class Specification:
     """Immutable equation system, never written to after it is built.
 
@@ -95,14 +92,34 @@ class Specification:
     rebuilding, the symmetries and :func:`inline_seq` map one.  ``_plan``,
     made as it is built, is ``(steps, roots)``: the :func:`~juxtaspec.expr.plan`
     steps of the distinct nodes of all right-hand sides and the step of
-    each, in equation order.  Every analysis evaluates it.
+    each, in equation order.  Every analysis evaluates it.  Two
+    specifications are equal when their equations and roots are.
     """
 
-    equations: tuple
-    root: str
-    tracking: Mapping[str, TrackingKind] = field(compare=False)
-    _by_name: Mapping[str, Expr] = field(compare=False, repr=False)
-    _plan: tuple = field(compare=False, repr=False)
+    __slots__ = ("equations", "root", "tracking", "_by_name", "_plan")
+
+    def __init__(self, equations: tuple, root: str, tracking: Mapping[str, TrackingKind],
+                 _by_name: Mapping[str, Expr], _plan: tuple):
+        _set(self, "equations", equations)
+        _set(self, "root", root)
+        _set(self, "tracking", tracking)
+        _set(self, "_by_name", _by_name)
+        _set(self, "_plan", _plan)
+
+    __setattr__ = Expr.__setattr__
+    __delattr__ = Expr.__delattr__
+
+    def __eq__(self, other):
+        if type(other) is not Specification:
+            return NotImplemented
+        return self.equations == other.equations and self.root == other.root
+
+    def __hash__(self):
+        return hash((self.equations, self.root))
+
+    def __repr__(self):
+        return (f"Specification(equations={self.equations!r}, root={self.root!r}, "
+                f"tracking={self.tracking!r})")
 
     @property
     def symbols(self) -> tuple:
@@ -419,8 +436,7 @@ def _check_seq_content(eqs, steps: list, position: dict, tracking: Mapping) -> N
             raise TrackingError(f"Seq argument in {eq.lhs!r}: {problem}", eq.lhs, i)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     regular: bool
     context_free: bool
 

@@ -1,19 +1,22 @@
 """Property tests over random specifications (tests/helpers.py), mutated
-DSL lines for the reader, and random cell rows for the oracle."""
+DSL lines for the reader, random cell rows for the oracle and CLI argument
+lists."""
 
 import contextlib
 import functools
+import io
 from itertools import permutations, product
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, strategies as st  # noqa: E402
+from hypothesis import HealthCheck, assume, given, settings, strategies as st  # noqa: E402
 
 import juxtaspec.series as series_module  # noqa: E402
 import juxtaspec.spec as spec_module  # noqa: E402
-from juxtaspec.builtins import builtin_names, builtin_spec  # noqa: E402
-from juxtaspec.dsl import parse_spec, render_spec, spec_from_dict  # noqa: E402
+from juxtaspec.builtins import builtin_names, builtin_spec, builtin_text  # noqa: E402
+from juxtaspec.cli import main as cli_main  # noqa: E402
+from juxtaspec.dsl import parse_spec, render_spec, spec_from_dict, spec_to_json  # noqa: E402
 from juxtaspec.expr import (  # noqa: E402
     L_ATOMS,
     R_ATOMS,
@@ -319,3 +322,91 @@ def test_count_class_property_on_random_rows(row, n):
     ]
     assert class_counts(row, n) == members
     assert count_class(row, n) == members[n]
+
+
+# The CLI's own vocabulary.  No junk word is a prefix of --spec or --out,
+# which argparse would take for them: those two flags only ever name the
+# files that _cli_files writes.
+_OPTIONS_OF = {
+    "enumerate": ("--terms",),
+    "juxtapose": ("--side", "--dir", "--track", "--grid", "--out"),
+    "complement": ("--out",),
+    "reverse": ("--out",),
+    "classify": (),
+    "verify": ("--cells", "--max-len"),
+    "builtins": ("--show",),
+}
+_JUNK = ("", "-", "--", "-x", "--bogus", "--terms=x", "--help", "core", "basis:", "1.5", "é")
+_GRID_CELLS = ("inc", "dec", "core", "basis:21", "?")
+_CELLS = ("inc", "dec", "basis:21", "basis:321", "basis:2413,3142", "basis:11", "basis:")
+
+
+def _cli_files(tmp_path) -> tuple:
+    """(a DSL file, a JSON file, a malformed file, a missing file), rewritten
+    for each example: --out may have overwritten or created any of them."""
+    dsl, js, bad, missing = (tmp_path / name for name in ("s.txt", "s.json", "bad.txt", "no.txt"))
+    dsl.write_text(builtin_text("monotone"), encoding="utf-8")
+    js.write_text(spec_to_json(builtin_spec("monotone")), encoding="utf-8")
+    bad.write_text("A = = Z\n", encoding="utf-8")
+    missing.unlink(missing_ok=True)
+    return tuple(map(str, (dsl, js, bad, missing)))
+
+
+@st.composite
+def _cli_argv(draw, files):
+    """A command (or a junk word), often a specification source, up to three
+    options, mostly the command's own, and in a quarter of the lists one
+    more word anywhere but after --spec or --out."""
+    names = tuple(builtin_names()) + ("none",)
+    values = {
+        "--spec": st.sampled_from(files),
+        "--builtin": st.sampled_from(names),
+        "--out": st.sampled_from(files),
+        "--terms": st.integers(-3, 30).map(str),
+        "--max-len": st.integers(-3, 7).map(str),
+        "--side": st.sampled_from(("left", "right", "up")),
+        "--dir": st.sampled_from((INC, DEC, "flat")),
+        "--track": st.sampled_from(TRACK_MODES + ("left",)),
+        "--grid": st.one_of(  # mostly with one core cell, as a grid needs
+            st.lists(st.sampled_from(_GRID_CELLS), min_size=1, max_size=3),
+            st.tuples(st.lists(st.sampled_from((INC, DEC)), max_size=2), st.integers(0, 2))
+            .map(lambda p: p[0][:p[1]] + ["core"] + p[0][p[1]:]),
+        ).map("|".join),
+        "--cells": st.lists(st.sampled_from(_CELLS), min_size=1, max_size=3).map(" | ".join),
+        "--show": st.sampled_from(names),
+    }
+    command = draw(st.sampled_from(tuple(_OPTIONS_OF) + _JUNK[:3]))
+    argv = [command]
+    if command != "builtins" and draw(st.integers(0, 3)):
+        flag = draw(st.sampled_from(("--spec", "--builtin")))
+        argv += (flag, draw(values[flag]))
+    own = _OPTIONS_OF.get(command, ())
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(own if own and draw(st.integers(0, 3)) else tuple(values)))
+        argv += (flag, draw(values[flag]))
+    if not draw(st.integers(0, 3)):
+        words = (tuple(_OPTIONS_OF) + tuple(values) + _JUNK + names
+                 + ("left", "right", INC, DEC) + TRACK_MODES)
+        words = tuple(w for w in words if w not in ("--spec", "--out"))
+        # never between --spec or --out and its file
+        at = draw(st.sampled_from([i for i in range(len(argv) + 1)
+                                   if argv[i - 1:i] not in (["--spec"], ["--out"])]))
+        argv.insert(at, draw(st.sampled_from(words)))
+    return argv
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_cli_exits_0_1_or_2_on_any_argument_list(tmp_path, data):
+    """Argument lists drawn from the CLI's vocabulary: main returns 0, 1 or
+    2 and never raises.  Exit 2 explains itself on stderr, by an error line
+    or argparse's usage; exit 1 is verify's mismatch verdict, on stdout."""
+    argv = data.draw(_cli_argv(_cli_files(tmp_path)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert err.getvalue().startswith(("error: ", "usage: ")), (argv, err.getvalue())
+    elif code == 1:
+        assert argv[0] == "verify" and out.getvalue().startswith("mismatch at size "), argv

@@ -142,12 +142,14 @@ def test_productivity_check_diagnostics():
     report = productivity_check(parse_spec("A = Seq(B)\nB = E + Z\n"))
     assert not report.ok
     assert any("constant term" in p for p in report.problems)
-    # tautological systems: count_series refuses them with the same text
-    for text in ("A = B\nB = A + Z\n", "A = A + SZ\n"):
+    # tautological systems: count_series refuses them with the same text,
+    # which names the first symbol on the cycle
+    for text, name in (("A = B\nB = A + Z\n", "A"), ("A = A + SZ\n", "A"),
+                       ("A = Z + B\nB = C + Z\nC = B\n", "B")):
         spec = parse_spec(text)
         report = productivity_check(spec)
         assert not report.ok and not report.unproductive
-        assert report.problems == ("non-productive system: 'A' depends on itself at equal size",)
+        assert report.problems == (f"non-productive system: '{name}' depends on itself at equal size",)
         with pytest.raises(EnumerationError, match=re.escape(report.problems[0])):
             count_series(spec, 3)
 
