@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from .builtins import builtin_names, builtin_spec, builtin_text
-from .dsl import parse_spec, render_spec, spec_from_json
+from .dsl import parse_spec, render_spec, spec_from_json, spec_to_json
 from .expr import SpecError
 from .juxtapose import TRACK_MODES, TRACK_NONE, build_grid, juxtapose
 from .oracle import MAX_LENGTH, class_counts, parse_cells
@@ -53,7 +53,8 @@ def _load_spec(args) -> Specification:
 
 
 def _write_spec(spec: Specification, out: Optional[str]) -> None:
-    text = render_spec(spec)
+    # a path that --spec would read as JSON is written as JSON
+    text = spec_to_json(spec) if out and out.endswith(".json") else render_spec(spec)
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -88,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--track", choices=TRACK_MODES,
                    help="tracking kept by the output (default none)")
     p.add_argument("--grid", help="row pattern such as 'inc|core|inc' (excludes --side/--dir/--track)")
-    p.add_argument("--out", help="write the resulting specification to this file")
+    p.add_argument("--out", help="write the result to this file, as JSON if it ends in .json")
 
     for name, help_text in (
         ("complement", "print the specification of the complement class"),
@@ -96,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         _add_spec_source(p)
-        p.add_argument("--out", help="write the resulting specification to this file")
+        p.add_argument("--out", help="write the result to this file, as JSON if it ends in .json")
 
     p = sub.add_parser("classify", help="report constructor-restriction flags")
     _add_spec_source(p)

@@ -18,7 +18,9 @@ visited once.  :func:`fold` does both; a specification keeps the plan of its
 equations, so its analyses only evaluate, and a per-symbol analysis is one
 :func:`least_fixpoint`, which repeats the analysis's pass over the plan: a
 flat loop that dispatches on each node's type and reads its children's
-values by position, with no call per step.
+values by position, with no call per step.  A walk that may meet a cycle,
+through class references or along the series schedule's zero-lag reads, is
+one :func:`postorder` over positions.
 """
 
 from __future__ import annotations
@@ -38,16 +40,6 @@ L_ATOMS = frozenset((ZL, ZLR))
 
 class SpecError(Exception):
     """Invalid specification or expression."""
-
-
-class CycleError(SpecError):
-    """A fold reached a node that depends on itself; ``cycle`` lists the
-    nodes of that cycle, starting with ``node``."""
-
-    def __init__(self, node, cycle=()):
-        super().__init__(f"cycle through {node!r}")
-        self.node = node
-        self.cycle = cycle
 
 
 _set = object.__setattr__  # how a constructor writes the fields it refuses to rewrite
@@ -216,18 +208,17 @@ def children(node) -> tuple:
     return ()
 
 
-_PENDING = object()  # position of a node whose children are being planned
 _FINISH = object()  # stack marker: the two entries below it are a node and its children
 
 
-def plan(roots, children=children) -> tuple:
+def plan(roots) -> tuple:
     """The distinct nodes under ``roots``, each once and after its children.
 
     Returns ``(steps, position)``: a step is ``(node, tuple of child
     positions)``, so it cannot be written after it is made; ``position``
     maps ``id(node)`` to its step.  Nodes are told apart by identity, which
-    suits canonical expressions.  A cycle raises :class:`CycleError`.
-    Iterative: depth is bounded by memory only.
+    suits canonical expressions.  A node's children are built before it,
+    so no node reaches itself.  Iterative: depth is bounded by memory only.
     """
     steps, position, stack = [], {}, list(reversed(roots))
     while stack:
@@ -235,23 +226,53 @@ def plan(roots, children=children) -> tuple:
         if node is _FINISH:
             kids = stack.pop()
             node = stack.pop()
+        elif id(node) in position:
+            continue
         else:
-            seen = position.get(id(node), stack)  # the stack itself means "not seen"
-            if seen is not stack:
-                if seen is _PENDING:
-                    # the nodes still being expanded are the path to this one
-                    path = [stack[i - 2] for i, item in enumerate(stack) if item is _FINISH]
-                    raise CycleError(node, path[[id(p) for p in path].index(id(node)):])
-                continue
             kids = children(node)
             if kids:
-                position[id(node)] = _PENDING
                 stack += (node, kids, _FINISH)
                 stack.extend(reversed(kids))
                 continue
         position[id(node)] = len(steps)
         steps.append((node, tuple([position[id(k)] for k in kids])))
     return steps, position
+
+
+def postorder(operands, starts) -> tuple:
+    """Depth-first postorder of the positions reachable from ``starts``, taken
+    in turn, along ``operands`` (``operands[i]``: the positions that ``i``
+    leads to): each position after every one it leads to.
+
+    Returns ``(order, None)``; at the first cycle met the walk stops and
+    returns ``(order so far, cycle)``, the positions of the cycle listed from
+    the one it reached again.  Iterative: depth is bounded by memory only.
+    """
+    order, state = [], bytearray(len(operands))  # 1 while on the path, 2 once ordered
+    for start in starts:
+        if state[start]:
+            continue
+        state[start] = 1
+        path, walks = [start], [iter(operands[start])]
+        while walks:
+            for i in walks[-1]:  # resumes after the operand it last went down
+                seen = state[i]
+                if not seen:
+                    if operands[i]:
+                        state[i] = 1
+                        path.append(i)
+                        walks.append(iter(operands[i]))
+                        break
+                    state[i] = 2  # leads nowhere: ordered at once
+                    order.append(i)
+                elif seen == 1:
+                    return order, path[path.index(i):]
+            else:
+                i = path.pop()
+                walks.pop()
+                state[i] = 2
+                order.append(i)
+    return order, None
 
 
 def evaluate(steps: list, fn) -> list:

@@ -25,6 +25,7 @@ from .expr import (
     SpecError,
     Sum,
     least_fixpoint,
+    postorder,
 )
 from .spec import Specification
 
@@ -195,7 +196,10 @@ def _schedule(spec: Specification, values: list, order: int) -> tuple:
             cells.append([_SUM if kind is Sum else _SEQ, operands, v, operands, []])
     for i, r in enumerate(roots):
         cells[i][3] = [at[r]]
-    ordered = _zero_lag_order(cells, symbols)
+    ordered, cycle = postorder([cell[3] for cell in cells], range(len(cells)))
+    if cycle:
+        name = next(symbols[c] for c in cycle if c < len(symbols))
+        raise EnumerationError(f"non-productive system: {name!r} depends on itself at equal size")
     for c in ordered:
         if c < len(symbols):
             cells[c][4] = cells[cells[c][3][0]][4]  # a symbol aliases its right-hand side
@@ -216,42 +220,6 @@ def _schedule(spec: Specification, values: list, order: int) -> tuple:
             a = cells[operands[0]]
             schedule.append((op, out, a[4], out, a[2], 0))
     return cells[index[spec.root]][4], schedule
-
-
-def _zero_lag_order(cells: list, symbols: tuple) -> list:
-    """The cells in depth-first postorder along their zero-lag operands,
-    from each cell in index order: every cell after the ones it reads at
-    equal index.  A zero-lag cycle raises an EnumerationError naming the
-    first symbol on it, counted from the cell the walk reached again."""
-    ordered, state = [], bytearray(len(cells))  # 1 while on the path, 2 once ordered
-    for start in range(len(cells)):
-        if state[start]:
-            continue
-        state[start] = 1
-        path, walks = [start], [iter(cells[start][3])]
-        while walks:
-            for c in walks[-1]:  # resumes after the operand it last went down
-                seen = state[c]
-                if not seen:
-                    operands = cells[c][3]
-                    if operands:
-                        state[c] = 1
-                        path.append(c)
-                        walks.append(iter(operands))
-                        break
-                    state[c] = 2  # reads nothing at equal index: ordered at once
-                    ordered.append(c)
-                elif seen == 1:
-                    name = next(symbols[d] for d in path[path.index(c):] if d < len(symbols))
-                    raise EnumerationError(
-                        f"non-productive system: {name!r} depends on itself at equal size"
-                    )
-            else:
-                c = path.pop()
-                walks.pop()
-                state[c] = 2
-                ordered.append(c)
-    return ordered
 
 
 def count_series(spec: Specification, order: int) -> Series:

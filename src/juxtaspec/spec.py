@@ -17,7 +17,6 @@ from .expr import (
     ATOM_KINDS,
     AtomRef,
     ClassRef,
-    CycleError,
     E_EXPR,
     EMPTY,
     Expr,
@@ -40,6 +39,7 @@ from .expr import (
     least_fixpoint,
     make_seq,
     plan,
+    postorder,
     rewrite,
     terms,
 )
@@ -456,20 +456,24 @@ def classify(spec: Specification) -> Classification:
     regular: no cycle of class references is reachable from the root, so
     inlining every reachable symbol leaves an expression over atoms and Seq.
     SZ counts as Seq(Z), a leaf, unless it is the root.  Both flags may hold
-    at once.
+    at once.  One flat loop over the carried plan looks for Seq and reads the
+    plan through references, each leading to its symbol's step; one
+    :func:`~juxtaspec.expr.postorder` from the root's step looks for the cycle.
     """
-    context_free = not any(isinstance(node, Seq) for node, _ in spec._plan[0])
-
-    def through_refs(node):
-        if isinstance(node, ClassRef) and (node.name != SZ_NAME or spec.root == SZ_NAME):
-            return (spec.rhs(node.name),)
-        return children(node)
-
-    try:
-        plan((spec.rhs(spec.root),), through_refs)
-        regular = True
-    except CycleError:
-        regular = False
+    steps, roots = spec._plan
+    at = dict(zip(spec.symbols, roots))
+    if spec.root != SZ_NAME:
+        at.pop(SZ_NAME, None)  # a leaf
+    operands, context_free = [], True
+    for node, kids in steps:
+        kind = type(node)
+        if kind is ClassRef:
+            if node.name in at:
+                kids = (at[node.name],)
+        elif kind is Seq:
+            context_free = False
+        operands.append(kids)
+    regular = postorder(operands, (roots[0],))[1] is None
     return Classification(regular=regular, context_free=context_free)
 
 

@@ -1,7 +1,8 @@
 from juxtaspec.builtins import builtin_spec
 from juxtaspec.dsl import parse_spec
+from juxtaspec.expr import ClassRef, Product, Sum, Z_EXPR
 from juxtaspec.juxtapose import juxtapose
-from juxtaspec.spec import classify, inline_seq
+from juxtaspec.spec import Equation, SZ_NAME, classify, inline_seq, make_spec, sz_equation
 
 
 def test_monotone_line_is_regular():
@@ -55,3 +56,22 @@ def test_inline_seq_never_degrades_classification():
         after = classify(inline_seq(spec))
         assert after.regular >= before.regular
         assert before.regular == after.regular
+
+
+def test_sz_is_a_leaf_only_below_another_root():
+    flags = classify(make_spec([sz_equation()]))
+    assert flags.context_free and not flags.regular
+    spec = parse_spec("A = Z SZ + Z\n")
+    assert spec.root == "A" and SZ_NAME in spec.symbols
+    assert classify(spec) == (True, True)
+
+
+def test_long_reference_chain():
+    # S0 = Z + Z S1, ..., S4999 = Z: regular; closed into a cycle it is not
+    def chain(last):
+        eqs = [Equation(f"S{i}", Sum((Z_EXPR, Product((Z_EXPR, ClassRef(f"S{i + 1}"))))))
+               for i in range(4999)]
+        return make_spec(eqs + [Equation("S4999", last)])
+
+    assert classify(chain(Z_EXPR)) == (True, True)
+    assert classify(chain(Sum((Z_EXPR, Product((Z_EXPR, ClassRef("S0"))))))) == (False, True)

@@ -6,7 +6,7 @@ import pytest
 
 from juxtaspec.builtins import builtin_spec
 from juxtaspec.cli import MAX_TERMS, main
-from juxtaspec.dsl import parse_spec, render_spec
+from juxtaspec.dsl import parse_spec, render_spec, spec_from_json
 from juxtaspec.juxtapose import build_grid, juxtapose
 from juxtaspec.series import count_series, format_series
 
@@ -98,6 +98,23 @@ def test_juxtapose_writes_spec(tmp_path, capsys):
     assert code == 0
     spec = parse_spec(out_path.read_text())
     assert count_series(spec, 10) == [1, 1, 2, 6, 24, 115, 609, 3409, 19728, 116692, 701062]
+
+
+@pytest.mark.parametrize("command", [
+    ["complement", "--builtin", "av321"],
+    ["juxtapose", "--builtin", "monotone", "--side", "left", "--dir", "dec", "--track", "both"],
+])
+def test_out_writes_what_spec_reads(tmp_path, capsys, command):
+    """--out writes JSON to a .json path and DSL text to any other, as
+    --spec reads them: both files read back as the specification printed."""
+    code, printed, _ = run(capsys, *command)
+    assert code == 0
+    for name, read in (("out.json", spec_from_json), ("out.txt", parse_spec)):
+        path = tmp_path / name
+        assert run(capsys, *command, "--out", str(path)) == (0, "", "")
+        assert render_spec(read(path.read_text())) == printed
+        code, out, _ = run(capsys, "classify", "--spec", str(path))
+        assert code == 0 and out.startswith("regular: ")
 
 
 def test_juxtapose_stdout_round_trips(capsys):

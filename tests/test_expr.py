@@ -25,6 +25,7 @@ from juxtaspec.expr import (
     least_fixpoint,
     nodes,
     plan,
+    postorder,
     rewrite,
     terms,
 )
@@ -225,3 +226,34 @@ def test_nodes_carry_no_instance_dict():
     }
     for node in nodes(compound) + [ZERO]:
         assert pickle.loads(pickle.dumps(node)) == node
+
+
+def test_postorder_puts_operands_first():
+    assert postorder([(1, 2), (2,), (), (0,)], (0, 3)) == ([2, 1, 0, 3], None)
+    # a random DAG: each position leads only to later ones, started in any order
+    rng = random.Random(20)
+    n = 300
+    operands = [tuple(rng.sample(range(i + 1, n), min(3, n - i - 1))) for i in range(n)]
+    starts = rng.sample(range(n), 40)
+    order, cycle = postorder(operands, starts)
+    assert cycle is None
+    assert len(order) == len(set(order))
+    where = {p: i for i, p in enumerate(order)}
+    assert all(where[k] < where[p] for p in order for k in operands[p])
+    assert set(starts) <= set(where)
+
+
+def test_postorder_stops_at_the_first_cycle():
+    # 0 -> 1 -> 2 -> 3 -> 1: the walk reaches 1 again and never gets to 4
+    assert postorder([(1,), (2,), (3, 4), (1,), ()], (0,)) == ([], [1, 2, 3])
+    assert postorder([(5,), (2,), (3, 4), (1,), (), ()], (0, 1)) == ([5, 0], [1, 2, 3])
+    assert postorder([(0,)], (0,)) == ([], [0])
+    assert postorder([(), (1,)], (0,)) == ([0], None)  # not reachable from the start
+
+
+def test_postorder_is_iterative():
+    n = 100_000
+    chain = [(i + 1,) for i in range(n - 1)] + [()]
+    assert postorder(chain, (0,)) == (list(range(n - 1, -1, -1)), None)
+    chain[-1] = (0,)
+    assert postorder(chain, (0,)) == ([], list(range(n)))

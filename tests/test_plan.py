@@ -194,8 +194,7 @@ def test_analyses_evaluate_the_carried_plan(plan_calls, fixpoint_calls, build):
     assert fixpoint_calls[0][0] is spec._plan[0]
     del plan_calls[:], fixpoint_calls[:]
     classify(spec)
-    assert len(plan_calls) <= 1  # the walk through references
-    assert len(fixpoint_calls) == 0
+    assert len(plan_calls) == len(fixpoint_calls) == 0
 
 
 @pytest.mark.parametrize("symmetry", [complement, reverse, forget_left, inline_seq])

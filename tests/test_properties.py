@@ -6,6 +6,7 @@ import contextlib
 import functools
 import io
 from itertools import permutations, product
+from math import comb
 
 import pytest
 
@@ -30,9 +31,9 @@ from juxtaspec.expr import (  # noqa: E402
     Z_EXPR,
 )
 from juxtaspec.juxtapose import TRACK_MODES, build_grid, juxtapose  # noqa: E402
-from juxtaspec.operators import complement, forget_left, reverse  # noqa: E402
+from juxtaspec.operators import complement, expand, forget_left, reverse  # noqa: E402
 from juxtaspec.oracle import DEC, INC, Basis, class_counts, count_class, juxt_membership  # noqa: E402
-from juxtaspec.series import count_series, productivity_check  # noqa: E402
+from juxtaspec.series import EnumerationError, count_series, productivity_check  # noqa: E402
 from juxtaspec.spec import Equation, make_spec  # noqa: E402
 from helpers import (  # noqa: E402
     _valuation_step,
@@ -105,6 +106,25 @@ def test_juxtapose_matches_the_symmetry_sandwich_on_random_specs(rng, recursive,
     spec = under_tracked_root(spec)
     want = juxtapose_outcome(sandwich_juxtapose, spec, side, direction, mode)
     assert juxtapose_outcome(juxtapose, spec, side, direction, mode) == want
+
+
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_o_and_oo_images_on_random_specs(rng, recursive):
+    """Under a tracked root, the o image of the root counts like the root
+    and the oo image like its binomial transform (see test_operators)."""
+    if recursive:
+        spec = random_recursive_spec(rng, n_symbols=rng.randint(1, 4))
+    else:
+        spec = random_markerless_spec(rng, n_symbols=rng.randint(1, 4))
+    spec = under_tracked_root(spec)
+    try:
+        c = count_series(spec, 10)
+    except EnumerationError:
+        assume(False)
+    binomial = [c[0]] + [sum(comb(n - 1, k - 1) * c[k] for k in range(1, n + 1))
+                         for n in range(1, 11)]
+    assert count_series(expand(spec, [(spec.root, "o")]), 10) == c
+    assert count_series(expand(spec, [(spec.root, "oo")]), 10) == binomial
 
 
 @given(st.randoms(use_true_random=False), st.booleans())

@@ -1,8 +1,12 @@
-"""The README's library overview names only what the library has."""
+"""The README's library overview names only what the library has, and its
+command-line examples run."""
 
 import importlib
 import re
+import shlex
 from pathlib import Path
+
+from juxtaspec.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -25,3 +29,15 @@ def test_library_overview_names_exist():
         module = importlib.import_module(module_name)
         missing = [name for name in names if not hasattr(module, name)]
         assert not missing, (module_name, missing)
+
+
+def test_command_line_examples_exit_0(tmp_path, monkeypatch):
+    """Each `juxtaspec` line of the Command line block runs, in order, in a
+    fresh directory (later lines read the files earlier ones write)."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("juxtaspec ")]
+    assert len(lines) == 9
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line
