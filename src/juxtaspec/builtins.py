@@ -8,6 +8,8 @@ enumeration starts at the conventional 1 for size 0.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .dsl import parse_spec
 from .oracle import Basis
 from .spec import Specification
@@ -78,5 +80,8 @@ def builtin_text(name: str) -> str:
         raise KeyError(f"unknown builtin {name!r} (known: {known})") from None
 
 
+@cache
 def builtin_spec(name: str) -> Specification:
+    """The builtin's specification, parsed once per process and shared:
+    specifications are immutable."""
     return parse_spec(builtin_text(name))

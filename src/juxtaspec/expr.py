@@ -258,10 +258,11 @@ def postorder(operands, starts) -> tuple:
             for i in walks[-1]:  # resumes after the operand it last went down
                 seen = state[i]
                 if not seen:
-                    if operands[i]:
+                    leads = operands[i]
+                    if leads:
                         state[i] = 1
                         path.append(i)
-                        walks.append(iter(operands[i]))
+                        walks.append(iter(leads))
                         break
                     state[i] = 2  # leads nowhere: ordered at once
                     order.append(i)

@@ -168,12 +168,24 @@ def build_grid(core: Specification, pattern: Union[str, Sequence[str]]) -> Speci
     left of the core, right to left.  Each intermediate step keeps exactly
     the tracking that later steps still need, so the systems stay small; the
     core must track its rightmost entry when cells lie to its right and its
-    leftmost entry when cells lie to its left.
+    leftmost entry when cells lie to its left.  No step adds tracking of a
+    side before it juxtaposes there, so a core that lacks it is refused
+    before the first step.
     """
     cells = parse_grid_pattern(pattern)
     core_index = cells.index(CELL_CORE)
     steps = [(SIDE_RIGHT, cell) for cell in cells[core_index + 1 :]]
     steps += [(SIDE_LEFT, cell) for cell in reversed(cells[:core_index])]
+    kind = core.root_tracking()
+    for side, tracked, entry in (
+        (SIDE_RIGHT, kind.has_r, "rightmost"),
+        (SIDE_LEFT, kind.has_l, "leftmost"),
+    ):
+        if not tracked and any(s == side for s, _ in steps):
+            raise SpecError(
+                f"core root {core.root!r} does not track its {entry} entry; "
+                f"cannot place cells on its {side}"
+            )
     current = core
     for i, (side, cell) in enumerate(steps):
         remaining = steps[i + 1 :]

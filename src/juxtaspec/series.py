@@ -6,9 +6,13 @@ plan that the specification carries from its closing pass: the valuations
 first, then the Seq check and the schedule from their step values.
 The schedule is a flat list of cells; coefficient n of every cell is
 computed, exactly once, from coefficients already settled, before any
-coefficient n + 1.  Products convolve only between the factors'
-valuations, so the cost is O(order²) big-integer products per cell.
-Coefficients are Python integers, so arbitrarily large counts are exact.
+coefficient n + 1.  The monotone runs that juxtaposition inserts, SZ and
+Seq(Z), have the series 1/(1 - x), and x^v/(1 - x) times atoms of total
+size v: a product with one is a running sum and a product with an atom a
+shift, O(1) big-integer additions per coefficient.  Other products convolve only between the
+factors' valuations, O(order²) big-integer products per cell, as does a
+Seq of anything but an atom.  Coefficients are Python integers, so
+arbitrarily large counts are exact.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .expr import (
     least_fixpoint,
     postorder,
 )
-from .spec import Specification
+from .spec import SZ_NAME, Specification
 
 Series = List[int]
 
@@ -139,7 +143,7 @@ def _productive_valuations(spec: Specification) -> list:
     return values
 
 
-_SUM, _PRODUCT, _SHIFT, _SEQ = "sum", "product", "shift", "seq"
+_SUM, _PRODUCT, _SHIFT, _RUN, _SEQ = "sum", "product", "shift", "run", "seq"
 
 
 def _schedule(spec: Specification, values: list, order: int) -> tuple:
@@ -158,15 +162,20 @@ def _schedule(spec: Specification, values: list, order: int) -> tuple:
 
     Cells take their valuations from ``values``, those of the plan's steps.
     Returns the root's series and the steps ``(op, out, a, b, va, vb)`` that
-    append one coefficient to ``out`` per index; atoms are filled in full.
-    A product with an atom of size v is a shift: coefficient n is the other
-    operand's n - v.
+    append one coefficient to ``out`` per index; atoms and Seq(Z) are filled
+    in full.  A product with an atom of size v is a shift: coefficient n is
+    the other operand's n - v.  The geometric cells, whose series is
+    x^v/(1 - x), are SZ, Seq of an atom of size 1 and their products with
+    atoms; a product with one is a running sum: coefficient n is
+    coefficient n - 1 plus the other operand's n - v.  Only the remaining
+    products convolve.
     """
     symbols = spec.symbols
     index = {name: i for i, name in enumerate(symbols)}
     steps, roots = spec._plan
     # per cell: [operation, operand cells, valuation, zero-lag operands, series]
     cells = [[None, None, values[r], None, None] for r in roots]
+    geometric = {index[SZ_NAME]} if SZ_NAME in index else set()
     at, pairs = [], {}  # the cell of each plan step; binary products by operands
     for (node, kids), v in zip(steps, values):
         kind = type(node)
@@ -178,10 +187,14 @@ def _schedule(spec: Specification, values: list, order: int) -> tuple:
                 right = at[kids[i]]
                 cell = pairs.get((left, right))
                 if cell is None:
-                    vl, vr = cells[left][2], cells[right][2]
+                    (l_op, _, vl, _, _), (r_op, _, vr, _, _) = cells[left], cells[right]
                     zero_lag = [c for c, w in ((left, vr), (right, vl)) if w == 0]
                     cell = pairs[left, right] = len(cells)
                     cells.append([_PRODUCT, (left, right), vl + vr, zero_lag, []])
+                    if (left in geometric and type(r_op) is AtomRef) or (
+                        right in geometric and type(l_op) is AtomRef
+                    ):
+                        geometric.add(cell)  # a shifted run
                 left = cell
             at.append(left)
         elif kind is AtomRef:
@@ -193,7 +206,13 @@ def _schedule(spec: Specification, values: list, order: int) -> tuple:
         else:  # Sum, Seq
             operands = [at[k] for k in kids]
             at.append(len(cells))
-            cells.append([_SUM if kind is Sum else _SEQ, operands, v, operands, []])
+            if kind is Sum:
+                cells.append([_SUM, operands, v, operands, []])
+            elif type(steps[kids[0]][0]) is AtomRef and values[kids[0]] == 1:
+                geometric.add(len(cells))  # Seq(Z): 1/(1 - x), filled like an atom
+                cells.append([node, operands, v, operands, [1] * (order + 1)])
+            else:
+                cells.append([_SEQ, operands, v, operands, []])
     for i, r in enumerate(roots):
         cells[i][3] = [at[r]]
     ordered, cycle = postorder([cell[3] for cell in cells], range(len(cells)))
@@ -209,11 +228,16 @@ def _schedule(spec: Specification, values: list, order: int) -> tuple:
         if op is _SUM:
             schedule.append((op, out, [cells[k][4] for k in operands], None, 0, 0))
         elif op is _PRODUCT:
-            a, b = cells[operands[0]], cells[operands[1]]
+            left, right = operands
+            if right in geometric:
+                left, right = right, left  # a geometric operand first
+            a, b = cells[left], cells[right]
             if type(b[0]) is AtomRef:
                 a, b = b, a
             if type(a[0]) is AtomRef:
                 schedule.append((_SHIFT, out, b[4], None, a[2], 0))
+            elif left in geometric:  # a is cells[left]
+                schedule.append((_RUN, out, b[4], None, a[2], 0))
             else:
                 schedule.append((op, out, a[4], b[4], a[2], b[2]))
         elif op is _SEQ:
@@ -247,6 +271,8 @@ def count_series(spec: Specification, order: int) -> Series:
                 )
             elif op is _SHIFT:
                 out.append(a[n - va] if n >= va else 0)
+            elif op is _RUN:  # times x^va/(1 - x): the running sum of a, shifted
+                out.append(out[-1] + a[n - va] if n > va else a[0] if n == va else 0)
             elif op is _SUM:
                 out.append(sum([t[n] for t in a]))
             else:  # Seq: s[n] = sum of a[j] s[n - j] over j >= va >= 1

@@ -449,6 +449,27 @@ class Classification(NamedTuple):
         return "general"
 
 
+class _ThroughReferences:
+    """The operands of a plan's steps, read on demand for
+    :func:`~juxtaspec.expr.postorder`: a reference leads to the right-hand
+    side step ``at`` gives its symbol, or nowhere when ``at`` has none."""
+
+    __slots__ = ("steps", "at")
+
+    def __init__(self, steps, at: dict):
+        self.steps, self.at = steps, at
+
+    def __len__(self):
+        return len(self.steps)
+
+    def __getitem__(self, i):
+        node, kids = self.steps[i]
+        if type(node) is ClassRef:
+            at = self.at.get(node.name)
+            return () if at is None else (at,)
+        return kids
+
+
 def classify(spec: Specification) -> Classification:
     """Constructor-restriction flags of the system.
 
@@ -456,25 +477,16 @@ def classify(spec: Specification) -> Classification:
     regular: no cycle of class references is reachable from the root, so
     inlining every reachable symbol leaves an expression over atoms and Seq.
     SZ counts as Seq(Z), a leaf, unless it is the root.  Both flags may hold
-    at once.  One flat loop over the carried plan looks for Seq and reads the
-    plan through references, each leading to its symbol's step; one
-    :func:`~juxtaspec.expr.postorder` from the root's step looks for the cycle.
+    at once.  One :func:`~juxtaspec.expr.postorder` from the root's step,
+    each reference leading to its symbol's step, looks for the cycle and
+    reads only the steps it reaches before it meets one.
     """
     steps, roots = spec._plan
     at = dict(zip(spec.symbols, roots))
     if spec.root != SZ_NAME:
         at.pop(SZ_NAME, None)  # a leaf
-    operands, context_free = [], True
-    for node, kids in steps:
-        kind = type(node)
-        if kind is ClassRef:
-            if node.name in at:
-                kids = (at[node.name],)
-        elif kind is Seq:
-            context_free = False
-        operands.append(kids)
-    regular = postorder(operands, (roots[0],))[1] is None
-    return Classification(regular=regular, context_free=context_free)
+    regular = postorder(_ThroughReferences(steps, at), (roots[0],))[1] is None
+    return Classification(regular, not any(type(node) is Seq for node, _ in steps))
 
 
 def _renamer(atoms: Mapping[str, str], seq_z: Optional[Expr] = None):

@@ -8,8 +8,9 @@ regularity check by repeated substitution, the iterated elimination of
 empty-class symbols, with its own canonical form, a pairwise fixpoint
 for equivalent symbols, a reference DSL reader that tokenizes into
 (kind, text, column) tuples and parses through peek/take calls, the
-oracle's generating tree walked one member at a time, and the closing and
-counting passes as one callback call per plan step.
+oracle's generating tree walked one member at a time, the closing and
+counting passes as one callback call per plan step, and a series counter
+that convolves every product and every Seq.
 """
 
 from __future__ import annotations
@@ -345,6 +346,26 @@ def under_tracked_root(spec):
     zl, zr, zlr = AtomRef("ZL"), AtomRef("ZR"), AtomRef("ZLR")
     rhs = Sum((zlr, Product((zl, r, zr)), Product((r, t))))
     return make_spec([Equation("T", rhs), *spec.equations], root="T")
+
+
+def sz_wrapped(spec):
+    """spec with each equation A = rhs turned into A = rhs + Z SZ A, below a
+    new root W = SZ R + R Seq(Z) Z SZ + Z SZ Z R SZ (R the old root).  So its
+    products meet SZ and Seq(Z) on either side, alone, after atoms and at
+    valuations 0 and above."""
+    from juxtaspec.spec import Equation, make_spec
+
+    z, sz, r = AtomRef("Z"), ClassRef("SZ"), ClassRef(spec.root)
+    root = Sum((
+        Product((sz, r)),
+        Product((r, Seq(z), z, sz)),
+        Product((z, sz, z, r, sz)),
+    ))
+    eqs = [
+        Equation(eq.lhs, Sum((eq.rhs, Product((z, sz, ClassRef(eq.lhs))))))
+        for eq in spec.equations if eq.lhs != "SZ"
+    ]
+    return make_spec([Equation("W", root), *eqs], root="W")
 
 
 def sandwich_juxtapose(spec, side, direction, track_mode):
@@ -803,6 +824,82 @@ def reference_valuations(spec):
     steps, roots = spec._plan
     vals, values, _ = reference_fixpoint(steps, zip(spec.symbols, roots), _valuation_step, None)
     return tuple(name for name in spec.symbols if vals[name] is None), values
+
+
+def reference_count_series(spec, order):
+    """Coefficients 0..order of the root's series as count_series computed
+    them before it knew geometric cells: one cell per symbol, per plan step
+    and per binary partial product (left fold), ordered along the zero-lag
+    reads by Kahn's algorithm, and every product and every Seq a
+    convolution.  A ValueError for a zero-lag cycle; only for productive
+    systems without bad Seq arguments."""
+    steps, roots = spec._plan
+    _, values = reference_valuations(spec)
+    index = {name: i for i, name in enumerate(spec.symbols)}
+    # per cell: kind, operand cells, valuation
+    kinds, operands, val = ["symbol"] * len(roots), [None] * len(roots), [values[r] for r in roots]
+    at = []
+    for (node, kids), v in zip(steps, values):
+        if isinstance(node, ClassRef):
+            at.append(index[node.name])
+            continue
+        if isinstance(node, Product):
+            left = at[kids[0]]
+            for k in kids[1:]:
+                kinds.append("product")
+                operands.append((left, at[k]))
+                val.append(val[left] + val[at[k]])
+                left = len(kinds) - 1
+            at.append(left)
+            continue
+        kinds.append(type(node).__name__)  # AtomRef, Sum, Seq
+        operands.append([at[k] for k in kids])
+        val.append(v)
+        at.append(len(kinds) - 1)
+    for i, r in enumerate(roots):
+        operands[i] = (at[r],)
+
+    def zero_lag(c):
+        if kinds[c] == "product":
+            a, b = operands[c]
+            return [x for x, other in ((a, b), (b, a)) if val[other] == 0]
+        return operands[c]
+
+    readers = [[] for _ in kinds]
+    waiting = [0] * len(kinds)
+    for c in range(len(kinds)):
+        for x in zero_lag(c):
+            readers[x].append(c)
+            waiting[c] += 1
+    ready = [c for c in range(len(kinds)) if not waiting[c]]
+    ordered = []
+    while ready:
+        c = ready.pop()
+        ordered.append(c)
+        for r in readers[c]:
+            waiting[r] -= 1
+            if not waiting[r]:
+                ready.append(r)
+    if len(ordered) < len(kinds):
+        raise ValueError("a coefficient depends on itself")
+
+    series = [[] for _ in kinds]
+    for n in range(order + 1):
+        for c in ordered:
+            kind, ops, s = kinds[c], operands[c], series
+            if kind == "AtomRef":
+                x = int(n == val[c])
+            elif kind == "symbol":
+                x = s[ops[0]][n]
+            elif kind == "Sum":
+                x = sum(s[t][n] for t in ops)
+            elif kind == "product":
+                a, b = ops
+                x = sum(s[a][i] * s[b][n - i] for i in range(val[a], n - val[b] + 1))
+            else:  # Seq, argument of valuation at least 1
+                x = sum(s[ops[0]][j] * s[c][n - j] for j in range(1, n + 1)) if n else 1
+            s[c].append(x)
+    return series[index[spec.root]]
 
 
 def marker_callbacks(markers):

@@ -18,7 +18,7 @@ from juxtaspec.operators import complement, reverse
 from juxtaspec.series import count_series
 from juxtaspec.spec import classify, inline_seq
 
-GOLDEN = "9cc47ff215334be44e5fb570866e59cdde46f692fe215487e071db24f133febd"
+GOLDEN = "a7a3e481823ef6139f348f8bf305429f20e9d19744b308b6150d67a94d18cb90"
 
 
 def _describe(build, *args) -> str:

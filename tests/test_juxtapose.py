@@ -1,3 +1,6 @@
+import importlib
+import re
+
 import pytest
 
 from juxtaspec.builtins import BUILTIN_BASES, builtin_names, builtin_spec
@@ -259,6 +262,25 @@ def test_parse_grid_pattern():
 def test_grid_single_core_is_identity():
     spec = builtin_spec("av321")
     assert build_grid(spec, "core") is spec
+
+
+@pytest.mark.parametrize("core, pattern, entry, side", [
+    ("separable", "inc|core|inc", "leftmost", "left"),
+    ("separable", "dec|core", "leftmost", "left"),
+    ("reversed separable", "core|inc", "rightmost", "right"),
+    ("reversed separable", "dec|core|inc|dec", "rightmost", "right"),
+])
+def test_grid_refuses_an_unreachable_pattern_before_any_step(monkeypatch, core, pattern, entry, side):
+    spec = builtin_spec("separable")
+    if core.startswith("reversed"):
+        spec = reverse(spec)
+    module = importlib.import_module("juxtaspec.juxtapose")
+    steps = []
+    monkeypatch.setattr(module, "juxtapose", lambda *args: steps.append(args))
+    message = f"core root 'Full' does not track its {entry} entry; cannot place cells on its {side}"
+    with pytest.raises(SpecError, match=re.escape(message)):
+        build_grid(spec, pattern)
+    assert steps == []
 
 
 def test_grid_right_only_with_right_tracked_core():

@@ -47,12 +47,14 @@ from helpers import (  # noqa: E402
     random_markerless_spec,
     random_recursive_spec,
     reference_check_seq_content,
+    reference_count_series,
     reference_fixpoint,
     reference_marker_fixpoint,
     reference_parse_spec,
     reference_tokens,
     reference_valuations,
     sandwich_juxtapose,
+    sz_wrapped,
     under_tracked_root,
 )
 
@@ -71,6 +73,20 @@ def test_series_property_on_random_specs(rng, recursive):
     assert series == marker_totals(spec, 8)
     assert count_series(complement(spec), 8) == series
     assert count_series(reverse(spec), 8) == series
+
+
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_series_matches_the_reference_counter_on_sz_wrapped_specs(rng, recursive):
+    """Under helpers.sz_wrapped, products meet SZ and Seq(Z) everywhere;
+    count_series, with its running sums, equals the reference counter,
+    which convolves every product and every Seq."""
+    if recursive:
+        spec = random_recursive_spec(rng, n_symbols=rng.randint(1, 4))
+    else:
+        spec = random_markerless_spec(rng, n_symbols=rng.randint(1, 4))
+    spec = sz_wrapped(spec)
+    assume(productivity_check(spec).ok)
+    assert count_series(spec, 15) == reference_count_series(spec, 15)
 
 
 @given(st.randoms(use_true_random=False), st.booleans())

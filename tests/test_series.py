@@ -7,6 +7,7 @@ from juxtaspec.builtins import builtin_names, builtin_spec
 from juxtaspec.dsl import parse_spec, spec_from_dict, spec_to_dict
 from juxtaspec.expr import AtomRef, ClassRef, Product, Z_EXPR
 from juxtaspec.juxtapose import juxtapose
+import juxtaspec.series as series_module
 from juxtaspec.series import (
     EnumerationError,
     compare_series,
@@ -15,9 +16,10 @@ from juxtaspec.series import (
     productivity_check,
 )
 from juxtaspec.spec import Equation, make_spec, sz_equation
-from helpers import deep_series_specs, library_specs, marker_totals
+from helpers import deep_series_specs, library_specs, marker_totals, reference_count_series
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
+DEEP_SERIES_ORDERS = (40, 60, 60, 80)  # perfbench/workloads.py, deep-series
 
 
 def test_av321_with_empty_root():
@@ -91,6 +93,54 @@ def test_series_matches_marker_series_on_library_specs():
     for i, spec in enumerate(specs):
         order = 12 if i < 4 + 32 else 8  # the grids' trees make marker_series slow
         assert count_series(spec, order) == marker_totals(spec, order), i
+
+
+def test_series_matches_the_reference_counter():
+    # running sums and filled Seq(Z) cells give what convolving every
+    # product and every Seq gives
+    for i, spec in enumerate(library_specs()):
+        assert count_series(spec, 40) == reference_count_series(spec, 40), i
+    for spec, order in zip(deep_series_specs(), DEEP_SERIES_ORDERS):
+        assert count_series(spec, order) == reference_count_series(spec, order)
+
+
+def _schedule_ops(spec, order):
+    """(op, va, vb) of every step of the schedule count_series runs."""
+    values = series_module._productive_valuations(spec)
+    _, schedule = series_module._schedule(spec, values, order)
+    return [(op, va, vb) for op, _, _, _, va, vb in schedule]
+
+
+def _multiply_adds(spec, order):
+    """The multiply-adds of the convolutions in count_series to ``order``,
+    (of products, of Seq): a product convolves n - va - vb + 1 terms at
+    index n, a Seq n - va + 1."""
+    products = seqs = 0
+    for op, va, vb in _schedule_ops(spec, order):
+        if op == series_module._PRODUCT:
+            products += sum(max(0, n - va - vb + 1) for n in range(order + 1))
+        elif op == series_module._SEQ:
+            seqs += sum(max(0, n - va + 1) for n in range(1, order + 1))
+    return products, seqs
+
+
+def test_monotone_runs_are_running_sums():
+    spec = juxtapose(builtin_spec("monotone"), "right", "inc", "both")
+    ops = [op for op, _, _ in _schedule_ops(spec, 10)]
+    assert ops.count(series_module._PRODUCT) <= 1
+    assert ops.count(series_module._RUN) >= 10
+    # products with SZ = E + SZ Z, with Seq(Z) and with their shifts, on
+    # either side, and Seq(Z) itself: nothing is left to convolve
+    for text in ("A = SZ SZ Z + Z SZ Z\n", "A = Seq(Z) B Seq(Z) Z\nB = Z + Z B Z Seq(Z)\n"):
+        spec = parse_spec(text)
+        assert _multiply_adds(spec, 30) == (0, 0)
+        assert count_series(spec, 30) == reference_count_series(spec, 30)
+
+
+def test_deep_series_multiply_adds():
+    products, seqs = map(sum, zip(*map(_multiply_adds, deep_series_specs(), DEEP_SERIES_ORDERS)))
+    assert products <= 160_000
+    assert seqs <= 3_240  # Seq(SZ Z) in the monotone output, to order 80
 
 
 def test_atom_marks_do_not_affect_counting():

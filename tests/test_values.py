@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import juxtaspec
-from juxtaspec.builtins import builtin_spec
+from juxtaspec.builtins import builtin_names, builtin_spec, builtin_text
 from juxtaspec.dsl import parse_spec
 from juxtaspec.expr import ZERO, AtomRef, ClassRef, Product, Seq, Sum, Z, ZR, nodes, rewrite
 from juxtaspec.oracle import Basis
@@ -136,3 +136,13 @@ def test_import_loads_neither_dataclasses_nor_inspect_nor_json():
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     assert done.stdout.splitlines() == ["[]", "['json']"]
+
+
+def test_builtin_spec_is_parsed_once_and_shared():
+    """Specifications are immutable, so each builtin is parsed once per
+    process and every call returns that one object."""
+    for name in builtin_names():
+        assert builtin_spec(name) is builtin_spec(name)
+        assert builtin_spec(name) == parse_spec(builtin_text(name))
+    with pytest.raises(KeyError, match="unknown builtin"):
+        builtin_spec("nonesuch")
