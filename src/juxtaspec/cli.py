@@ -56,8 +56,11 @@ def _write_spec(spec: Specification, out: Optional[str]) -> None:
     # a path that --spec would read as JSON is written as JSON
     text = spec_to_json(spec) if out and out.endswith(".json") else render_spec(spec)
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise _CliError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -358,7 +358,10 @@ def spec_from_dict(doc: dict) -> Specification:
 def spec_to_json(spec: Specification, indent: Optional[int] = 2) -> str:
     import json
 
-    return json.dumps(spec_to_dict(spec), indent=indent)
+    try:
+        return json.dumps(spec_to_dict(spec), indent=indent)
+    except RecursionError:
+        raise SpecError("specification nested too deeply for JSON") from None
 
 
 def spec_from_json(text: str) -> Specification:

@@ -1,14 +1,18 @@
 """Insertion operators and symmetry operators on specifications.
 
 The six insertion operators rewrite a class into the classes obtained by
-inserting increasing runs of new entries into its value gaps:
+inserting increasing runs of new entries into its value gaps below its
+highest entry.  None of them inserts above the highest entry (a
+juxtaposition puts that run in its master equation, as an SZ factor), so
+the empty permutation, which has no such gap, takes no new entry:
 
   o   no insertion; the old rightmost marker is erased.
   i   insert one new entry (at once lowest and rightmost) below the
       operand's rightmost entry.
-  oo  insert a possibly empty increasing run into every gap.
+  oo  insert a possibly empty increasing run into every gap below the
+      highest entry.
   io  insert the lowest new entry below the operand's rightmost entry,
-      then possibly empty runs above it.
+      then possibly empty runs above it, below the highest entry.
   oi  insert possibly empty runs, finishing with a new rightmost entry
       in a non-top gap.
   ii  insert the lowest new entry below the operand's rightmost entry and

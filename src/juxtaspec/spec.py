@@ -10,7 +10,6 @@ the equations, never declared.
 from __future__ import annotations
 
 import re
-from operator import is_
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .expr import (
@@ -34,8 +33,6 @@ from .expr import (
     _from_flat_form,
     _rebuilder,
     _set,
-    children,
-    evaluate,
     least_fixpoint,
     make_seq,
     plan,
@@ -239,8 +236,8 @@ def _prune(eqs: list, root: str, table: dict, steps: list, position: dict, sz_rh
     when its symbol is; Seq and atoms never are.  That is exactly when
     canonical rebuilding turns a node into Zero, so the walk from the root
     passes the empty steps.  Only when it drops a symbol are the kept
-    equations rebuilt, Zero for the empty symbols, in one evaluation of
-    the plan, and planned once.
+    equations rebuilt, Zero for the empty symbols, in one :func:`_rebuilt`
+    of the plan, and planned once.
     """
     symbols = [(eq.lhs, position[id(eq.rhs)]) for eq in eqs]
     has_empty = any(isinstance(eq.rhs, ZeroExpr) for eq in eqs)
@@ -271,7 +268,7 @@ def _prune(eqs: list, root: str, table: dict, steps: list, position: dict, sz_rh
         def leaf(node):
             return ZERO if isinstance(node, ClassRef) and empty.get(node.name) else node
 
-        values = evaluate(steps, _rebuilder(table, leaf))
+        values = _rebuilt(steps, table, leaf)
         eqs = [Equation(eq.lhs, values[position[id(eq.rhs)]]) for eq in eqs]
     return (eqs, *plan([eq.rhs for eq in eqs] + [sz_rhs]))
 
@@ -308,43 +305,54 @@ def _empty_pass(steps: list, owners: list, empty: dict) -> tuple:
 
 
 def _marker_fixpoint(eqs, steps: list, position: dict, markers: frozenset, label: str) -> dict:
-    """Least fixpoint of per-symbol marker counts, then exactness check.
+    """Least fixpoint of per-symbol marker counts, and their exactness.
 
     A term that is literally E describes the empty object and is exempt from
     the count (the empty permutation carries no markers); every other term of
     a marker-carrying symbol must contain the marker exactly once.  Seq
-    content carries no markers.  Both the fixpoint's passes and the
-    exactness pass are flat loops over the plan: an atom counts 1 when it is
-    one of ``markers``, a reference its symbol's count, Seq 0.
+    content carries no markers.  Each pass of the fixpoint is one flat loop
+    over the plan: an atom counts 1 when it is one of ``markers``, a
+    reference its symbol's count, Seq 0.  Beside each step's capped count it
+    records the step's exact count, -1 when a sum under it, itself included,
+    has terms that count differently; the last pass reads only settled
+    counts, so its exact counts give the refusals.
     """
     if not any(type(node) is AtomRef and node.atom in markers for node, _ in steps):
         return {eq.lhs: 0 for eq in eqs}  # every count and every term is 0
+
+    exact = []  # of the latest pass
 
     def upper(steps, owners, counts) -> tuple:
         # a product adds its factors' counts, capped at 2; a sum takes its
         # terms' maximum, which an E term (0) never raises
         values, changed = [], False
-        append = values.append
+        append, record = values.append, exact.append
+        exact.clear()
         for (node, kids), names in zip(steps, owners):
             kind = type(node)
             if kind is Product:
-                v = 0
+                v = e = 0
                 for k in kids:
                     v += values[k]
+                    if e >= 0:
+                        e = -1 if exact[k] < 0 else e + exact[k]
                 if v > 2:
                     v = 2
             elif kind is Sum:
-                v = 0
+                v, e = 0, exact[kids[0]]
                 for k in kids:
                     if values[k] > v:
                         v = values[k]
+                    if exact[k] != e:
+                        e = -1
             elif kind is AtomRef:
-                v = 1 if node.atom in markers else 0
+                v = e = 1 if node.atom in markers else 0
             elif kind is ClassRef:
-                v = counts.get(node.name, 0)
+                v = e = counts.get(node.name, 0)
             else:
-                v = 0  # Seq
+                v = e = 0  # Seq
             append(v)
+            record(e)
             if names:
                 for name in names:
                     if counts[name] != v:
@@ -352,39 +360,11 @@ def _marker_fixpoint(eqs, steps: list, position: dict, markers: frozenset, label
         return values, changed
 
     counts, _ = least_fixpoint(steps, [(eq.lhs, position[id(eq.rhs)]) for eq in eqs], upper, 0)
-
-    # the exact count of every step: -1 for a sum whose terms differ, or a
-    # product with one inside
-    values = []
-    append = values.append
-    for node, kids in steps:
-        kind = type(node)
-        if kind is Product:
-            v = 0
-            for k in kids:
-                if values[k] < 0:
-                    v = -1
-                    break
-                v += values[k]
-        elif kind is Sum:
-            v = values[kids[0]]
-            for k in kids:
-                if values[k] != v:
-                    v = -1
-                    break
-        elif kind is AtomRef:
-            v = 1 if node.atom in markers else 0
-        elif kind is ClassRef:
-            v = counts.get(node.name, 0)
-        else:
-            v = 0  # Seq
-        append(v)
-
     for eq in eqs:
         for i, t in enumerate(terms(eq.rhs), 1):
             if type(t) is AtomRef and t.atom == EMPTY:
                 continue
-            value = values[position[id(t)]]
+            value = exact[position[id(t)]]
             if value < 0:
                 problem = f"mixed {label}-marker counts inside a factor"
             elif value > 1:
@@ -489,18 +469,42 @@ def classify(spec: Specification) -> Classification:
     return Classification(regular, not any(type(node) is Seq for node, _ in steps))
 
 
-def _renamer(atoms: Mapping[str, str], seq_z: Optional[Expr] = None):
+def _renamer(atoms: Mapping[str, str], seq_z: Optional[Expr] = None,
+             names: Mapping[str, str] = {}):
     """Leaf function for :func:`~juxtaspec.expr.rewrite`: atoms renamed by
-    ``atoms`` and, when ``seq_z`` is given, SZ references replaced by it."""
+    ``atoms``, class references by ``names`` and, when ``seq_z`` is given,
+    SZ references replaced by it."""
 
     def leaf(node):
         if isinstance(node, AtomRef) and node.atom in atoms:
             return AtomRef(atoms[node.atom])
-        if seq_z is not None and isinstance(node, ClassRef) and node.name == SZ_NAME:
-            return seq_z
+        if isinstance(node, ClassRef):
+            if seq_z is not None and node.name == SZ_NAME:
+                return seq_z
+            if node.name in names:
+                return ClassRef(names[node.name])
         return node
 
     return leaf
+
+
+def _rebuilt(steps, table: dict, leaf, flip: bool = False) -> list:
+    """The value of every step of a canonical plan rebuilt through
+    :func:`~juxtaspec.expr._rebuilder`: leaves mapped by ``leaf``, products
+    reversed if ``flip``.  A compound node whose rebuilt children are its own
+    children is kept and entered in ``table`` as the canonical constructors
+    enter it, so no node that a map leaves alone is built again; a product
+    under ``flip`` is always rebuilt.  ``table`` holds the plan's leaves, so a
+    leaf mapped onto one of them finds it and the nodes over it are kept."""
+    build, values, same = _rebuilder(table, leaf, flip), [], []  # same: value is node
+    for node, kids in steps:
+        if kids and not (flip and type(node) is Product) and all(map(same.__getitem__, kids)):
+            value = table.setdefault(_cons_key(node), node)
+        else:
+            value = build(node, [values[k] for k in kids])
+        values.append(value)
+        same.append(value is node)
+    return values
 
 
 def _tracking_through(atoms: Mapping[str, str], kind: TrackingKind) -> TrackingKind:
@@ -517,17 +521,18 @@ def _tracking_through(atoms: Mapping[str, str], kind: TrackingKind) -> TrackingK
 
 def _map_spec(spec: Specification, atoms: Mapping[str, str], flip: bool,
               inline: bool = False) -> Specification:
-    """One rebuild of every equation, from the plan the input carries:
-    atoms renamed, products reversed if flip and, with ``inline``, SZ
-    references replaced by Seq(Z) and the SZ equation dropped.  A kept SZ
-    equation stays canonical: runs of plain atoms are fixed by every
-    symmetry.  Each symbol's tracking is :func:`_tracking_through` the atom
-    map (SZ and Seq(Z) carry no marker, so inlining changes no count): the
-    result is what :func:`make_spec` would return, planned.
+    """One :func:`_rebuilt` of the plan the input carries: atoms renamed,
+    products reversed if flip and, with ``inline``, SZ references replaced
+    by Seq(Z) and the SZ equation dropped; a node the map leaves alone is
+    kept.  A kept SZ equation stays canonical: runs of plain atoms are fixed
+    by every symmetry.  Each symbol's tracking is :func:`_tracking_through`
+    the atom map (SZ and Seq(Z) carry no marker, so inlining changes no
+    count): the result is what :func:`make_spec` would return, planned.
     """
-    table, (steps, roots) = {}, spec._plan
+    steps, roots = spec._plan
+    table = {node: node for node, kids in steps if not kids}
     seq_z = make_seq(table.setdefault(Z_EXPR, Z_EXPR), table) if inline else None
-    values = evaluate(steps, _rebuilder(table, _renamer(atoms, seq_z), flip))
+    values = _rebuilt(steps, table, _renamer(atoms, seq_z), flip)
     rhs = [values[at] for at in roots]
     if SZ_NAME in spec._by_name and not inline:
         sz_rhs = rewrite([sz_equation().rhs], table=table)[0]
@@ -549,7 +554,9 @@ def _merge_equivalent(spec: Specification) -> Specification:
     An alias ``X = Y`` joins ``Y``'s set first.  Each set keeps its first
     symbol in equation order, so the root keeps its name, and that symbol's
     tracking: equivalent symbols count alike, so the result is what
-    :func:`make_spec` would return for its equations, and it is planned once.
+    :func:`make_spec` would return for its equations.  One :func:`_rebuilt`
+    of the carried plan renames the references, keeping every node with no
+    renamed reference under it, and the result is planned once.
     """
     by_name = spec._by_name
 
@@ -596,42 +603,13 @@ def _merge_equivalent(spec: Specification) -> Specification:
     if len(ids) == len(by_name):
         return spec
 
-    rename, first = {}, {}
-    for name in spec.symbols:
-        rename[name] = first.setdefault(block[canon[name]], name)
-
-    def leaf(node):
-        if isinstance(node, ClassRef) and rename[node.name] != node.name:
-            return ClassRef(rename[node.name])
-        return node
-
-    # one pass, in plan order, over the steps the kept equations reach: a
-    # node whose children come back as they were is kept, entered into the
-    # table, and the others (about a tenth on wide grids) are rebuilt; the
-    # values, in order of first appearance, are the plan of the result
-    reached, stack = bytearray(len(steps)), [at[canon[name]] for name in first.values()]
-    while stack:
-        i = stack.pop()
-        if not reached[i]:
-            reached[i] = 1
-            stack.extend(steps[i][1])
-    table, values, new_steps, position = {}, [None] * len(steps), [], {}
-    build = _rebuilder(table, leaf)
-    for i, (node, kids) in enumerate(steps):
-        if not reached[i]:
-            continue
-        args = [values[k] for k in kids]
-        if args and all(map(is_, args, children(node))):
-            value = table.setdefault(_cons_key(node), node)
-        else:
-            value = build(node, args)
-        values[i] = value
-        if id(value) not in position:
-            position[id(value)] = len(new_steps)
-            new_steps.append((value, tuple([position[id(a)] for a in args])))
+    first = {}
+    rename = {name: first.setdefault(block[canon[name]], name) for name in spec.symbols}
+    leaf = _renamer({}, names={old: new for old, new in rename.items() if old != new})
+    values = _rebuilt(steps, {node: node for node, kids in steps if not kids}, leaf)
     eqs = [Equation(name, values[at[canon[name]]]) for name in first.values()]
     tracking = {eq.lhs: spec.tracking[eq.lhs] for eq in eqs}
-    return _planned_spec(eqs, spec.root, tracking, new_steps, position)
+    return _planned_spec(eqs, spec.root, tracking, *plan([eq.rhs for eq in eqs]))
 
 
 def inline_seq(spec: Specification) -> Specification:

@@ -8,9 +8,10 @@ regularity check by repeated substitution, the iterated elimination of
 empty-class symbols, with its own canonical form, a pairwise fixpoint
 for equivalent symbols, a reference DSL reader that tokenizes into
 (kind, text, column) tuples and parses through peek/take calls, the
-oracle's generating tree walked one member at a time, the closing and
-counting passes as one callback call per plan step, and a series counter
-that convolves every product and every Seq.
+oracle's generating tree walked one member at a time, the insertion
+operators read on permutations, the closing and counting passes as one
+callback call per plan step, and a series counter that convolves every
+product and every Seq.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from juxtaspec.expr import (
     Seq,
     SpecError,
     Sum,
+    Z_EXPR,
     ZeroExpr,
     make_product,
     make_seq,
@@ -551,6 +553,65 @@ def reference_class_counts(cells, max_len):
                 kept = tuple(x + (x >= v) for x in block) if cell == j else ()
                 stack.append((kept + (v,), cell, m + 1))
     return counts
+
+
+def deep_expr(depth):
+    """Z + Z Seq(Z + Z Seq(...)), ``depth`` levels of Seq around Z."""
+    e = Z_EXPR
+    for _ in range(depth):
+        e = Sum((Z_EXPR, Product((Z_EXPR, Seq(e)))))
+    return e
+
+
+# ---------------------------------------------------------------------------
+# the insertion operators, read on permutations
+
+
+# After the operators.py docstring: whether inserting new entries into the
+# value gaps ``gaps`` (weakly increasing; gap j lies between the values j and
+# j + 1) of a member whose rightmost entry has the value ``v`` is one of the
+# operator's insertions.  Every gap is below the member's highest entry.
+_INSERTIONS = {
+    "o": lambda gaps, v: not gaps,
+    "i": lambda gaps, v: len(gaps) == 1 and gaps[0] < v,
+    "oo": lambda gaps, v: True,
+    "io": lambda gaps, v: len(gaps) >= 1 and gaps[0] < v,
+    "oi": lambda gaps, v: len(gaps) >= 1,
+    "ii": lambda gaps, v: len(gaps) >= 2 and gaps[0] < v,
+}
+
+
+@functools.cache
+def _members(cells, size):
+    from itertools import permutations
+
+    from juxtaspec.oracle import juxt_membership
+
+    return [p for p in permutations(range(1, size + 1)) if juxt_membership(p, cells)]
+
+
+def operator_images(cells, op, size):
+    """The images of size ``size``, with multiplicity, of the pairs (member
+    of the class of ``cells``, insertion of ``op`` into it): a member π of
+    size s followed by an increasing run of size - s new entries, which
+    lie in π's value gaps below its highest entry."""
+    from itertools import combinations_with_replacement
+
+    takes, images = _INSERTIONS[op], []
+    for s in range(size + 1):
+        for perm in _members(tuple(cells), s):
+            v = perm[-1] if perm else 0
+            for gaps in combinations_with_replacement(range(s), size - s):
+                if takes(gaps, v):
+                    # the j-th new entry (from 0) has gaps[j] old entries below it
+                    old = [x + sum(g < x for g in gaps) for x in perm]
+                    images.append(tuple(old + [g + j + 1 for j, g in enumerate(gaps)]))
+    return images
+
+
+def operator_image_counts(cells, op, n):
+    """Counts, sizes 0..n, of :func:`operator_images`."""
+    return [len(operator_images(cells, op, size)) for size in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from juxtaspec.cli import MAX_TERMS, main
 from juxtaspec.dsl import parse_spec, render_spec, spec_from_json
 from juxtaspec.juxtapose import build_grid, juxtapose
 from juxtaspec.series import count_series, format_series
+from juxtaspec.spec import Equation, make_spec
+from helpers import deep_expr
 
 
 def run(capsys, *argv):
@@ -316,6 +318,29 @@ def test_deeply_nested_json_rejected(tmp_path, capsys):
     code, _, err = run(capsys, "enumerate", "--spec", str(path))
     assert code == 2
     assert err.startswith("error: ") and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("where", ["missing/out.txt", "."])
+def test_out_that_cannot_be_written_rejected(tmp_path, capsys, where):
+    """A missing directory or a directory as --out is a usage error."""
+    out = str(tmp_path / where)
+    code, stdout, err = run(capsys, "complement", "--builtin", "av321", "--out", out)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith(f"error: cannot write {out}: ")
+
+
+def test_json_out_of_a_system_too_deep_for_json_rejected(monkeypatch, tmp_path, capsys):
+    import juxtaspec.cli as cli
+
+    deep = make_spec([Equation("A", deep_expr(3000))])
+    monkeypatch.setattr(cli, "_load_spec", lambda args: deep)
+    out = tmp_path / "deep.json"
+    code, stdout, err = run(capsys, "complement", "--builtin", "av321", "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: specification nested too deeply for JSON\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("root", ([1], {"a": 1}, 5, None))

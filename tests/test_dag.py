@@ -6,12 +6,11 @@ import random
 import pytest
 
 from juxtaspec.builtins import builtin_spec
-from juxtaspec.dsl import parse_spec, render_spec
+from juxtaspec.dsl import parse_spec, render_spec, spec_to_json
 from juxtaspec.expr import (
     ClassRef,
     Product,
-    Seq,
-    Sum,
+    SpecError,
     Z_EXPR,
     fold,
 )
@@ -21,6 +20,7 @@ from juxtaspec.series import count_series
 from juxtaspec.spec import Equation, classify, make_spec
 from helpers import (
     benchmark_grids,
+    deep_expr,
     library_specs,
     random_markerless_spec,
     random_recursive_spec,
@@ -58,13 +58,6 @@ def test_sharing_is_maximal():
         assert len(keys) == len(steps), render_spec(spec)[:200]
 
 
-def _deep_expr(depth):
-    e = Z_EXPR
-    for _ in range(depth):
-        e = Sum((Z_EXPR, Product((Z_EXPR, Seq(e)))))
-    return e
-
-
 def _deep_series(depth, order):
     """Coefficients of f_depth, where f_0 = z and f_(k+1) = z + z/(1 - f_k)."""
     f = [0, 1] + [0] * (order - 1)
@@ -78,10 +71,12 @@ def _deep_series(depth, order):
 
 def test_deep_nesting_through_the_pipeline():
     depth = 5000
-    spec = make_spec([Equation("A", _deep_expr(depth))])
+    spec = make_spec([Equation("A", deep_expr(depth))])
     text = render_spec(spec)
     assert text.startswith("A = Z + Z Seq(Z + Z Seq(")
     assert text.count("Seq(") == depth
+    with pytest.raises(SpecError, match="^specification nested too deeply for JSON$"):
+        spec_to_json(spec)
     flipped = complement(spec)
     assert render_spec(flipped).startswith("A = Z + Seq(Z + Seq(")
     # structural equality of separately built deep expressions is iterative

@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from juxtaspec.builtins import builtin_spec
+from juxtaspec.builtins import builtin_names, builtin_spec
 from juxtaspec.dsl import parse_spec, render_expr, render_spec
 from juxtaspec.expr import (
     AtomRef,
@@ -27,7 +27,7 @@ from juxtaspec.operators import (
 from juxtaspec.oracle import Basis, count_class
 from juxtaspec.series import count_series
 from juxtaspec.spec import Equation, make_spec
-from helpers import library_specs
+from helpers import library_specs, operator_image_counts, operator_images
 
 SZ = ClassRef("SZ")
 ZR = AtomRef("ZR")
@@ -320,6 +320,44 @@ def test_forget_left():
     kind = out.root_tracking()
     assert (kind.has_r, kind.has_l) == (True, False)
     assert count_series(out, 8) == count_series(spec, 8)
+
+
+@pytest.mark.parametrize("symmetry", [reverse, forget_left])
+def test_symmetries_keep_the_nodes_they_leave_alone(symmetry):
+    """C carries no marker, so neither symmetry changes its right-hand side:
+    the result holds the input's node, not a rebuilt copy of it."""
+    spec = builtin_spec("av321")
+    assert symmetry(spec).rhs("C") is spec.rhs("C")
+
+
+BUILTIN_CELLS = {
+    "av312": [Basis(((3, 1, 2),))],
+    "av321": [Basis(((3, 2, 1),))],
+    "monotone": ["inc"],
+    "separable": [Basis(((2, 4, 1, 3), (3, 1, 4, 2)))],
+}
+
+
+def test_insertion_anchor():
+    """Coefficient n counts, over the 321-avoiders of size n - 1, the gaps
+    below the last entry: the sum of the last entries' values."""
+    assert count_series(expand(builtin_spec("av321"), [("Full", "i")]), 8) == [
+        0, 0, 1, 3, 11, 42, 162, 627, 2431]
+    assert operator_image_counts(BUILTIN_CELLS["av321"], "i", 7) == [0, 0, 1, 3, 11, 42, 162, 627]
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_insertion_operators_count_their_permutation_level_reading(name):
+    """Each operator's image counts the pairs (member, insertion) of its
+    reading on permutations.  Where the lowest new entry lies below the old
+    rightmost entry, the insertion starts after the last descent, so
+    distinct pairs give distinct permutations."""
+    spec = builtin_spec(name)
+    for op in INSERTION_TAGS:
+        images = [operator_images(BUILTIN_CELLS[name], op, size) for size in range(8)]
+        assert count_series(expand(spec, [(spec.root, op)]), 7) == list(map(len, images)), op
+        if op in ("i", "io", "ii"):
+            assert all(len(set(x)) == len(x) for x in images), op
 
 
 SYMMETRIES = (complement, reverse, forget_left)

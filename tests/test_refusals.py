@@ -5,13 +5,14 @@ functions around it."""
 import pytest
 
 from juxtaspec.builtins import builtin_spec
-from juxtaspec.dsl import expr_from_node, parse_spec, render_expr, spec_from_dict
+from juxtaspec.dsl import expr_from_node, parse_spec, render_expr, spec_from_dict, spec_to_json
 from juxtaspec.expr import ZERO, Z_EXPR, AtomRef, ClassRef, Product, Seq, SpecError, Sum
 from juxtaspec.juxtapose import parse_grid_pattern
 from juxtaspec.operators import apply_atom, expand
 from juxtaspec.oracle import Basis, avoids_cell, class_counts, greedy_unique
 from juxtaspec.series import ProductivityReport, compare_series
 from juxtaspec.spec import Equation, make_spec
+from helpers import deep_expr
 
 _A_IS_Z = {"lhs": "A", "rhs": {"kind": "atom", "name": "Z"}}
 
@@ -46,6 +47,8 @@ def _nested(depth):
     (lambda: expr_from_node({"kind": "ref", "name": ""}, {}),
      "malformed ref node: {'kind': 'ref', 'name': ''}"),
     (lambda: spec_from_dict(_nested(3000)), "specification document nested too deeply"),
+    (lambda: spec_to_json(make_spec([Equation("A", deep_expr(3000))])),
+     "specification nested too deeply for JSON"),
     # each part of a JSON document is refused by its name and its field
     (lambda: spec_from_dict([]),
      "malformed specification document: expected an object, found array"),
@@ -68,6 +71,10 @@ def _nested(depth):
      "malformed product node: field 'factors' must be an array, found object"),
     (lambda: spec_from_dict(_doc({"kind": "atom"})), "malformed atom node: missing field 'name'"),
     (lambda: spec_from_dict(_doc({"kind": "ref"})), "malformed ref node: missing field 'name'"),
+    # a sum inside a factor whose terms carry the marker twice and three
+    # times counts differently, although both counts are above one
+    (lambda: parse_spec("A = Z (ZR ZR + ZR ZR ZR)"),
+     "mixed rightmost-marker counts inside a factor (term 1 of 'A', line 1)"),
     # a marker inside Seq names the term and, from the DSL, the line
     (lambda: parse_spec("A = Z Seq(ZR)"),
      "Seq argument in 'A': marked atom ZR cannot appear inside Seq (term 1 of 'A', line 1)"),
