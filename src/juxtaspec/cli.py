@@ -145,13 +145,9 @@ def _cmd_juxtapose(args) -> int:
     return EXIT_OK
 
 
-def _cmd_complement(args) -> int:
-    _write_spec(complement(_load_spec(args)), args.out)
-    return EXIT_OK
-
-
-def _cmd_reverse(args) -> int:
-    _write_spec(reverse(_load_spec(args)), args.out)
+def _cmd_symmetry(args) -> int:
+    symmetry = complement if args.command == "complement" else reverse
+    _write_spec(symmetry(_load_spec(args)), args.out)
     return EXIT_OK
 
 
@@ -198,8 +194,8 @@ def _cmd_builtins(args) -> int:
 _COMMANDS = {
     "enumerate": _cmd_enumerate,
     "juxtapose": _cmd_juxtapose,
-    "complement": _cmd_complement,
-    "reverse": _cmd_reverse,
+    "complement": _cmd_symmetry,
+    "reverse": _cmd_symmetry,
     "classify": _cmd_classify,
     "verify": _cmd_verify,
     "builtins": _cmd_builtins,

@@ -25,7 +25,6 @@ a specification document is ``{"root": NAME, "equations": [{"lhs": NAME,
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from .expr import (
     ATOM_KINDS,
@@ -355,11 +354,13 @@ def spec_from_dict(doc: dict) -> Specification:
 # or writes JSON does not load it.
 
 
-def spec_to_json(spec: Specification, indent: Optional[int] = 2) -> str:
+def spec_to_json(spec: Specification) -> str:
+    """Compact JSON, on one line: indenting would multiply the size of a
+    deeply nested system by its depth."""
     import json
 
     try:
-        return json.dumps(spec_to_dict(spec), indent=indent)
+        return json.dumps(spec_to_dict(spec))
     except RecursionError:
         raise SpecError("specification nested too deeply for JSON") from None
 

@@ -17,10 +17,11 @@ distinct nodes, then one :func:`evaluate` of it: iterative, each node
 visited once.  :func:`fold` does both; a specification keeps the plan of its
 equations, so its analyses only evaluate, and a per-symbol analysis is one
 :func:`least_fixpoint`, which repeats the analysis's pass over the plan: a
-flat loop that dispatches on each node's type and reads its children's
-values by position, with no call per step.  A walk that may meet a cycle,
-through class references or along the series schedule's zero-lag reads, is
-one :func:`postorder` over positions.
+flat loop that dispatches on each node's type and writes its value in
+place, reading its operands by position (a reference reads its symbol's
+step), with no call per step.  A walk that may meet a cycle, through class
+references or along the series schedule's zero-lag reads, is one
+:func:`postorder` over positions.
 """
 
 from __future__ import annotations
@@ -285,30 +286,41 @@ def evaluate(steps: list, fn) -> list:
     return values
 
 
+def _operands(steps: list, at: dict, undefined=()) -> list:
+    """What each step of a plan reads: a class reference reads the step
+    ``at`` gives its symbol, or ``undefined`` when it gives none; any other
+    node reads its children."""
+    return [kids if type(node) is not ClassRef
+            else (at[node.name],) if node.name in at else undefined
+            for node, kids in steps]
+
+
 def least_fixpoint(steps: list, symbols, run_pass, bottom) -> tuple:
     """Least fixpoint of a per-symbol analysis over the plan ``steps``.
 
     ``symbols`` pairs each symbol with its right-hand side's step; two may
-    share one.  ``run_pass(steps, owners, value)`` is one pass of the
-    analysis: a flat loop over the steps that returns ``(step values,
-    whether a symbol changed)``.  It reads symbols' current values from the
-    dict ``value``, which starts at ``bottom``, and as soon as it has the
-    value of step ``i`` it stores it under each symbol of ``owners[i]``
-    (a tuple, empty for most steps).  Passes repeat until one changes
-    nothing.  There is no round cap: the analysis must be monotone, with
-    values that move one way in a well-founded order (booleans, capped
-    counts, sizes that only fall), so any order of updates reaches the same
-    least fixpoint and stops.  Returns ``(value, the last pass's step
-    values)``.
+    share one.  ``run_pass(steps, operands, values)`` is one pass of the
+    analysis: a flat loop that writes each step's value over ``values``,
+    reading every operand by position (:func:`_operands`), so a reference
+    reads its symbol's step: this pass's value when that step comes
+    earlier, the last pass's when it comes later.  Every value starts at
+    ``bottom``, which a reference to a symbol with no equation keeps
+    reading.  Passes repeat until one changes no symbol's value.  There is
+    no round cap: the analysis must be monotone, with values that move one
+    way in a well-founded order (booleans, capped counts, sizes that only
+    fall), so any order of updates reaches the same least fixpoint and
+    stops.  Returns ``(value of each symbol, the last pass's step values)``.
     """
-    value, owners = {}, [()] * len(steps)
-    for name, at in symbols:
-        value[name] = bottom
-        owners[at] += (name,)
-    changed = True
-    while changed:
-        values, changed = run_pass(steps, owners, value)
-    return value, values
+    at = dict(symbols)
+    operands = _operands(steps, at, (len(steps),))
+    values = [bottom] * (len(steps) + 1)  # the last: what an undefined reference reads
+    read = values.__getitem__
+    while True:
+        before = list(map(read, at.values()))
+        run_pass(steps, operands, values)
+        if before == list(map(read, at.values())):
+            values.pop()
+            return {name: values[i] for name, i in at.items()}, values
 
 
 def fold(roots, fn) -> list:
@@ -447,12 +459,5 @@ def terms(expr: Expr) -> tuple:
     """Top-level terms of a canonical expression."""
     if isinstance(expr, Sum):
         return expr.terms
-    return (expr,)
-
-
-def factors(expr: Expr) -> tuple:
-    """Top-level factors of a canonical expression."""
-    if isinstance(expr, Product):
-        return expr.factors
     return (expr,)
 

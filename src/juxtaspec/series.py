@@ -40,14 +40,12 @@ class EnumerationError(SpecError):
     """The system cannot be enumerated (unproductive or ill-formed)."""
 
 
-def _valuation_pass(steps: list, owners: list, vals: dict) -> tuple:
+def _valuation_pass(steps: list, operands: list, values: list) -> None:
     """One pass of the valuations, for :func:`~juxtaspec.expr.least_fixpoint`:
     the minimal object size of every step, None while it has none.  An atom
     has size 1 (E: 0) and Seq 0; a sum takes its terms' least, a product
     adds its factors' and has none while one factor has none."""
-    values, changed = [], False
-    append = values.append
-    for (node, kids), names in zip(steps, owners):
+    for i, (node, kids) in enumerate(steps):
         kind = type(node)
         if kind is Product:
             v = 0
@@ -64,17 +62,12 @@ def _valuation_pass(steps: list, owners: list, vals: dict) -> tuple:
                 if x is not None and (v is None or x < v):
                     v = x
         elif kind is ClassRef:
-            v = vals[node.name]
+            v = values[operands[i][0]]
         elif kind is AtomRef:
             v = 0 if node.atom == EMPTY else 1
         else:
             v = 0  # Seq
-        append(v)
-        if names:
-            for name in names:
-                if vals[name] != v:
-                    vals[name], changed = v, True
-    return values, changed
+        values[i] = v
 
 
 def _valuations(spec: Specification) -> tuple:

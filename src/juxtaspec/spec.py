@@ -31,6 +31,7 @@ from .expr import (
     _cons_key,
     _flat_form,
     _from_flat_form,
+    _operands,
     _rebuilder,
     _set,
     least_fixpoint,
@@ -273,35 +274,20 @@ def _prune(eqs: list, root: str, table: dict, steps: list, position: dict, sz_rh
     return (eqs, *plan([eq.rhs for eq in eqs] + [sz_rhs]))
 
 
-def _empty_pass(steps: list, owners: list, empty: dict) -> tuple:
+def _empty_pass(steps: list, operands: list, values: list) -> None:
     """One pass of :func:`_prune`'s emptiness fixpoint, for
     :func:`~juxtaspec.expr.least_fixpoint`: whether each step is empty."""
-    values, changed = [], False
-    append = values.append
-    for (node, kids), names in zip(steps, owners):
+    read = values.__getitem__
+    for i, (node, kids) in enumerate(steps):
         kind = type(node)
         if kind is Sum:
-            v = True
-            for k in kids:
-                if not values[k]:
-                    v = False
-                    break
+            values[i] = all(map(read, kids))
         elif kind is Product:
-            v = False
-            for k in kids:
-                if values[k]:
-                    v = True
-                    break
+            values[i] = any(map(read, kids))
         elif kind is ClassRef:
-            v = empty.get(node.name, False)
+            values[i] = values[operands[i][0]]
         else:
-            v = kind is ZeroExpr
-        append(v)
-        if names:
-            for name in names:
-                if empty[name] != v:
-                    empty[name], changed = v, True
-    return values, changed
+            values[i] = kind is ZeroExpr
 
 
 def _marker_fixpoint(eqs, steps: list, position: dict, markers: frozenset, label: str) -> dict:
@@ -312,23 +298,22 @@ def _marker_fixpoint(eqs, steps: list, position: dict, markers: frozenset, label
     a marker-carrying symbol must contain the marker exactly once.  Seq
     content carries no markers.  Each pass of the fixpoint is one flat loop
     over the plan: an atom counts 1 when it is one of ``markers``, a
-    reference its symbol's count, Seq 0.  Beside each step's capped count it
-    records the step's exact count, -1 when a sum under it, itself included,
-    has terms that count differently; the last pass reads only settled
-    counts, so its exact counts give the refusals.
+    reference what its symbol's step counts, Seq 0.  Beside each step's
+    capped count it records the step's exact count, -1 when a sum under it,
+    itself included, has terms that count differently; the last pass reads
+    only settled counts, so its exact counts give the refusals.
     """
     if not any(type(node) is AtomRef and node.atom in markers for node, _ in steps):
         return {eq.lhs: 0 for eq in eqs}  # every count and every term is 0
 
     exact = []  # of the latest pass
 
-    def upper(steps, owners, counts) -> tuple:
+    def upper(steps, operands, values) -> None:
         # a product adds its factors' counts, capped at 2; a sum takes its
         # terms' maximum, which an E term (0) never raises
-        values, changed = [], False
-        append, record = values.append, exact.append
+        record = exact.append
         exact.clear()
-        for (node, kids), names in zip(steps, owners):
+        for i, (node, kids) in enumerate(steps):
             kind = type(node)
             if kind is Product:
                 v = e = 0
@@ -348,16 +333,11 @@ def _marker_fixpoint(eqs, steps: list, position: dict, markers: frozenset, label
             elif kind is AtomRef:
                 v = e = 1 if node.atom in markers else 0
             elif kind is ClassRef:
-                v = e = counts.get(node.name, 0)
+                v = e = values[operands[i][0]]
             else:
                 v = e = 0  # Seq
-            append(v)
+            values[i] = v
             record(e)
-            if names:
-                for name in names:
-                    if counts[name] != v:
-                        counts[name], changed = v, True
-        return values, changed
 
     counts, _ = least_fixpoint(steps, [(eq.lhs, position[id(eq.rhs)]) for eq in eqs], upper, 0)
     for eq in eqs:
@@ -429,27 +409,6 @@ class Classification(NamedTuple):
         return "general"
 
 
-class _ThroughReferences:
-    """The operands of a plan's steps, read on demand for
-    :func:`~juxtaspec.expr.postorder`: a reference leads to the right-hand
-    side step ``at`` gives its symbol, or nowhere when ``at`` has none."""
-
-    __slots__ = ("steps", "at")
-
-    def __init__(self, steps, at: dict):
-        self.steps, self.at = steps, at
-
-    def __len__(self):
-        return len(self.steps)
-
-    def __getitem__(self, i):
-        node, kids = self.steps[i]
-        if type(node) is ClassRef:
-            at = self.at.get(node.name)
-            return () if at is None else (at,)
-        return kids
-
-
 def classify(spec: Specification) -> Classification:
     """Constructor-restriction flags of the system.
 
@@ -458,14 +417,14 @@ def classify(spec: Specification) -> Classification:
     inlining every reachable symbol leaves an expression over atoms and Seq.
     SZ counts as Seq(Z), a leaf, unless it is the root.  Both flags may hold
     at once.  One :func:`~juxtaspec.expr.postorder` from the root's step,
-    each reference leading to its symbol's step, looks for the cycle and
-    reads only the steps it reaches before it meets one.
+    along the operands that :func:`~juxtaspec.expr.least_fixpoint` reads
+    (a reference leads to its symbol's step), looks for the cycle.
     """
     steps, roots = spec._plan
     at = dict(zip(spec.symbols, roots))
     if spec.root != SZ_NAME:
         at.pop(SZ_NAME, None)  # a leaf
-    regular = postorder(_ThroughReferences(steps, at), (roots[0],))[1] is None
+    regular = postorder(_operands(steps, at), (roots[0],))[1] is None
     return Classification(regular, not any(type(node) is Seq for node, _ in steps))
 
 

@@ -812,17 +812,15 @@ def reference_parse_spec(text):
 
 def stepwise(fn):
     """A pass for least_fixpoint that calls ``fn(node, values of its
-    children, value)`` once per step, with a fresh list of child values."""
+    children, value)`` once per step, with a fresh list of child values; a
+    reference finds its symbol's value, what its one operand reads, in
+    ``value``."""
 
-    def run(steps, owners, value):
-        values, changed = [], False
-        for (node, kids), names in zip(steps, owners):
-            v = fn(node, [values[k] for k in kids], value)
-            values.append(v)
-            for name in names:
-                if value[name] != v:
-                    value[name], changed = v, True
-        return values, changed
+    def run(steps, operands, values):
+        for i, (node, _) in enumerate(steps):
+            kids = [values[k] for k in operands[i]]
+            value = {node.name: kids.pop()} if isinstance(node, ClassRef) else {}
+            values[i] = fn(node, kids, value)
 
     return run
 

@@ -1,3 +1,4 @@
+import json
 import pickle
 import random
 
@@ -15,7 +16,7 @@ from juxtaspec.dsl import (
     spec_to_json,
 )
 from juxtaspec.expr import AtomRef, ClassRef, Product, Seq, SpecError, Sum, Z_EXPR
-from juxtaspec.juxtapose import build_grid
+from juxtaspec.juxtapose import build_grid, juxtapose
 from juxtaspec.spec import SZ_NAME, _close as close, inline_seq
 from juxtaspec.series import count_series
 from helpers import library_specs, random_markerless_spec, reference_parse_spec, tree_walk
@@ -156,6 +157,23 @@ def test_json_round_trip():
         spec = builtin_spec(name)
         assert spec_from_dict(spec_to_dict(spec)) == spec
         assert spec_from_json(spec_to_json(spec)) == spec
+        # the reader takes indented JSON as well as the compact form
+        assert spec_from_json(json.dumps(spec_to_dict(spec), indent=2)) == spec
+
+
+def test_json_of_a_deeply_nested_system_stays_in_proportion():
+    """Written on one line, JSON is a bounded multiple of the DSL text
+    (about 12x: a node spells out its kind), however deep the nesting; an
+    indented writer would repeat each level's indent on every line below it
+    (about 360x at this depth, 46 MB)."""
+    text = "ZR"
+    for _ in range(20):
+        text = f"ZR + Z Seq(Z) ({text})"
+    out = juxtapose(parse_spec(f"A = {text}\n"), "right", "inc", "right")
+    written = spec_to_json(out)
+    assert written.count("\n") == 0
+    assert len(written) < 20 * len(render_spec(out))
+    assert spec_from_json(written) == out
 
 
 def test_json_node_kinds_fixed():

@@ -21,7 +21,6 @@ from juxtaspec.expr import (
     ZERO,
     canonicalize,
     evaluate,
-    factors,
     least_fixpoint,
     nodes,
     plan,
@@ -111,9 +110,8 @@ def test_rewrite_maps_atoms():
     assert rewrite([e], rename) == [Product((Z_EXPR, AtomRef("ZR"), Z_EXPR))]
 
 
-def test_terms_and_factors_of_non_compound():
+def test_terms_of_non_compound():
     assert terms(Z_EXPR) == (Z_EXPR,)
-    assert factors(Z_EXPR) == (Z_EXPR,)
 
 
 def test_unknown_atom_rejected():
@@ -124,7 +122,7 @@ def test_unknown_atom_rejected():
 def _min_size(node, kids, value):
     """Minimal object size, None while there is none: a monotone analysis."""
     if isinstance(node, ClassRef):
-        return value[node.name]
+        return value.get(node.name)  # None for a symbol with no equation
     if isinstance(node, Sum):
         return min((k for k in kids if k is not None), default=None)
     if isinstance(node, Product):
@@ -180,6 +178,20 @@ def test_least_fixpoint_keeps_bottom_for_a_symbol_never_raised():
     value, values = _fixpoint(steps, symbols, _min_size, None)
     assert value == {"A": 1, "C": None}
     assert values[position[id(c)]] is None
+
+
+def test_least_fixpoint_reads_earlier_steps_of_this_pass_and_bottom_without_an_equation():
+    # S0 = Z + Z U, S(i + 1) = Z S(i): each symbol reads one planned before
+    # it, so the first pass settles them all (reading only the last pass's
+    # values would take a pass per symbol); U has no equation
+    u = ClassRef("U")
+    rhs = [Sum((Z_EXPR, Product((Z_EXPR, u))))]
+    rhs += [Product((Z_EXPR, ClassRef(f"S{i}"))) for i in range(5)]
+    steps, position = plan(rhs)
+    symbols = [(f"S{i}", position[id(r)]) for i, r in enumerate(rhs)]
+    value, values = _fixpoint(steps, symbols, _min_size, None)
+    assert value == {f"S{i}": i + 1 for i in range(6)}
+    assert values[position[id(u)]] is None
 
 
 def test_least_fixpoint_matches_jacobi_on_a_reverse_ordered_chain():

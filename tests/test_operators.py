@@ -24,7 +24,8 @@ from juxtaspec.operators import (
     forget_left,
     reverse,
 )
-from juxtaspec.oracle import Basis, count_class
+from juxtaspec.juxtapose import juxtapose
+from juxtaspec.oracle import INC, Basis, count_class
 from juxtaspec.series import count_series
 from juxtaspec.spec import Equation, make_spec
 from helpers import library_specs, operator_image_counts, operator_images
@@ -346,15 +347,24 @@ def test_insertion_anchor():
     assert operator_image_counts(BUILTIN_CELLS["av321"], "i", 7) == [0, 0, 1, 3, 11, 42, 162, 627]
 
 
-@pytest.mark.parametrize("name", builtin_names())
+# monotone juxtaposed right/inc/right holds Seq(SZ Z), a Seq of a compound
+# argument, which the io, oi and ii expansions reach
+MONOTONE_INC = "monotone|inc"
+
+
+@pytest.mark.parametrize("name", (*builtin_names(), MONOTONE_INC))
 def test_insertion_operators_count_their_permutation_level_reading(name):
     """Each operator's image counts the pairs (member, insertion) of its
     reading on permutations.  Where the lowest new entry lies below the old
     rightmost entry, the insertion starts after the last descent, so
     distinct pairs give distinct permutations."""
-    spec = builtin_spec(name)
+    if name == MONOTONE_INC:
+        spec = juxtapose(builtin_spec("monotone"), "right", "inc", "right")
+        cells = [Basis(((2, 1),)), INC]
+    else:
+        spec, cells = builtin_spec(name), BUILTIN_CELLS[name]
     for op in INSERTION_TAGS:
-        images = [operator_images(BUILTIN_CELLS[name], op, size) for size in range(8)]
+        images = [operator_images(cells, op, size) for size in range(8)]
         assert count_series(expand(spec, [(spec.root, op)]), 7) == list(map(len, images)), op
         if op in ("i", "io", "ii"):
             assert all(len(set(x)) == len(x) for x in images), op

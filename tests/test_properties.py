@@ -179,7 +179,8 @@ def _step_function(run_pass):
         return "empty", is_empty
     if run_pass is series_module._valuation_pass:
         return "valuations", _valuation_step
-    values, _ = run_pass([(AtomRef(ZR), ())], [()], {})
+    values = [None]
+    run_pass([(AtomRef(ZR), ())], [()], values)
     markers = R_ATOMS if values == [1] else L_ATOMS
     return "marker counts", marker_callbacks(markers)[1]
 
