@@ -19,17 +19,12 @@ from .expr import SpecError
 from .juxtapose import TRACK_MODES, TRACK_NONE, build_grid, juxtapose
 from .oracle import MAX_LENGTH, class_counts, parse_cells
 from .operators import complement, reverse
-from .series import compare_series, count_series, format_series
+from .series import MAX_TERMS, compare_series, count_series, format_series
 from .spec import Specification, classify
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
-
-# Largest --terms that enumerate accepts: the cost of count_series grows
-# with the square of the order (order 1,000 of an av321 juxtaposition takes
-# tens of seconds), so a mistyped order would otherwise run until killed.
-MAX_TERMS = 2000
 
 
 class _CliError(Exception):

@@ -5,17 +5,21 @@ factors are read in increasing value order of the permutation entries they
 stand for ("bottom to top"), so products are never reordered except by the
 explicit symmetry operators.
 
-Expressions are immutable and compared structurally.  Each compound node
-caches its hash at construction, and the canonical constructors always
-hash-cons what they build into the table passed to them (Filliatre &
-Conchon, "Type-safe modular hash-consing", 2006): the readers and
-:func:`rewrite` use one table per specification, so equal subexpressions
-of one specification are one object.  The table keys a leaf by its value
-and a compound node by its type and the identities of its children, so a
-lookup hashes no node.  Every traversal is a :func:`plan` of the
+Expressions are immutable and compared structurally.  The canonical
+constructors always hash-cons what they build into the table passed to
+them (Filliatre & Conchon, "Type-safe modular hash-consing", 2006): the
+readers and :func:`rewrite` use one table per specification, so equal
+subexpressions of one specification are one object.  The table keys a leaf
+by its value and a compound node by its type and the identities of its
+children, so a lookup hashes no node, and a compound node computes its
+structural hash only when something asks for it (a comparison across
+tables), then caches it.  A table lists its nodes in the order they were
+built, each after its children, so :func:`_table_plan` reads the plan of
+what was built from it in one pass.  Every traversal is a plan of the
 distinct nodes, then one :func:`evaluate` of it: iterative, each node
-visited once.  :func:`fold` does both; a specification keeps the plan of its
-equations, so its analyses only evaluate, and a per-symbol analysis is one
+visited once.  :func:`fold` plans and evaluates an expression from outside
+a table; a specification keeps the plan of its equations, so its analyses
+only evaluate, and a per-symbol analysis is one
 :func:`least_fixpoint`, which repeats the analysis's pass over the plan: a
 flat loop that dispatches on each node's type and writes its value in
 place, reading its operands by position (a reference reads its symbol's
@@ -47,13 +51,10 @@ _set = object.__setattr__  # how a constructor writes the fields it refuses to r
 
 
 class Expr:
-    """An immutable expression node: every field is written once, by its
-    constructor, and assigning or deleting one raises AttributeError."""
+    """An immutable expression node: every field is written once, and
+    assigning or deleting one raises AttributeError."""
 
     __slots__ = ()
-
-    def __hash__(self):
-        return self._hash
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -120,15 +121,34 @@ class ClassRef(Expr):
         return f"@{self.name}"
 
 
-# Compound nodes cache their hash and compare it first, so unequal nodes
-# differ at once and equal shared children compare by identity.  The hash is
-# only valid in the process that computed it, so unpickling rebuilds the
-# node, from the flat form of its plan: pickling nodes as nested objects
-# would recurse once per level.
+# Compound nodes compute their structural hash on the first ``hash`` call,
+# not when they are built: the canonical constructors hash-cons by child
+# identity, so building never needs it.  It is cached in the node's
+# ``_hash`` slot, written once: two threads that race to write it write the
+# same value.  Nodes compare their hashes first, so unequal nodes differ at
+# once and equal shared children compare by identity.  The hash is only
+# valid in the process that computed it, so unpickling rebuilds the node,
+# from the flat form of its plan: pickling nodes as nested objects would
+# recurse once per level.
 
 
 def _reduce_flat(node):
     return _node_from_flat_form, (_flat_form(plan((node,))[0]),)
+
+
+def _lazy_hash(node) -> int:
+    """The cached structural hash of a compound node.  On first use it is
+    computed over the node's plan, children first, for every node under it
+    that has none yet, so each hash reads its children's cached ones:
+    iterative, depth is bounded by memory only."""
+    try:
+        return node._hash
+    except AttributeError:
+        pass
+    for step, _ in plan((node,))[0]:
+        if type(step) in _COMPOUND and not hasattr(step, "_hash"):
+            _set(step, "_hash", hash((type(step), children(step))))
+    return node._hash
 
 
 def _equal(a, b) -> bool:
@@ -154,9 +174,8 @@ class Product(Expr):
 
     def __init__(self, factors):
         _set(self, "factors", factors)
-        _set(self, "_hash", hash((Product, factors)))
 
-    __hash__ = Expr.__hash__
+    __hash__ = _lazy_hash
     __eq__ = _equal
     __reduce__ = _reduce_flat
 
@@ -169,9 +188,8 @@ class Sum(Expr):
 
     def __init__(self, terms):
         _set(self, "terms", terms)
-        _set(self, "_hash", hash((Sum, terms)))
 
-    __hash__ = Expr.__hash__
+    __hash__ = _lazy_hash
     __eq__ = _equal
     __reduce__ = _reduce_flat
 
@@ -184,9 +202,8 @@ class Seq(Expr):
 
     def __init__(self, arg):
         _set(self, "arg", arg)
-        _set(self, "_hash", hash((Seq, arg)))
 
-    __hash__ = Expr.__hash__
+    __hash__ = _lazy_hash
     __eq__ = _equal
     __reduce__ = _reduce_flat
 
@@ -194,17 +211,20 @@ class Seq(Expr):
         return f"Seq{self.arg!r}"
 
 
+_COMPOUND = (Sum, Product, Seq)
+
 E_EXPR = AtomRef(EMPTY)
 Z_EXPR = AtomRef(Z)
 
 
 def children(node) -> tuple:
     """Direct subexpressions of a node, in order."""
-    if isinstance(node, Sum):
+    kind = type(node)
+    if kind is Sum:
         return node.terms
-    if isinstance(node, Product):
+    if kind is Product:
         return node.factors
-    if isinstance(node, Seq):
+    if kind is Seq:
         return (node.arg,)
     return ()
 
@@ -334,8 +354,7 @@ def fold(roots, fn) -> list:
 def _flat_form(steps) -> list:
     """Plan steps in flat form, which pickles without recursion: a leaf as
     itself, a compound node as its type; children stay step positions."""
-    compound = (Sum, Product, Seq)
-    return [(type(node) if isinstance(node, compound) else node, kids) for node, kids in steps]
+    return [(type(node) if type(node) in _COMPOUND else node, kids) for node, kids in steps]
 
 
 def _from_flat_form(flat) -> list:
@@ -377,6 +396,25 @@ def _hash_consed(cls, kids, table) -> Expr:
     return node
 
 
+def _table_plan(table: dict, roots) -> tuple:
+    """The plan of ``roots``, as :func:`plan` returns it, read from the
+    hash-consing ``table`` they were built in: the table lists each of its
+    nodes once, in the order they were built, so each after its children;
+    one pass from its end keeps the nodes that ``roots`` reach and one pass
+    over those numbers them.  Every root must be in the table."""
+    reached, kept = {id(root) for root in roots}, []
+    for node in reversed(table.values()):
+        if id(node) in reached:
+            kids = children(node)
+            kept.append((node, kids))
+            reached.update(map(id, kids))
+    steps, position = [], {}
+    for node, kids in reversed(kept):
+        position[id(node)] = len(steps)
+        steps.append((node, tuple([position[id(k)] for k in kids])))
+    return steps, position
+
+
 # Canonical constructors.  Their arguments must already be canonical; the
 # result is too: no Sum directly inside a Sum, no Product inside a Product,
 # no Zero term in a Sum, no Empty factor in a Product, no Sum/Product of fewer
@@ -386,9 +424,10 @@ def _hash_consed(cls, kids, table) -> Expr:
 def make_sum(terms, table: dict) -> Expr:
     flat = []
     for t in terms:
-        if isinstance(t, Sum):
+        kind = type(t)
+        if kind is Sum:
             flat.extend(t.terms)
-        elif not isinstance(t, ZeroExpr):
+        elif kind is not ZeroExpr:
             flat.append(t)
     if len(flat) < 2:
         return flat[0] if flat else ZERO
@@ -398,11 +437,15 @@ def make_sum(terms, table: dict) -> Expr:
 def make_product(factors, table: dict) -> Expr:
     flat = []
     for f in factors:
-        if isinstance(f, ZeroExpr):
-            return ZERO
-        if isinstance(f, Product):
+        kind = type(f)
+        if kind is Product:
             flat.extend(f.factors)
-        elif not (isinstance(f, AtomRef) and f.atom == EMPTY):
+        elif kind is AtomRef:
+            if f.atom != EMPTY:
+                flat.append(f)
+        elif kind is ZeroExpr:
+            return ZERO
+        else:
             flat.append(f)
     if len(flat) < 2:
         return flat[0] if flat else table.setdefault(E_EXPR, E_EXPR)
@@ -410,7 +453,7 @@ def make_product(factors, table: dict) -> Expr:
 
 
 def make_seq(arg, table: dict) -> Expr:
-    if isinstance(arg, ZeroExpr):
+    if type(arg) is ZeroExpr:
         # sequences over the empty class: only the empty sequence remains
         return table.setdefault(E_EXPR, E_EXPR)
     return _hash_consed(Seq, arg, table)
@@ -432,16 +475,19 @@ def _rebuilder(table: dict, leaf=None, flip: bool = False):
     rebuilds the planned nodes, hash-consed into ``table``."""
 
     def build(node, kids):
-        if isinstance(node, Sum):
+        kind = type(node)
+        if kind is Sum:
             return make_sum(kids, table)
-        if isinstance(node, Product):
+        if kind is Product:
             return make_product(kids[::-1] if flip else kids, table)
-        if isinstance(node, Seq):
+        if kind is Seq:
             return make_seq(kids[0], table)
-        if not isinstance(node, (ZeroExpr, AtomRef, ClassRef)):
+        if kind not in (ZeroExpr, AtomRef, ClassRef):
             raise SpecError(f"not an expression: {node!r}")
         new = leaf(node) if leaf is not None else node
-        return table.setdefault(new, new)
+        # a leaf may map onto a compound node of the table (SZ onto Seq(Z)),
+        # looked up as the constructors key it, so that nothing is hashed
+        return table.setdefault(_cons_key(new) if type(new) in _COMPOUND else new, new)
 
     return build
 

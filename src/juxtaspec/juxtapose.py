@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Sequence, Union
 
-from .expr import AtomRef, ClassRef, Product, Sum, Z, ZL, ZLR, ZR, E_EXPR, SpecError, rewrite
+from .expr import AtomRef, ClassRef, Z, ZL, ZLR, ZR, E_EXPR, SpecError, make_product, make_sum
 from .operators import _REVERSE_ATOMS, _expand_equations, _sz
 from .series import _productive_valuations
 from .spec import (
@@ -101,31 +101,36 @@ def juxtapose(
 
     root = spec.root
     new_root = f"{root}.jux"
+    # the whole step is built into one table, the master equation first,
+    # through the canonical constructors and mapped back by atoms and flip
+    table, rename = {}, _renamer(atoms)
+
+    def leaf(node):
+        node = rename(node)
+        return table.setdefault(node, node)
+
+    def product(*factors):
+        factors = [leaf(f) for f in factors]
+        return make_product(factors[::-1] if flip else factors, table)
+
+    sz = _sz()
     if track_mode == TRACK_NONE:
         monotone_head = AtomRef(ZL) if kind.has_l else AtomRef(Z)
-        master = Sum((
-            E_EXPR,
-            Product((monotone_head, _sz())),
-            Product((ClassRef(f"{root}.io"), _sz())),
-        ))
+        master = [leaf(E_EXPR), product(monotone_head, sz), product(ClassRef(f"{root}.io"), sz)]
         needed = [(root, "io")]
     else:
-        lead = [E_EXPR]
+        master = [leaf(E_EXPR)]
         if track_mode == TRACK_BOTH:
-            lead.append(AtomRef(ZLR))
-            lead.append(Product((AtomRef(ZL), _sz(), AtomRef(ZR))))
+            master += [leaf(AtomRef(ZLR)), product(AtomRef(ZL), sz, AtomRef(ZR))]
         else:
-            lead.append(Product((_sz(), AtomRef(ZR))))
-        master = Sum(tuple(lead) + (
-            ClassRef(f"{root}.i"),
-            ClassRef(f"{root}.ii"),
-            Product((ClassRef(f"{root}.io"), _sz(), AtomRef(ZR))),
-        ))
+            master.append(product(sz, AtomRef(ZR)))
+        master += [
+            leaf(ClassRef(f"{root}.i")),
+            leaf(ClassRef(f"{root}.ii")),
+            product(ClassRef(f"{root}.io"), sz, AtomRef(ZR)),
+        ]
         needed = [(root, "i"), (root, "ii"), (root, "io")]
-
-    # the whole step is built into one table and closed in one pass
-    table = {}
-    eqs = [Equation(new_root, rewrite([master], _renamer(atoms), flip, table)[0])]
+    eqs = [Equation(new_root, make_sum(master, table))]
     eqs += _expand_equations(spec, needed, table, atoms, flip)
     try:
         out = _close(eqs, new_root, table, prune=True)

@@ -55,7 +55,6 @@ from .expr import (
     make_product,
     make_seq,
     make_sum,
-    rewrite,
 )
 from .spec import (
     Equation,
@@ -71,13 +70,17 @@ from .spec import (
 INSERTION_TAGS = ("o", "i", "oo", "io", "oi", "ii")
 
 # Product rule of the operators other than o and oo, which act factor by
-# factor: the "head rest" operators of each term.  For i, io and ii the last
-# term is dropped when the head carries the rightmost marker.
+# factor: the "head rest" operators of each term, split once here.  For i,
+# io and ii the last term is dropped when the head carries the rightmost
+# marker.
 _PRODUCT_RULE = {
-    "i": ("i o", "o i"),
-    "io": ("io oo", "o io"),
-    "oi": ("oi o", "oo oi"),
-    "ii": ("ii o", "io oi", "o ii"),
+    op: tuple(tuple(row.split()) for row in rows)
+    for op, rows in {
+        "i": ("i o", "o i"),
+        "io": ("io oo", "o io"),
+        "oi": ("oi o", "oo oi"),
+        "ii": ("ii o", "io oi", "o ii"),
+    }.items()
 }
 _ZR_SENSITIVE = ("i", "io", "ii")
 
@@ -162,53 +165,66 @@ class _Insertion:
 
     def apply(self, op: str, expr: Expr, needed: set) -> Expr:
         images = self.images
-        stack = [(op, expr, 0, None)]
+        top = (op, id(expr), 0)
+        stack = [(top, expr, None)]
         while stack:
-            tag, node, k, terms = stack.pop()
-            key = (tag, id(node), k)
+            key, node, terms = stack.pop()
             if terms is not None:
-                images[key] = self._build(tag, node, terms, needed)
-            elif key not in images:  # built after the jobs its terms use
-                terms = self._terms(tag, node, k)
-                stack.append((tag, node, k, terms))
-                stack += [(*job, None) for term in terms for _, job in term]
-        return images[op, id(expr), 0]
+                images[key] = self._build(key[0], node, terms, needed)
+            elif key not in images:  # a job pushed twice is built once
+                terms = self._terms(key[0], node, key[2])
+                stack.append((key, node, terms))  # built after the jobs its terms use
+                for term in terms:
+                    for _, job, n in term:
+                        if job not in images:
+                            stack.append((job, n, None))
+        return images[top]
 
     def _terms(self, op: str, node, k: int) -> list:
-        """Terms of a job's image: lists of (inside Seq, job) factors."""
-        if isinstance(node, Sum):
-            return [[(False, (op, t, 0))] for t in node.terms]
-        if isinstance(node, Seq):
-            return [[(seq, (o, node.arg, 0)) for seq, o in t] for t in _SEQ_RULE[op]]
-        if isinstance(node, Product):
+        """Terms of a job's image: lists of (inside Seq, job key, job node)
+        factors."""
+        kind = type(node)
+        if kind is Sum:
+            return [[(False, (op, id(t), 0), t)] for t in node.terms]
+        if kind is Seq:
+            arg = node.arg
+            return [[(seq, (o, id(arg), 0), arg) for seq, o in t] for t in _SEQ_RULE[op]]
+        if kind is Product:
+            factors = node.factors
             if op in ("o", "oo"):
-                return [[(False, (op, f, 0)) for f in node.factors[k:]]]
-            head = node.factors[k]
+                return [[(False, (op, id(f), 0), f) for f in factors[k:]]]
+            head = factors[k]
             rule = _PRODUCT_RULE[op]
             if op in _ZR_SENSITIVE and self.tracks_r[id(head)]:
                 rule = rule[:-1]
-            last = k + 2 == len(node.factors)
-            return [
-                [(False, (h, head, 0)), (False, (r, node.factors[-1], 0) if last else (r, node, k + 1))]
-                for h, r in map(str.split, rule)
-            ]
+            rest, j = (factors[-1], 0) if k + 2 == len(factors) else (node, k + 1)
+            return [[(False, (h, id(head), 0), head), (False, (r, id(rest), j), rest)]
+                    for h, r in rule]
         return []  # an atom or a class reference
 
     def _build(self, op: str, node, terms: list, needed: set) -> Expr:
         """The image of a job whose terms' jobs are built."""
         table = self.table
-        if isinstance(node, AtomRef):
-            return rewrite([apply_atom(op, node.atom)], self.leaf, self.flip, table)[0]
-        if isinstance(node, ClassRef):
+        kind = type(node)
+        if kind is AtomRef:
+            image = apply_atom(op, node.atom)  # a product of leaves, or a leaf
+            factors = image.factors if type(image) is Product else (image,)
+            factors = [table.setdefault(f, f) for f in map(self.leaf, factors)]
+            return make_product(factors[::-1] if self.flip else factors, table)
+        if kind is ClassRef:
             needed.add((node.name, op))
             ref = ClassRef(f"{node.name}.{op}")
             return table.setdefault(ref, ref)
         images = self.images
-        factors = (
-            [make_seq(images[o, id(n), i], table) if seq else images[o, id(n), i] for seq, (o, n, i) in term]
-            for term in terms
-        )
-        return make_sum([make_product(f[::-1] if self.flip else f, table) for f in factors], table)
+        if kind is Sum:
+            return make_sum([images[term[0][1]] for term in terms], table)
+        products = []
+        for term in terms:
+            factors = [make_seq(images[key], table) if seq else images[key] for seq, key, _ in term]
+            if self.flip:
+                factors.reverse()
+            products.append(make_product(factors, table))
+        return make_sum(products, table)
 
 
 def _expand_equations(

@@ -35,6 +35,12 @@ from .spec import SZ_NAME, Specification
 
 Series = List[int]
 
+# Largest order that count_series accepts: its cost grows with the square of
+# the order (order 1,000 of an av321 juxtaposition takes tens of seconds),
+# and it allocates order + 1 coefficients per atom cell before counting, so
+# a mistyped order would otherwise run until killed.
+MAX_TERMS = 2000
+
 
 class EnumerationError(SpecError):
     """The system cannot be enumerated (unproductive or ill-formed)."""
@@ -243,10 +249,13 @@ def count_series(spec: Specification, order: int) -> Series:
     """Exact coefficients 0..order of the root's counting sequence.
 
     Raises :class:`EnumerationError` for an unproductive or tautological
-    system and for a Seq whose argument contains the empty object.
+    system and for a Seq whose argument contains the empty object, and
+    :class:`~juxtaspec.expr.SpecError` for an order above ``MAX_TERMS``.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
+    if order > MAX_TERMS:
+        raise SpecError(f"order {order} is above the series budget of {MAX_TERMS} terms")
     values = _productive_valuations(spec)
     problems = _seq_argument_problems(spec, values)
     if problems:

@@ -34,15 +34,19 @@ from .expr import (
     _operands,
     _rebuilder,
     _set,
+    _table_plan,
+    children,
     least_fixpoint,
+    make_product,
     make_seq,
-    plan,
+    make_sum,
     postorder,
     rewrite,
     terms,
 )
 
 SZ_NAME = "SZ"
+_SZ_REF = ClassRef(SZ_NAME)
 
 RESERVED_NAMES = frozenset(ATOM_KINDS) | {"Seq"}
 
@@ -88,9 +92,11 @@ class Specification:
     equations (root first) with the tracking that :func:`make_spec` infers
     for them: the readers and each expansion step close theirs without
     rebuilding, the symmetries and :func:`inline_seq` map one.  ``_plan``,
-    made as it is built, is ``(steps, roots)``: the :func:`~juxtaspec.expr.plan`
-    steps of the distinct nodes of all right-hand sides and the step of
-    each, in equation order.  Every analysis evaluates it.  Two
+    made as it is built, is ``(steps, roots)``: steps in the form that
+    :func:`~juxtaspec.expr.plan` gives, of the distinct nodes of all
+    right-hand sides, each after its children (in the order the table they
+    were built in made them), and the step of each right-hand side, in
+    equation order.  Every analysis evaluates it.  Two
     specifications are equal when their equations and roots are.
     """
 
@@ -158,6 +164,13 @@ def make_spec(equations: Iterable[Equation], root: Optional[str] = None) -> Spec
     return _close([Equation(eq.lhs, expr) for eq, expr in zip(equations, rhs)], root, table)
 
 
+def _sz_rhs(table: dict) -> Expr:
+    """The reserved SZ right-hand side, built canonical into ``table``."""
+    leaf = table.setdefault
+    run = make_product((leaf(_SZ_REF, _SZ_REF), leaf(Z_EXPR, Z_EXPR)), table)
+    return make_sum((leaf(E_EXPR, E_EXPR), run), table)
+
+
 def _close(eqs: list, root: Optional[str], table: dict, prune: bool = False) -> Specification:
     """Validate and classify-track equations that are already canonical and
     hash-consed in ``table``; what :func:`make_spec` does after its rewrite.
@@ -165,17 +178,12 @@ def _close(eqs: list, root: Optional[str], table: dict, prune: bool = False) -> 
     With ``prune`` (the equations of an expansion, ``root`` given), symbols
     of the empty class are substituted by Zero and dropped first, then the
     symbols unreachable from the root.  Without it, an equation whose
-    right-hand side is Zero is an error.
+    right-hand side is Zero is an error.  The plan of the kept equations,
+    which serves every check below and, kept on the result, every later
+    analysis, is read from ``table`` (:func:`~juxtaspec.expr._table_plan`).
     """
-    sz_rhs = rewrite([sz_equation().rhs], table=table)[0]
-    # One plan of the whole system serves the pruning, every check below and,
-    # kept on the result, every later analysis (pruning plans again only
-    # when it drops something).  The reserved SZ right-hand side is planned
-    # last, so the nodes reachable from the given equations are exactly the
-    # steps up to the last of their roots.
-    steps, position = plan([eq.rhs for eq in eqs] + [sz_rhs])
     if prune:
-        eqs, steps, position = _prune(eqs, root, table, steps, position, sz_rhs)
+        eqs, steps, position = _prune(eqs, root, table)
     if not eqs:
         raise SpecError("specification has no equations")
 
@@ -191,21 +199,26 @@ def _close(eqs: list, root: Optional[str], table: dict, prune: bool = False) -> 
         if isinstance(eq.rhs, ZeroExpr):
             raise SpecError(f"{eq.lhs!r} defines an empty class; such equations are not representable")
 
-    reachable = steps[: max(position[id(eq.rhs)] for eq in eqs) + 1]
-    used = {node.name for node, _ in reachable if isinstance(node, ClassRef)}
+    if not prune:
+        steps, position = _table_plan(table, [eq.rhs for eq in eqs])
+    used = {node.name for node, _ in steps if type(node) is ClassRef}
     defined = {eq.lhs for eq in eqs}
     undefined = used - defined
     if SZ_NAME in undefined:
+        sz_rhs = _sz_rhs(table)
         eqs.append(Equation(SZ_NAME, sz_rhs))
         defined.add(SZ_NAME)
         undefined.discard(SZ_NAME)
-        reachable = steps  # sz_rhs is the last step
+        for node in (*sz_rhs.terms[1].factors, *sz_rhs.terms, sz_rhs):  # children first
+            if id(node) not in position:
+                position[id(node)] = len(steps)
+                steps.append((node, tuple([position[id(k)] for k in children(node)])))
     if undefined:
         missing = ", ".join(sorted(undefined))
         raise SpecError(f"undefined symbol(s): {missing}")
     if SZ_NAME in defined:
         given = next(eq.rhs for eq in eqs if eq.lhs == SZ_NAME)
-        if given != sz_rhs:
+        if given != _sz_rhs(table):
             raise SpecError(f"{SZ_NAME} is reserved and must equal E + {SZ_NAME} Z")
 
     if root is None:
@@ -219,7 +232,7 @@ def _close(eqs: list, root: Optional[str], table: dict, prune: bool = False) -> 
     tracking = {eq.lhs: TrackingKind(r_counts[eq.lhs] == 1, l_counts[eq.lhs] == 1) for eq in eqs}
     if any(type(node) is Seq for node, _ in steps):  # else no Seq content to check
         _check_seq_content(eqs, steps, position, tracking)
-    return _planned_spec(eqs, root, tracking, reachable, position)
+    return _planned_spec(eqs, root, tracking, steps, position)
 
 
 def _planned_spec(eqs, root: str, tracking: dict, steps, position: dict) -> Specification:
@@ -228,9 +241,10 @@ def _planned_spec(eqs, root: str, tracking: dict, steps, position: dict) -> Spec
     return Specification(tuple(eqs), root, tracking, by_name, (tuple(steps), roots))
 
 
-def _prune(eqs: list, root: str, table: dict, steps: list, position: dict, sz_rhs) -> tuple:
+def _prune(eqs: list, root: str, table: dict) -> tuple:
     """Drop the empty-class symbols of an expansion and the symbols
-    unreachable from ``root``; returns the kept equations and their plan.
+    unreachable from ``root``; returns the kept equations and their plan,
+    read from ``table``.
 
     The empty symbols are a least fixpoint over the plan: a Sum is empty
     when all of its terms are, a Product when any factor is, a reference
@@ -238,10 +252,13 @@ def _prune(eqs: list, root: str, table: dict, steps: list, position: dict, sz_rh
     canonical rebuilding turns a node into Zero, so the walk from the root
     passes the empty steps.  Only when it drops a symbol are the kept
     equations rebuilt, Zero for the empty symbols, in one :func:`_rebuilt`
-    of the plan, and planned once.
+    of the plan, and their plan read again.
     """
+    has_empty = any(type(eq.rhs) is ZeroExpr for eq in eqs)
+    if has_empty:
+        table.setdefault(ZERO, ZERO)  # the constructors return Zero without entering it
+    steps, position = _table_plan(table, [eq.rhs for eq in eqs])
     symbols = [(eq.lhs, position[id(eq.rhs)]) for eq in eqs]
-    has_empty = any(isinstance(eq.rhs, ZeroExpr) for eq in eqs)
     visited = bytearray(len(steps))
     if has_empty:
         empty, values = least_fixpoint(steps, symbols, _empty_pass, False)
@@ -271,7 +288,7 @@ def _prune(eqs: list, root: str, table: dict, steps: list, position: dict, sz_rh
 
         values = _rebuilt(steps, table, leaf)
         eqs = [Equation(eq.lhs, values[position[id(eq.rhs)]]) for eq in eqs]
-    return (eqs, *plan([eq.rhs for eq in eqs] + [sz_rhs]))
+    return (eqs, *_table_plan(table, [eq.rhs for eq in eqs]))
 
 
 def _empty_pass(steps: list, operands: list, values: list) -> None:
@@ -486,7 +503,8 @@ def _map_spec(spec: Specification, atoms: Mapping[str, str], flip: bool,
     kept.  A kept SZ equation stays canonical: runs of plain atoms are fixed
     by every symmetry.  Each symbol's tracking is :func:`_tracking_through`
     the atom map (SZ and Seq(Z) carry no marker, so inlining changes no
-    count): the result is what :func:`make_spec` would return, planned.
+    count): the result is what :func:`make_spec` would return, with its
+    plan read from the table of the map.
     """
     steps, roots = spec._plan
     table = {node: node for node, kids in steps if not kids}
@@ -494,12 +512,12 @@ def _map_spec(spec: Specification, atoms: Mapping[str, str], flip: bool,
     values = _rebuilt(steps, table, _renamer(atoms, seq_z), flip)
     rhs = [values[at] for at in roots]
     if SZ_NAME in spec._by_name and not inline:
-        sz_rhs = rewrite([sz_equation().rhs], table=table)[0]
+        sz_rhs = _sz_rhs(table)
         rhs = [sz_rhs if eq.lhs == SZ_NAME else new for eq, new in zip(spec.equations, rhs)]
     eqs = [Equation(eq.lhs, new) for eq, new in zip(spec.equations, rhs)
            if not (inline and eq.lhs == SZ_NAME)]
     tracking = {eq.lhs: _tracking_through(atoms, spec.tracking[eq.lhs]) for eq in eqs}
-    return _planned_spec(eqs, spec.root, tracking, *plan([eq.rhs for eq in eqs]))
+    return _planned_spec(eqs, spec.root, tracking, *_table_plan(table, [eq.rhs for eq in eqs]))
 
 
 def _merge_equivalent(spec: Specification) -> Specification:
@@ -515,7 +533,8 @@ def _merge_equivalent(spec: Specification) -> Specification:
     tracking: equivalent symbols count alike, so the result is what
     :func:`make_spec` would return for its equations.  One :func:`_rebuilt`
     of the carried plan renames the references, keeping every node with no
-    renamed reference under it, and the result is planned once.
+    renamed reference under it, and the result's plan is read from the
+    table of that rebuild.
     """
     by_name = spec._by_name
 
@@ -565,10 +584,11 @@ def _merge_equivalent(spec: Specification) -> Specification:
     first = {}
     rename = {name: first.setdefault(block[canon[name]], name) for name in spec.symbols}
     leaf = _renamer({}, names={old: new for old, new in rename.items() if old != new})
-    values = _rebuilt(steps, {node: node for node, kids in steps if not kids}, leaf)
+    table = {node: node for node, kids in steps if not kids}
+    values = _rebuilt(steps, table, leaf)
     eqs = [Equation(name, values[at[canon[name]]]) for name in first.values()]
     tracking = {eq.lhs: spec.tracking[eq.lhs] for eq in eqs}
-    return _planned_spec(eqs, spec.root, tracking, *plan([eq.rhs for eq in eqs]))
+    return _planned_spec(eqs, spec.root, tracking, *_table_plan(table, [eq.rhs for eq in eqs]))
 
 
 def inline_seq(spec: Specification) -> Specification:

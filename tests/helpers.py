@@ -501,6 +501,33 @@ def equivalence_classes(spec):
 # sharing, counted by a plain tree walk
 
 
+class _Hashed:
+    """A stand-in whose hash is a given value."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        return self.value
+
+
+def reference_hash(expr) -> int:
+    """The structural hash of an expression, by plain recursion: a leaf's
+    own hash; a compound node's, the hash of its type and the tuple of its
+    children, each child standing in by its reference hash."""
+    if isinstance(expr, Sum):
+        kids = expr.terms
+    elif isinstance(expr, Product):
+        kids = expr.factors
+    elif isinstance(expr, Seq):
+        kids = (expr.arg,)
+    else:
+        return hash(expr)
+    return hash((type(expr), tuple(_Hashed(reference_hash(k)) for k in kids)))
+
+
 def tree_walk(exprs):
     """(tree nodes, structurally distinct nodes, distinct objects) under exprs."""
     tree, values, ids = 0, set(), set()

@@ -10,14 +10,13 @@ import random
 import pytest
 
 import juxtaspec.expr as expr_module
-import juxtaspec.spec as spec_module
 from juxtaspec.builtins import builtin_names, builtin_spec
 from juxtaspec.dsl import parse_spec, render_expr
-from juxtaspec.expr import AtomRef, ClassRef, Product, SpecError, Sum, plan, rewrite
+from juxtaspec.expr import AtomRef, ClassRef, Product, SpecError, Sum, plan
 from juxtaspec.juxtapose import build_grid
 from juxtaspec.operators import INSERTION_TAGS, _expand_equations, expand
 from juxtaspec.series import count_series
-from juxtaspec.spec import Equation, _close, make_spec, sz_equation
+from juxtaspec.spec import Equation, _close, make_spec
 from helpers import (
     assert_closed,
     closed_outputs,
@@ -89,9 +88,10 @@ def test_empty_symbols_over_two_rounds():
 
 
 def test_pruning_plans_the_pruned_system_once(monkeypatch):
-    """The closing pass of an expansion with empty symbols plans the
-    expansion once and the pruned system once, besides the reserved SZ
-    right-hand side: the Zero substitution evaluates the plan it holds."""
+    """The closing pass of an expansion with empty symbols plans nothing:
+    the expansion's plan and the pruned system's are read from the table
+    they were built in, and the Zero substitution evaluates the plan it
+    holds.  The pruned system's plan is exactly its equations' nodes."""
     spec = parse_spec("A = B ZR + Z ZR\nB = C C\nC = E\n")
     table = {}
     eqs = _expand_equations(spec, [("A", "i")], table)
@@ -103,14 +103,14 @@ def test_pruning_plans_the_pruned_system_once(monkeypatch):
         return steps, position
 
     monkeypatch.setattr(expr_module, "plan", recording_plan)
-    monkeypatch.setattr(spec_module, "plan", recording_plan)
     out = _close(eqs, "A.i", table, prune=True)
     monkeypatch.undo()
     assert out.symbols == ("A.i", "B.o", "C.o")
-    sz_rhs = rewrite([sz_equation().rhs], table=table)[0]  # the one the pass made
-    expansion = plan([eq.rhs for eq in eqs] + [sz_rhs])[0]
-    pruned = plan([eq.rhs for eq in out.equations] + [sz_rhs])[0]
-    assert sizes == [5, len(expansion), len(pruned)]
+    assert sizes == []
+    steps, roots = out._plan
+    want, position = plan([eq.rhs for eq in out.equations])
+    assert {id(node) for node, _ in steps} == {id(node) for node, _ in want}
+    assert all(steps[at][0] is eq.rhs for eq, at in zip(out.equations, roots))
 
 
 @pytest.mark.parametrize("text, pair, rounds", [

@@ -28,7 +28,7 @@ from juxtaspec.expr import (
     rewrite,
     terms,
 )
-from helpers import random_expr, reference_fixpoint, stepwise
+from helpers import random_expr, reference_fixpoint, reference_hash, stepwise
 
 
 def test_sum_drops_zero():
@@ -226,6 +226,26 @@ def test_unpickled_node_equals_a_fresh_one_in_another_process(tmp_path):
     src = str(Path(juxtaspec.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="12345")
     assert subprocess.run([sys.executable, "-c", check], env=env).returncode == 0
+
+
+def test_hash_agrees_with_a_recursive_reference():
+    rng = random.Random(11)
+    for _ in range(300):
+        expr = random_expr(rng, ["A", "B"], depth=4)
+        for node in (expr, canonicalize(expr)):
+            assert hash(node) == reference_hash(node)
+            assert all(hash(n) == reference_hash(n) for n in nodes(node))
+
+
+def test_nodes_are_hashed_on_first_use_only():
+    table = {}
+    expr = rewrite([Sum((E_EXPR, Product((ClassRef("A"), Seq(Z_EXPR)))))], table=table)[0]
+    compound = [n for n in nodes(expr) if isinstance(n, (Sum, Product, Seq))]
+    assert len(compound) == 3
+    assert not any(hasattr(n, "_hash") for n in compound)  # building hashes nothing
+    value = hash(expr)
+    assert all(hasattr(n, "_hash") for n in compound)  # the whole node, children first
+    assert hash(expr) == value == reference_hash(expr)
 
 
 def test_nodes_carry_no_instance_dict():

@@ -13,8 +13,20 @@ import juxtaspec.operators as operators_module
 import juxtaspec.series as series_module
 import juxtaspec.spec as spec_module
 from juxtaspec.builtins import builtin_names, builtin_spec, builtin_text
-from juxtaspec.dsl import parse_spec, render_spec, spec_to_json
-from juxtaspec.expr import ZR, AtomRef, ClassRef, Product, Seq, Sum, Z_EXPR, ZeroExpr, children
+from juxtaspec.dsl import parse_spec, render_spec, spec_from_json, spec_to_json
+from juxtaspec.expr import (
+    ZR,
+    AtomRef,
+    ClassRef,
+    Product,
+    Seq,
+    SpecError,
+    Sum,
+    Z_EXPR,
+    ZeroExpr,
+    children,
+    plan,
+)
 from juxtaspec.juxtapose import (
     DIR_DEC,
     DIR_INC,
@@ -55,8 +67,9 @@ def _variants(spec):
 
 def _assert_plan_of_equations(spec):
     """The carried plan is a plan of the distinct nodes of the equations,
-    children first, with each equation's right-hand side at its root.  Its
-    children are tuples, and it holds no Zero and nothing but expressions."""
+    exactly those that plan finds, children first, with each equation's
+    right-hand side at its root.  Its children are tuples, and it holds no
+    Zero and nothing but expressions."""
     steps, roots = spec._plan
     assert len(roots) == len(spec.equations)
     assert all(steps[at][0] is eq.rhs for eq, at in zip(spec.equations, roots))
@@ -67,6 +80,39 @@ def _assert_plan_of_equations(spec):
         assert [id(steps[k][0]) for k in kids] == [id(kid) for kid in children(node)]
     _, _, objects = tree_walk([eq.rhs for eq in spec.equations])
     assert len(steps) == len({id(node) for node, _ in steps}) == objects
+    planned = plan([eq.rhs for eq in spec.equations])[0]
+    assert {id(node) for node, _ in steps} == {id(node) for node, _ in planned}
+
+
+def _with_read_backs(specs):
+    """Each specification, then its DSL and its JSON re-read."""
+    for spec in specs:
+        yield spec
+        yield parse_spec(render_spec(spec))
+        yield spec_from_json(spec_to_json(spec))
+
+
+def _built_specs():
+    """The library's specifications, each builtin's symmetries and grids."""
+    yield from library_specs()
+    for name in builtin_names():
+        spec = builtin_spec(name)
+        yield from (symmetry(spec) for symmetry in (complement, reverse, forget_left, inline_seq))
+        for pattern in ("inc|core|inc", "dec|core|inc|dec"):
+            try:
+                yield build_grid(spec, pattern)
+            except SpecError:
+                pass
+
+
+def test_carried_steps_are_the_plan_of_the_equations():
+    """However a specification was made, and after its DSL and JSON
+    re-reads, the steps it carries are exactly the distinct nodes that plan
+    finds under its equations, each after its children."""
+    specs = list(_with_read_backs(_built_specs()))
+    for spec in specs:
+        _assert_plan_of_equations(spec)
+    assert len(specs) > 200
 
 
 def _outputs(spec):
@@ -198,26 +244,44 @@ def test_analyses_evaluate_the_carried_plan(plan_calls, fixpoint_calls, build):
 
 
 @pytest.mark.parametrize("symmetry", [complement, reverse, forget_left, inline_seq])
-def test_symmetries_plan_only_their_output(monkeypatch, symmetry):
+def test_symmetries_plan_only_their_output(plan_calls, symmetry):
     """A symmetry rebuilds its input by evaluating the plan the input
-    carries: the only nodes it plans are its output's and, when an SZ
-    equation is kept, the five of the reserved right-hand side."""
-    planned, real = [], expr_module.plan
-
-    def counting(*args, **kwargs):
-        steps, position = real(*args, **kwargs)
-        planned.append(len(steps))
-        return steps, position
-
-    for module in LIBRARY_MODULES:
-        if hasattr(module, "plan"):
-            monkeypatch.setattr(module, "plan", counting)
+    carries and reads its output's plan from the table of that rebuild, the
+    reserved SZ right-hand side included: it plans nothing."""
     regular = juxtapose(builtin_spec("monotone"), SIDE_RIGHT, DIR_INC, TRACK_BOTH)
     for spec in [builtin_spec(name) for name in builtin_names()] + [regular]:
-        del planned[:]
+        del plan_calls[:]
         out = symmetry(spec)
-        kept_sz = SZ_NAME in out.symbols and out is not spec
-        assert sum(planned) == (len(out._plan[0]) + 5 * kept_sz if out is not spec else 0)
+        assert plan_calls == []
+        _assert_plan_of_equations(out)
+
+
+def test_juxtaposition_steps_plan_nothing(plan_calls):
+    """An expansion, every juxtaposition step, a grid and a merge of
+    equivalent symbols read every plan they need from the table they built
+    in: none of them calls plan."""
+    av321, monotone = builtin_spec("av321"), builtin_spec("monotone")
+    regular = juxtapose(monotone, SIDE_RIGHT, DIR_INC, TRACK_BOTH)
+    mergeable = parse_spec("A = B + C\nB = Z B + ZR\nC = Z C + ZR\n")
+    builds = [
+        lambda: expand(av321, [("C.R", tag) for tag in ("i", "io", "ii")]),
+        lambda: expand(parse_spec("A = B ZR + Z ZR\nB = C C\nC = E\n"), [("A", "i")]),
+        lambda: build_grid(av321, "inc|core|inc|dec"),
+        lambda: build_grid(monotone, "inc|dec|core|inc"),
+        lambda: spec_module._merge_equivalent(mergeable),
+    ]
+    builds += [lambda s=s, c=c, d=d, m=m: juxtapose(s, c, d, m)
+               for s in (av321, regular) for c in (SIDE_RIGHT, SIDE_LEFT)
+               for d in (DIR_INC, DIR_DEC) for m in TRACK_MODES]
+    for build in builds:
+        del plan_calls[:]
+        try:
+            out = build()
+        except SpecError:
+            continue
+        assert plan_calls == []
+        _assert_plan_of_equations(out)
+    assert spec_module._merge_equivalent(mergeable).symbols == ("A", "B")
 
 
 def _closing_passes():
@@ -303,6 +367,29 @@ def test_expansion_builds_each_image_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# hashes on demand
+
+
+def _compound_steps(spec):
+    return [node for node, kids in spec._plan[0] if kids]
+
+
+def test_equal_nodes_of_two_tables_compare_and_hash_equal():
+    """Nodes are built without their hash.  Equal nodes built in two tables,
+    or unpickled, are distinct objects that compare equal and hash equal."""
+    built = build_grid(parse_spec(builtin_text("av321")), "inc|core|inc")
+    copies = [parse_spec(render_spec(built)), spec_from_json(spec_to_json(built)),
+              pickle.loads(pickle.dumps(built))]
+    for spec in [built] + copies:
+        assert not any(hasattr(node, "_hash") for node in _compound_steps(spec))
+    for copy in copies:
+        for eq, again in zip(built.equations, copy.equations):
+            assert eq.rhs is not again.rhs or not children(eq.rhs)
+            assert eq.rhs == again.rhs and hash(eq.rhs) == hash(again.rhs)
+        assert copy == built and hash(copy) == hash(built)
+
+
+# ---------------------------------------------------------------------------
 # pickling
 
 
@@ -312,6 +399,10 @@ def test_deeply_nested_specification_pickles():
         expr = Sum((Z_EXPR, Product((Z_EXPR, Seq(expr)))))
     spec = make_spec([Equation("A", expr)])
     again = pickle.loads(pickle.dumps(spec))
+    # hash and == walk the nesting iteratively, computing every hash on demand
+    assert not hasattr(again.rhs("A"), "_hash")
+    assert hash(again.rhs("A")) == hash(spec.rhs("A")) == hash(expr)
+    assert again.rhs("A") == spec.rhs("A") == expr
     assert again == spec and again.tracking == spec.tracking
     _assert_plan_of_equations(again)
     assert again._plan[1] == spec._plan[1]

@@ -5,10 +5,11 @@ import pytest
 
 from juxtaspec.builtins import builtin_names, builtin_spec
 from juxtaspec.dsl import parse_spec, spec_from_dict, spec_to_dict
-from juxtaspec.expr import AtomRef, ClassRef, Product, Z_EXPR
+from juxtaspec.expr import AtomRef, ClassRef, Product, SpecError, Z_EXPR
 from juxtaspec.juxtapose import juxtapose
 import juxtaspec.series as series_module
 from juxtaspec.series import (
+    MAX_TERMS,
     EnumerationError,
     compare_series,
     count_series,
@@ -43,6 +44,17 @@ def test_order_zero():
     assert count_series(builtin_spec("av321"), 0) == [1]
     with pytest.raises(ValueError):
         count_series(builtin_spec("av321"), -1)
+
+
+@pytest.mark.parametrize("order", (MAX_TERMS + 1, 10**7))
+def test_order_above_the_budget_is_refused(order):
+    """A library call is refused before it allocates anything; the CLI's
+    --terms cap is the same budget."""
+    assert MAX_TERMS == 2000
+    with pytest.raises(SpecError) as info:
+        count_series(builtin_spec("av321"), order)
+    assert type(info.value) is SpecError
+    assert str(info.value) == f"order {order} is above the series budget of 2000 terms"
 
 
 def test_truncation_coherence():
