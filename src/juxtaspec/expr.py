@@ -30,6 +30,8 @@ references or along the series schedule's zero-lag reads, is one
 
 from __future__ import annotations
 
+from typing import Mapping
+
 # Atom kinds.  EMPTY is the neutral object of size 0; the other four all have
 # size 1.  ZL / ZR mark the positionally leftmost / rightmost entry, ZLR both.
 EMPTY = "E"
@@ -162,7 +164,7 @@ def _equal(a, b) -> bool:
         if type(x) is not type(y) or hash(x) != hash(y):
             return False
         kx, ky = children(x), children(y)
-        if (not kx and x != y) or len(kx) != len(ky):
+        if (type(x) not in _COMPOUND and x != y) or len(kx) != len(ky):
             return False
         done.add((id(x), id(y)))
         stack.extend(zip(kx, ky))
@@ -459,20 +461,22 @@ def make_seq(arg, table: dict) -> Expr:
     return _hash_consed(Seq, arg, table)
 
 
-def rewrite(exprs, leaf=None, flip: bool = False, table=None) -> list:
+def rewrite(exprs, leaf: Mapping = {}, flip: bool = False, table=None) -> list:
     """Rebuild expressions bottom-up through the canonical constructors.
 
-    ``leaf`` maps an atom or class reference to its canonical replacement;
-    ``flip`` reverses every product.  The results are hash-consed together
-    in ``table`` (a fresh one by default): equal subexpressions of all of
-    them, and of anything else built through the same table, are one object.
+    ``leaf`` maps an atom or class reference to its canonical replacement
+    (a leaf it does not name stays); ``flip`` reverses every product.  The
+    results are hash-consed together in ``table`` (a fresh one by default):
+    equal subexpressions of all of them, and of anything else built through
+    the same table, are one object.
     """
     return fold(exprs, _rebuilder({} if table is None else table, leaf, flip))
 
 
-def _rebuilder(table: dict, leaf=None, flip: bool = False):
+def _rebuilder(table: dict, leaf: Mapping = {}, flip: bool = False):
     """The fold function of :func:`rewrite`: evaluating a plan with it
-    rebuilds the planned nodes, hash-consed into ``table``."""
+    rebuilds the planned nodes, hash-consed into ``table``, each leaf as
+    ``leaf.get(node, node)``: the one place a leaf map is read."""
 
     def build(node, kids):
         kind = type(node)
@@ -484,7 +488,7 @@ def _rebuilder(table: dict, leaf=None, flip: bool = False):
             return make_seq(kids[0], table)
         if kind not in (ZeroExpr, AtomRef, ClassRef):
             raise SpecError(f"not an expression: {node!r}")
-        new = leaf(node) if leaf is not None else node
+        new = leaf.get(node, node)
         # a leaf may map onto a compound node of the table (SZ onto Seq(Z)),
         # looked up as the constructors key it, so that nothing is hashed
         return table.setdefault(_cons_key(new) if type(new) in _COMPOUND else new, new)

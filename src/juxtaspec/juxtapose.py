@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import Sequence, Union
 
-from .expr import AtomRef, ClassRef, Z, ZL, ZLR, ZR, E_EXPR, SpecError, make_product, make_sum
-from .operators import _REVERSE_ATOMS, _expand_equations, _sz
+from .expr import AtomRef, ClassRef, Z, ZL, ZLR, ZR, E_EXPR, SpecError, make_sum
+from .operators import _REVERSE_ATOMS, _Insertion, _expand_equations
 from .series import _productive_valuations
 from .spec import (
     Equation,
@@ -23,10 +23,10 @@ from .spec import (
     SZ_NAME,
     TrackingError,
     TrackingKind,
+    _SZ_REF,
     _close,
     _map_spec,
     _merge_equivalent,
-    _renamer,
     _tracking_through,
     classify,
 )
@@ -101,37 +101,26 @@ def juxtapose(
 
     root = spec.root
     new_root = f"{root}.jux"
-    # the whole step is built into one table, the master equation first,
-    # through the canonical constructors and mapped back by atoms and flip
-    table, rename = {}, _renamer(atoms)
-
-    def leaf(node):
-        node = rename(node)
-        return table.setdefault(node, node)
-
-    def product(*factors):
-        factors = [leaf(f) for f in factors]
-        return make_product(factors[::-1] if flip else factors, table)
-
-    sz = _sz()
+    # the master equation's terms as leaf tuples; the whole step is built
+    # into one table, the master equation first, mapped back by atoms and flip
+    sz, zr = _SZ_REF, AtomRef(ZR)
     if track_mode == TRACK_NONE:
         monotone_head = AtomRef(ZL) if kind.has_l else AtomRef(Z)
-        master = [leaf(E_EXPR), product(monotone_head, sz), product(ClassRef(f"{root}.io"), sz)]
+        master = [(E_EXPR,), (monotone_head, sz), (ClassRef(f"{root}.io"), sz)]
         needed = [(root, "io")]
     else:
-        master = [leaf(E_EXPR)]
+        master = [(E_EXPR,)]
         if track_mode == TRACK_BOTH:
-            master += [leaf(AtomRef(ZLR)), product(AtomRef(ZL), sz, AtomRef(ZR))]
+            master += [(AtomRef(ZLR),), (AtomRef(ZL), sz, zr)]
         else:
-            master.append(product(sz, AtomRef(ZR)))
-        master += [
-            leaf(ClassRef(f"{root}.i")),
-            leaf(ClassRef(f"{root}.ii")),
-            product(ClassRef(f"{root}.io"), sz, AtomRef(ZR)),
-        ]
+            master.append((sz, zr))
+        master += [(ClassRef(f"{root}.i"),), (ClassRef(f"{root}.ii"),),
+                   (ClassRef(f"{root}.io"), sz, zr)]
         needed = [(root, "i"), (root, "ii"), (root, "io")]
-    eqs = [Equation(new_root, make_sum(master, table))]
-    eqs += _expand_equations(spec, needed, table, atoms, flip)
+    images = _Insertion(spec, {}, atoms, flip)
+    table = images.table
+    eqs = [Equation(new_root, make_sum(map(images.product, master), table))]
+    eqs += _expand_equations(images, needed)
     try:
         out = _close(eqs, new_root, table, prune=True)
     except TrackingError:

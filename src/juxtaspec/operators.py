@@ -59,10 +59,10 @@ from .expr import (
 from .spec import (
     Equation,
     Specification,
-    SZ_NAME,
+    _SZ_REF,
+    _atom_map,
     _close,
     _map_spec,
-    _renamer,
 )
 
 # The six insertion-operator tags.  Decorated symbols are rendered
@@ -99,10 +99,6 @@ _SEQ_RULE = {
 }
 
 
-def _sz() -> ClassRef:
-    return ClassRef(SZ_NAME)
-
-
 def apply_atom(op: str, kind: str) -> Expr:
     """Action of an insertion operator on a single atom.
 
@@ -120,12 +116,12 @@ def apply_atom(op: str, kind: str) -> Expr:
     if op == "i":
         return Product((AtomRef(ZR), tail))
     if op == "oo":
-        return Product((_sz(), tail))
+        return Product((_SZ_REF, tail))
     if op == "io":
-        return Product((AtomRef(Z), _sz(), tail))
+        return Product((AtomRef(Z), _SZ_REF, tail))
     if op == "oi":
-        return Product((_sz(), AtomRef(ZR), tail))
-    return Product((AtomRef(Z), _sz(), AtomRef(ZR), tail))  # ii
+        return Product((_SZ_REF, AtomRef(ZR), tail))
+    return Product((AtomRef(Z), _SZ_REF, AtomRef(ZR), tail))  # ii
 
 
 class _Insertion:
@@ -140,9 +136,9 @@ class _Insertion:
     ``table``.  The class references met are recorded in the ``needed`` set
     of the :meth:`apply` call that builds them, as (symbol, operator) pairs.
 
-    ``atoms`` and ``flip`` map every image as :func:`rewrite` would: atoms
-    renamed, products reversed.  That builds the image of a symmetric input
-    directly in the orientation of the original one.
+    ``atoms`` and ``flip`` build the image of a symmetric input directly in
+    the orientation of the original one: :meth:`product` maps each factor
+    list of leaves, and products of images are reversed if ``flip``.
 
     Whether a product head carries the rightmost marker is read from one
     evaluation of the specification's plan, made here.
@@ -160,8 +156,15 @@ class _Insertion:
         steps = spec._plan[0]
         flags = evaluate(steps, tracks_r)
         self.tracks_r = {id(node): flag for (node, _), flag in zip(steps, flags)}
-        self.table, self.leaf, self.flip = table, _renamer(atoms), flip
+        self.spec, self.table, self.leaf, self.flip = spec, table, _atom_map(atoms), flip
         self.images = {}
+
+    def product(self, leaves) -> Expr:
+        """The product of ``leaves``, atoms renamed and reversed if ``flip``,
+        built into the table: an atom's image or a master-equation term."""
+        table, leaf = self.table, self.leaf
+        factors = [table.setdefault(f, f) for f in map(leaf.get, leaves, leaves)]
+        return make_product(factors[::-1] if self.flip else factors, table)
 
     def apply(self, op: str, expr: Expr, needed: set) -> Expr:
         images = self.images
@@ -208,9 +211,7 @@ class _Insertion:
         kind = type(node)
         if kind is AtomRef:
             image = apply_atom(op, node.atom)  # a product of leaves, or a leaf
-            factors = image.factors if type(image) is Product else (image,)
-            factors = [table.setdefault(f, f) for f in map(self.leaf, factors)]
-            return make_product(factors[::-1] if self.flip else factors, table)
+            return self.product(image.factors if type(image) is Product else (image,))
         if kind is ClassRef:
             needed.add((node.name, op))
             ref = ClassRef(f"{node.name}.{op}")
@@ -227,17 +228,10 @@ class _Insertion:
         return make_sum(products, table)
 
 
-def _expand_equations(
-    spec: Specification,
-    needed: Sequence[Tuple[str, str]],
-    table: dict,
-    atoms: Mapping[str, str] = {},
-    flip: bool = False,
-) -> list:
+def _expand_equations(images: _Insertion, needed: Sequence[Tuple[str, str]]) -> list:
     """Equations for the transitive closure of the requested decorated
-    symbols, hash-consed into ``table`` and mapped by ``atoms`` and ``flip``
-    as in :class:`_Insertion`; some may define the empty class."""
-    images = _Insertion(spec, table, atoms, flip)
+    symbols of ``images.spec``, built by ``images`` into its table; some
+    may define the empty class."""
     queue = deque(needed)
     seen = set(needed)
     out = []
@@ -246,7 +240,7 @@ def _expand_equations(
         # images memoized by an earlier equation add no pair that is not
         # already seen, so the queue order matches a fresh expansion's
         discovered: set = set()
-        rhs = images.apply(tag, spec.rhs(base), discovered)
+        rhs = images.apply(tag, images.spec.rhs(base), discovered)
         out.append(Equation(f"{base}.{tag}", rhs))
         for pair in sorted(discovered):
             if pair not in seen:
@@ -269,9 +263,9 @@ def expand(spec: Specification, needed: Iterable) -> Specification:
             raise SpecError(f"unknown insertion operator {tag!r}")
     if not pairs:
         raise SpecError("expand requires at least one decorated symbol")
-    table = {}
-    eqs = _expand_equations(spec, pairs, table)
-    return _close(eqs, f"{pairs[0][0]}.{pairs[0][1]}", table, prune=True)
+    images = _Insertion(spec, {})
+    eqs = _expand_equations(images, pairs)
+    return _close(eqs, f"{pairs[0][0]}.{pairs[0][1]}", images.table, prune=True)
 
 
 def complement(spec: Specification) -> Specification:

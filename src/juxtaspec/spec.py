@@ -81,7 +81,7 @@ class Equation(NamedTuple):
 
 def sz_equation() -> Equation:
     """The reserved sequence-of-atoms symbol: SZ = E + SZ Z."""
-    return Equation(SZ_NAME, Sum((E_EXPR, Product((ClassRef(SZ_NAME), Z_EXPR)))))
+    return Equation(SZ_NAME, _sz_rhs({}))
 
 
 class Specification:
@@ -249,44 +249,42 @@ def _prune(eqs: list, root: str, table: dict) -> tuple:
     The empty symbols are a least fixpoint over the plan: a Sum is empty
     when all of its terms are, a Product when any factor is, a reference
     when its symbol is; Seq and atoms never are.  That is exactly when
-    canonical rebuilding turns a node into Zero, so the walk from the root
-    passes the empty steps.  Only when it drops a symbol are the kept
-    equations rebuilt, Zero for the empty symbols, in one :func:`_rebuilt`
-    of the plan, and their plan read again.
+    canonical rebuilding turns a node into Zero, so the walk from the root's
+    step, along the operands that the fixpoint reads, never enters an empty
+    step.  It keeps the symbols that the references it reaches name (two
+    may share one step).  Only when it drops a symbol are the kept equations
+    rebuilt, Zero for the empty symbols, in one :func:`_rebuilt` of the
+    plan, and their plan read again.
     """
     has_empty = any(type(eq.rhs) is ZeroExpr for eq in eqs)
     if has_empty:
         table.setdefault(ZERO, ZERO)  # the constructors return Zero without entering it
     steps, position = _table_plan(table, [eq.rhs for eq in eqs])
-    symbols = [(eq.lhs, position[id(eq.rhs)]) for eq in eqs]
+    at = {eq.lhs: position[id(eq.rhs)] for eq in eqs}
     visited = bytearray(len(steps))
     if has_empty:
-        empty, values = least_fixpoint(steps, symbols, _empty_pass, False)
+        empty, values = least_fixpoint(steps, at.items(), _empty_pass, False)
         if empty[root]:
             raise SpecError(f"expansion of {root} is the empty class")
-        visited = bytearray(values)  # the walk passes the empty steps
+        visited = bytearray(values)  # the empty steps are never entered
 
-    # one walk from the root, each step of the plan visited at most once
-    at_symbol = dict(symbols)
-    keep, stack = {root}, [at_symbol[root]]
+    # one walk from the root's step, each step of the plan entered at most once
+    operands, keep, stack = _operands(steps, at), {root}, [at[root]]
     while stack:
-        at = stack.pop()
-        if visited[at]:
+        i = stack.pop()
+        if visited[i]:
             continue
-        visited[at] = 1
-        node, kids = steps[at]
-        if isinstance(node, ClassRef) and node.name in at_symbol and node.name not in keep:
+        visited[i] = 1
+        node = steps[i][0]
+        if type(node) is ClassRef and node.name in at:
             keep.add(node.name)
-            stack.append(at_symbol[node.name])
-        stack.extend(kids)
+        stack.extend(operands[i])
     if len(keep) == len(eqs):
         return eqs, steps, position
     eqs = [eq for eq in eqs if eq.lhs in keep]
     if has_empty:
-        def leaf(node):
-            return ZERO if isinstance(node, ClassRef) and empty.get(node.name) else node
-
-        values = _rebuilt(steps, table, leaf)
+        zero = {ClassRef(name): ZERO for name, is_empty in empty.items() if is_empty}
+        values = _rebuilt(steps, table, zero)
         eqs = [Equation(eq.lhs, values[position[id(eq.rhs)]]) for eq in eqs]
     return (eqs, *_table_plan(table, [eq.rhs for eq in eqs]))
 
@@ -445,33 +443,20 @@ def classify(spec: Specification) -> Classification:
     return Classification(regular, not any(type(node) is Seq for node, _ in steps))
 
 
-def _renamer(atoms: Mapping[str, str], seq_z: Optional[Expr] = None,
-             names: Mapping[str, str] = {}):
-    """Leaf function for :func:`~juxtaspec.expr.rewrite`: atoms renamed by
-    ``atoms``, class references by ``names`` and, when ``seq_z`` is given,
-    SZ references replaced by it."""
-
-    def leaf(node):
-        if isinstance(node, AtomRef) and node.atom in atoms:
-            return AtomRef(atoms[node.atom])
-        if isinstance(node, ClassRef):
-            if seq_z is not None and node.name == SZ_NAME:
-                return seq_z
-            if node.name in names:
-                return ClassRef(names[node.name])
-        return node
-
-    return leaf
+def _atom_map(atoms: Mapping[str, str]) -> dict:
+    """The leaf map of :func:`_rebuilt` that renames atoms by ``atoms``."""
+    return {AtomRef(old): AtomRef(new) for old, new in atoms.items()}
 
 
-def _rebuilt(steps, table: dict, leaf, flip: bool = False) -> list:
+def _rebuilt(steps, table: dict, leaf: Mapping, flip: bool = False) -> list:
     """The value of every step of a canonical plan rebuilt through
-    :func:`~juxtaspec.expr._rebuilder`: leaves mapped by ``leaf``, products
-    reversed if ``flip``.  A compound node whose rebuilt children are its own
-    children is kept and entered in ``table`` as the canonical constructors
-    enter it, so no node that a map leaves alone is built again; a product
-    under ``flip`` is always rebuilt.  ``table`` holds the plan's leaves, so a
-    leaf mapped onto one of them finds it and the nodes over it are kept."""
+    :func:`~juxtaspec.expr._rebuilder`: leaves mapped by the dict ``leaf``,
+    products reversed if ``flip``.  A compound node whose rebuilt children
+    are its own children is kept and entered in ``table`` as the canonical
+    constructors enter it, so no node that a map leaves alone is built
+    again; a product under ``flip`` is always rebuilt.  ``table`` holds the
+    plan's leaves, so a leaf mapped onto one of them finds it and the nodes
+    over it are kept."""
     build, values, same = _rebuilder(table, leaf, flip), [], []  # same: value is node
     for node, kids in steps:
         if kids and not (flip and type(node) is Product) and all(map(same.__getitem__, kids)):
@@ -507,9 +492,10 @@ def _map_spec(spec: Specification, atoms: Mapping[str, str], flip: bool,
     plan read from the table of the map.
     """
     steps, roots = spec._plan
-    table = {node: node for node, kids in steps if not kids}
-    seq_z = make_seq(table.setdefault(Z_EXPR, Z_EXPR), table) if inline else None
-    values = _rebuilt(steps, table, _renamer(atoms, seq_z), flip)
+    table, leaf = {node: node for node, kids in steps if not kids}, _atom_map(atoms)
+    if inline:  # Seq(Z) is built into the table first, as the rebuild looks it up
+        leaf[_SZ_REF] = make_seq(table.setdefault(Z_EXPR, Z_EXPR), table)
+    values = _rebuilt(steps, table, leaf, flip)
     rhs = [values[at] for at in roots]
     if SZ_NAME in spec._by_name and not inline:
         sz_rhs = _sz_rhs(table)
@@ -583,7 +569,7 @@ def _merge_equivalent(spec: Specification) -> Specification:
 
     first = {}
     rename = {name: first.setdefault(block[canon[name]], name) for name in spec.symbols}
-    leaf = _renamer({}, names={old: new for old, new in rename.items() if old != new})
+    leaf = {ClassRef(old): ClassRef(new) for old, new in rename.items() if old != new}
     table = {node: node for node, kids in steps if not kids}
     values = _rebuilt(steps, table, leaf)
     eqs = [Equation(name, values[at[canon[name]]]) for name in first.values()]

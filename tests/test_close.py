@@ -14,9 +14,10 @@ from juxtaspec.builtins import builtin_names, builtin_spec
 from juxtaspec.dsl import parse_spec, render_expr
 from juxtaspec.expr import AtomRef, ClassRef, Product, SpecError, Sum, plan
 from juxtaspec.juxtapose import build_grid
-from juxtaspec.operators import INSERTION_TAGS, _expand_equations, expand
+from juxtaspec.operators import INSERTION_TAGS, _expand_equations, _Insertion, expand
 from juxtaspec.series import count_series
 from juxtaspec.spec import Equation, _close, make_spec
+from test_plan import _assert_plan_of_equations
 from helpers import (
     assert_closed,
     closed_outputs,
@@ -58,7 +59,7 @@ def test_build_is_shared_when_built(core, pattern):
 
 def _reference_expand(spec, pairs):
     root = f"{pairs[0][0]}.{pairs[0][1]}"
-    named = [(eq.lhs, eq.rhs) for eq in _expand_equations(spec, pairs, {})]
+    named = [(eq.lhs, eq.rhs) for eq in _expand_equations(_Insertion(spec, {}), pairs)]
     kept, rounds = eliminate_empty_symbols(named, root)
     if kept is None:
         return f"expansion of {root} is the empty class", rounds
@@ -94,7 +95,7 @@ def test_pruning_plans_the_pruned_system_once(monkeypatch):
     holds.  The pruned system's plan is exactly its equations' nodes."""
     spec = parse_spec("A = B ZR + Z ZR\nB = C C\nC = E\n")
     table = {}
-    eqs = _expand_equations(spec, [("A", "i")], table)
+    eqs = _expand_equations(_Insertion(spec, table), [("A", "i")])
     sizes = []
 
     def recording_plan(*args, **kwargs):
@@ -111,6 +112,21 @@ def test_pruning_plans_the_pruned_system_once(monkeypatch):
     want, position = plan([eq.rhs for eq in out.equations])
     assert {id(node) for node, _ in steps} == {id(node) for node, _ in want}
     assert all(steps[at][0] is eq.rhs for eq, at in zip(out.equations, roots))
+
+
+def test_pruning_keeps_the_named_one_of_two_symbols_sharing_a_step():
+    """A and B have one hash-consed right-hand side, so their images under
+    one operator are one step; pruning keeps only the symbols that a
+    reached reference names, whichever of them shares the root's step."""
+    spec = parse_spec("A = Z A + ZR\nB = Z A + ZR\n")
+    assert spec.rhs("A") is spec.rhs("B")
+    out = expand(spec, [("A", "o"), ("B", "o")])
+    assert out.symbols == ("A.o",)
+    _assert_plan_of_equations(out)
+    out = expand(spec, [("B", "i"), ("A", "i")])
+    assert out.symbols == ("B.i", "A.i", "A.o")
+    assert out.rhs("B.i") is out.rhs("A.i")
+    _assert_plan_of_equations(out)
 
 
 @pytest.mark.parametrize("text, pair, rounds", [

@@ -92,21 +92,13 @@ def test_canonicalize_idempotent_and_well_formed():
 
 def test_rewrite_replaces_refs_and_canonicalizes():
     e = Product((ClassRef("A"), Z_EXPR))
-
-    def to(replacement):
-        return lambda node: replacement if node == ClassRef("A") else node
-
-    assert rewrite([e, e], to(E_EXPR)) == [Z_EXPR, Z_EXPR]
-    assert rewrite([e], to(ZERO)) == [ZERO]
+    assert rewrite([e, e], {ClassRef("A"): E_EXPR}) == [Z_EXPR, Z_EXPR]
+    assert rewrite([e], {ClassRef("A"): ZERO}) == [ZERO]
 
 
 def test_rewrite_maps_atoms():
     e = Product((AtomRef("ZL"), AtomRef("ZLR"), Z_EXPR))
-    mapping = {"ZL": "Z", "ZLR": "ZR"}
-
-    def rename(node):
-        return AtomRef(mapping.get(node.atom, node.atom)) if isinstance(node, AtomRef) else node
-
+    rename = {AtomRef("ZL"): Z_EXPR, AtomRef("ZLR"): AtomRef("ZR")}
     assert rewrite([e], rename) == [Product((Z_EXPR, AtomRef("ZR"), Z_EXPR))]
 
 

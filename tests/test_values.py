@@ -119,6 +119,16 @@ def test_nodes_of_different_tables_are_equal_and_hash_equal():
     assert AtomRef(Z) != ClassRef(Z) and Sum((AtomRef(Z), ZERO)) != Product((AtomRef(Z), ZERO))
 
 
+def test_childless_compound_nodes_compare_by_type_and_arity():
+    """The raw constructors accept a Sum or Product with no children; two of
+    one type are equal and hash equal, and differ from the other type and
+    from a node with children."""
+    assert Sum(()) == Sum(()) and hash(Sum(())) == hash(Sum(()))
+    assert Product(()) == Product(()) and hash(Product(())) == hash(Product(()))
+    assert Sum(()) != Product(())
+    assert Sum(()) != Sum((AtomRef(Z),))
+
+
 def test_import_loads_neither_dataclasses_nor_inspect_nor_json():
     """A fresh interpreter that imports the package and builds every builtin
     has not loaded dataclasses, inspect or json; a JSON round trip loads json."""
