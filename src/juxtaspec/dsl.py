@@ -14,12 +14,15 @@ Juxtaposition of factors is the Cartesian product.  The names E, Z, ZL, ZR,
 ZLR and Seq are reserved; SZ is the reserved sequence-of-atoms class and is
 injected automatically when referenced.
 
-The JSON form is a tree of nodes with a ``kind`` field:
+The JSON form is made of nodes with a ``kind`` field:
 ``{"kind": "zero"}``, ``{"kind": "atom", "name": "Z"}``,
 ``{"kind": "ref", "name": "C"}``, ``{"kind": "sum", "terms": [...]}``,
-``{"kind": "product", "factors": [...]}``, ``{"kind": "seq", "arg": ...}``;
-a specification document is ``{"root": NAME, "equations": [{"lhs": NAME,
-"rhs": node}, ...]}``.
+``{"kind": "product", "factors": [...]}``, ``{"kind": "seq", "arg": ...}``.
+A specification document is ``{"root": NAME, "nodes": [node, ...],
+"equations": [{"lhs": NAME, "rhs": node}, ...]}``.  Wherever a node may
+stand, an integer k stands for ``nodes[k]``, an entry before it: the writer
+lists each distinct node once, after its children.  Without ``nodes``, a
+document nests its nodes as a tree.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .expr import (
     make_product,
     make_seq,
     make_sum,
+    postorder,
 )
 from .spec import NAME, RESERVED_NAMES, Equation, Specification, TrackingError, _close
 
@@ -294,10 +298,15 @@ def _field(obj: dict, name: str, what: str, array: bool = False):
     return value
 
 
-def expr_from_node(node: dict, table: dict) -> Expr:
+def expr_from_node(node, table: dict, nodes=()) -> Expr:
     """Read a JSON node through the canonical constructors, hash-consing into
     ``table``; one table passed to several calls makes equal subexpressions
-    of all their results one object."""
+    of all their results one object.  An integer k, wherever a node may
+    stand, is the expression ``nodes[k]`` already read."""
+    if type(node) is int:  # a bool is not an index
+        if not 0 <= node < len(nodes):
+            raise SpecError(f"node index {node} names no node read before it")
+        return nodes[node]
     if not isinstance(node, dict) or "kind" not in node:
         raise SpecError(f"malformed expression node: {node!r}")
     kind = node["kind"]
@@ -305,12 +314,12 @@ def expr_from_node(node: dict, table: dict) -> Expr:
         return ZERO
     if kind == "sum":
         terms = _field(node, "terms", "sum node", array=True)
-        return make_sum([expr_from_node(t, table) for t in terms], table)
+        return make_sum([expr_from_node(t, table, nodes) for t in terms], table)
     if kind == "product":
         factors = _field(node, "factors", "product node", array=True)
-        return make_product([expr_from_node(f, table) for f in factors], table)
+        return make_product([expr_from_node(f, table, nodes) for f in factors], table)
     if kind == "seq":
-        return make_seq(expr_from_node(_field(node, "arg", "seq node"), table), table)
+        return make_seq(expr_from_node(_field(node, "arg", "seq node"), table, nodes), table)
     if kind == "atom":
         leaf = AtomRef(_field(node, "name", "atom node"))
     elif kind == "ref":
@@ -324,24 +333,31 @@ def expr_from_node(node: dict, table: dict) -> Expr:
 
 
 def spec_to_dict(spec: Specification) -> dict:
-    # equal subexpressions share one (read-only) dict
+    """The JSON document of a specification: each distinct node once in
+    ``nodes``, children first in the order a walk of the equations meets
+    them, so equal specifications give equal documents."""
     steps, roots = spec._plan
-    nodes = evaluate(steps, _json_node)
+    order, _ = postorder([kids for _, kids in steps], roots)
+    index = {at: i for i, at in enumerate(order)}
     return {
         "root": spec.root,
-        "equations": [{"lhs": eq.lhs, "rhs": nodes[at]} for eq, at in zip(spec.equations, roots)],
+        "nodes": [_json_node(steps[at][0], [index[k] for k in steps[at][1]]) for at in order],
+        "equations": [{"lhs": eq.lhs, "rhs": index[at]} for eq, at in zip(spec.equations, roots)],
     }
 
 
 def spec_from_dict(doc: dict) -> Specification:
     what = "specification document"
-    table, equations = {}, []
+    table, nodes, equations = {}, [], []
     try:
-        for i, eq in enumerate(_field(_object(doc, what), "equations", what, array=True), 1):
+        doc = _object(doc, what)
+        for node in _field(doc, "nodes", what, array=True) if "nodes" in doc else ():
+            nodes.append(expr_from_node(node, table, nodes))
+        for i, eq in enumerate(_field(doc, "equations", what, array=True), 1):
             part = f"equation {i}"
             eq = _object(eq, part)
             lhs = _field(eq, "lhs", part)
-            equations.append(Equation(lhs, expr_from_node(_field(eq, "rhs", part), table)))
+            equations.append(Equation(lhs, expr_from_node(_field(eq, "rhs", part), table, nodes)))
     except RecursionError:
         raise SpecError("specification document nested too deeply") from None
     root = _field(doc, "root", what)
@@ -355,14 +371,11 @@ def spec_from_dict(doc: dict) -> Specification:
 
 
 def spec_to_json(spec: Specification) -> str:
-    """Compact JSON, on one line: indenting would multiply the size of a
-    deeply nested system by its depth."""
+    """Compact JSON of :func:`spec_to_dict`, on one line; its size follows
+    the specification's plan, however deep the nesting."""
     import json
 
-    try:
-        return json.dumps(spec_to_dict(spec))
-    except RecursionError:
-        raise SpecError("specification nested too deeply for JSON") from None
+    return json.dumps(spec_to_dict(spec))
 
 
 def spec_from_json(text: str) -> Specification:

@@ -461,16 +461,15 @@ def make_seq(arg, table: dict) -> Expr:
     return _hash_consed(Seq, arg, table)
 
 
-def rewrite(exprs, leaf: Mapping = {}, flip: bool = False, table=None) -> list:
+def rewrite(exprs, leaf: Mapping = {}, table=None) -> list:
     """Rebuild expressions bottom-up through the canonical constructors.
 
     ``leaf`` maps an atom or class reference to its canonical replacement
-    (a leaf it does not name stays); ``flip`` reverses every product.  The
-    results are hash-consed together in ``table`` (a fresh one by default):
-    equal subexpressions of all of them, and of anything else built through
-    the same table, are one object.
+    (a leaf it does not name stays).  The results are hash-consed together
+    in ``table`` (a fresh one by default): equal subexpressions of all of
+    them, and of anything else built through the same table, are one object.
     """
-    return fold(exprs, _rebuilder({} if table is None else table, leaf, flip))
+    return fold(exprs, _rebuilder({} if table is None else table, leaf))
 
 
 def _rebuilder(table: dict, leaf: Mapping = {}, flip: bool = False):

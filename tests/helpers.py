@@ -10,8 +10,9 @@ for equivalent symbols, a reference DSL reader that tokenizes into
 (kind, text, column) tuples and parses through peek/take calls, the
 oracle's generating tree walked one member at a time, the insertion
 operators read on permutations, the closing and counting passes as one
-callback call per plan step, and a series counter that convolves every
-product and every Seq.
+callback call per plan step, a series counter that convolves every
+product and every Seq, and the nested JSON form that the writer gave
+before it listed each node once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import re
 import sys
 from pathlib import Path
 
-from juxtaspec.dsl import ParseError
+from juxtaspec.dsl import ParseError, _json_node
 from juxtaspec.expr import (
     ATOM_KINDS,
     AtomRef,
@@ -830,6 +831,42 @@ def reference_parse_spec(text):
         return _close(equations, equations[0].lhs, table)
     except TrackingError as exc:
         raise TrackingError(exc.problem, exc.symbol, exc.term, lines.get(exc.symbol)) from None
+
+
+# ---------------------------------------------------------------------------
+# the nested JSON form
+
+
+def nested_spec_dict(spec):
+    """The JSON document of ``spec`` as a tree without ``nodes``: each
+    shared node written out at every use, as the JSON writer did before it
+    listed each node once; the reader still takes this form."""
+    steps, roots = spec._plan
+    nodes = _reference_evaluate(steps, _json_node)
+    return {
+        "root": spec.root,
+        "equations": [{"lhs": eq.lhs, "rhs": nodes[at]} for eq, at in zip(spec.equations, roots)],
+    }
+
+
+@functools.cache
+def builtin_variants():
+    """Each builtin, its complement and its reverse, and the ``inc|core|inc``
+    and ``dec|core|inc|dec`` grids of av321 and monotone (the other two
+    builtins track neither end of their root, so the grid builder refuses
+    them)."""
+    from juxtaspec.builtins import builtin_names, builtin_spec
+    from juxtaspec.juxtapose import build_grid
+    from juxtaspec.operators import complement, reverse
+
+    specs = []
+    for name in builtin_names():
+        core = builtin_spec(name)
+        specs += [core, complement(core), reverse(core)]
+    for name in ("av321", "monotone"):
+        for pattern in ("inc|core|inc", "dec|core|inc|dec"):
+            specs.append(build_grid(builtin_spec(name), pattern))
+    return tuple(specs)
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,17 @@ def test_deeply_nested_json_rejected(tmp_path, capsys):
     assert err.startswith("error: ") and "nested too deeply" in err
 
 
+def test_json_forward_node_index_rejected(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "root": "A",
+        "nodes": [{"kind": "seq", "arg": 1}, {"kind": "atom", "name": "Z"}],
+        "equations": [{"lhs": "A", "rhs": 0}],
+    }))
+    code, out, err = run(capsys, "enumerate", "--spec", str(path))
+    assert (code, out, err) == (2, "", "error: node index 1 names no node read before it\n")
+
+
 @pytest.mark.parametrize("where", ["missing/out.txt", "."])
 def test_out_that_cannot_be_written_rejected(tmp_path, capsys, where):
     """A missing directory or a directory as --out is a usage error."""
@@ -330,17 +341,24 @@ def test_out_that_cannot_be_written_rejected(tmp_path, capsys, where):
     assert err.startswith(f"error: cannot write {out}: ")
 
 
-def test_json_out_of_a_system_too_deep_for_json_rejected(monkeypatch, tmp_path, capsys):
+def test_json_out_of_a_deeply_nested_system_reads_back(monkeypatch, tmp_path, capsys):
+    """JSON lists each node once and refers to it by index, so a system of
+    any depth is written, and read back by ``--spec``."""
     import juxtaspec.cli as cli
+    from juxtaspec.operators import complement
 
-    deep = make_spec([Equation("A", deep_expr(3000))])
-    monkeypatch.setattr(cli, "_load_spec", lambda args: deep)
-    out = tmp_path / "deep.json"
-    code, stdout, err = run(capsys, "complement", "--builtin", "av321", "--out", str(out))
-    assert code == 2
-    assert stdout == ""
-    assert err == "error: specification nested too deeply for JSON\n"
-    assert not out.exists()
+    for depth in (3000, 5000):
+        deep = make_spec([Equation("A", deep_expr(depth))])
+        out = tmp_path / "deep.json"
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_load_spec", lambda args: deep)
+            code, stdout, err = run(capsys, "complement", "--builtin", "av321", "--out", str(out))
+        assert (code, stdout, err) == (0, "", "")
+        flipped = complement(deep)
+        assert spec_from_json(out.read_text()) == flipped
+        code, stdout, err = run(capsys, "enumerate", "--spec", str(out), "--terms", "6")
+        assert (code, err) == (0, "")
+        assert stdout.strip() == format_series(count_series(flipped, 6))
 
 
 @pytest.mark.parametrize("root", ([1], {"a": 1}, 5, None))

@@ -19,7 +19,14 @@ from juxtaspec.expr import AtomRef, ClassRef, Product, Seq, SpecError, Sum, Z_EX
 from juxtaspec.juxtapose import build_grid, juxtapose
 from juxtaspec.spec import SZ_NAME, _close as close, inline_seq
 from juxtaspec.series import count_series
-from helpers import library_specs, random_markerless_spec, reference_parse_spec, tree_walk
+from helpers import (
+    builtin_variants,
+    library_specs,
+    nested_spec_dict,
+    random_markerless_spec,
+    reference_parse_spec,
+    tree_walk,
+)
 
 
 def test_parse_basic():
@@ -178,13 +185,41 @@ def test_json_of_a_deeply_nested_system_stays_in_proportion():
 
 def test_json_node_kinds_fixed():
     doc = spec_to_dict(parse_spec("A = E + Z Seq(Z)\n"))
-    rhs = doc["equations"][0]["rhs"]
+    nodes = doc["nodes"]
+    rhs = nodes[doc["equations"][0]["rhs"]]
     assert rhs["kind"] == "sum"
-    product = rhs["terms"][1]
+    product = nodes[rhs["terms"][1]]
     assert product["kind"] == "product"
-    assert product["factors"][0] == {"kind": "atom", "name": "Z"}
-    assert product["factors"][1]["kind"] == "seq"
-    assert product["factors"][1]["arg"] == {"kind": "atom", "name": "Z"}
+    assert nodes[product["factors"][0]] == {"kind": "atom", "name": "Z"}
+    assert nodes[product["factors"][1]]["kind"] == "seq"
+    assert nodes[nodes[product["factors"][1]]["arg"]] == {"kind": "atom", "name": "Z"}
+
+
+def test_nested_documents_read_as_the_indexed_ones():
+    """The tree form without ``nodes``, which the writer gave before it listed
+    each node once, reads back to the specification it was written from."""
+    for spec in builtin_variants():
+        nested = nested_spec_dict(spec)
+        assert spec_from_dict(nested) == spec == spec_from_json(spec_to_json(spec))
+        assert spec_from_json(json.dumps(nested)) == spec
+
+
+def test_json_size_follows_the_plan():
+    """JSON spends a bounded number of characters on each plan step, child
+    reference and equation, besides the names it spells out."""
+    for spec in (*library_specs(), *builtin_variants()):
+        steps = spec._plan[0]
+        units = len(steps) + sum(len(kids) for _, kids in steps) + len(spec.equations)
+        leaves = [node.name if type(node) is ClassRef else node.atom for node, kids in steps if not kids]
+        names = sum(map(len, [spec.root, *(eq.lhs for eq in spec.equations), *leaves]))
+        assert len(spec_to_json(spec)) <= 27 * units + names
+
+
+def test_json_of_a_five_cell_grid_lists_each_node_once():
+    grid = build_grid(builtin_spec("monotone"), "inc|dec|core|inc|dec")
+    written = spec_to_json(grid)
+    assert len(written) < 200_000  # 21,028,156 with each shared node written at every use
+    assert spec_from_json(written) == grid
 
 
 def test_json_zero_node_accepted_and_absorbed():

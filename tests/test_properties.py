@@ -17,7 +17,13 @@ import juxtaspec.series as series_module  # noqa: E402
 import juxtaspec.spec as spec_module  # noqa: E402
 from juxtaspec.builtins import builtin_names, builtin_spec, builtin_text  # noqa: E402
 from juxtaspec.cli import main as cli_main  # noqa: E402
-from juxtaspec.dsl import parse_spec, render_spec, spec_from_dict, spec_to_json  # noqa: E402
+from juxtaspec.dsl import (  # noqa: E402
+    parse_spec,
+    render_spec,
+    spec_from_dict,
+    spec_to_dict,
+    spec_to_json,
+)
 from juxtaspec.expr import (  # noqa: E402
     L_ATOMS,
     R_ATOMS,
@@ -291,6 +297,35 @@ def test_json_reader_refuses_malformed_documents_by_spec_error(value):
             spec_from_dict(doc)
         except SpecError:
             pass
+
+
+# node indices as a document may hold them: negative, at or past the entry
+# that holds them, past the end, booleans and floats
+_indices = st.integers(-2, 7) | st.booleans() | st.floats()
+_indexed_entries = st.one_of(
+    _indices,
+    st.builds(lambda name: {"kind": "atom", "name": name}, st.sampled_from(["E", "Z", "ZR"])),
+    st.builds(lambda name: {"kind": "ref", "name": name}, st.sampled_from(["A", "B"])),
+    st.builds(lambda arg: {"kind": "seq", "arg": arg}, _indices),
+    st.builds(lambda kids: {"kind": "sum", "terms": kids}, st.lists(_indices, max_size=3)),
+    st.builds(lambda kids: {"kind": "product", "factors": kids}, st.lists(_indices, max_size=3)),
+)
+
+
+@given(
+    st.lists(_indexed_entries, max_size=6) | _json_values,
+    st.lists(st.tuples(st.sampled_from(["A", "B"]), _indexed_entries), min_size=1, max_size=3),
+)
+def test_json_reader_refuses_malformed_indexed_documents_by_spec_error(nodes, equations):
+    """A document whose ``nodes``, or whose nodes' children, are indices of
+    any kind is read or refused with a SpecError, never another exception;
+    what is read writes and reads back equal."""
+    doc = {"root": "A", "nodes": nodes, "equations": [{"lhs": a, "rhs": r} for a, r in equations]}
+    try:
+        spec = spec_from_dict(doc)
+    except SpecError:
+        return
+    assert spec_from_dict(spec_to_dict(spec)) == spec
 
 
 @functools.cache

@@ -5,7 +5,14 @@ functions around it."""
 import pytest
 
 from juxtaspec.builtins import builtin_spec
-from juxtaspec.dsl import expr_from_node, parse_spec, render_expr, spec_from_dict, spec_to_json
+from juxtaspec.dsl import (
+    expr_from_node,
+    parse_spec,
+    render_expr,
+    spec_from_dict,
+    spec_from_json,
+    spec_to_json,
+)
 from juxtaspec.expr import ZERO, Z_EXPR, AtomRef, ClassRef, Product, Seq, SpecError, Sum
 from juxtaspec.juxtapose import parse_grid_pattern
 from juxtaspec.operators import apply_atom, expand
@@ -14,7 +21,8 @@ from juxtaspec.series import ProductivityReport, compare_series
 from juxtaspec.spec import Equation, make_spec
 from helpers import deep_expr
 
-_A_IS_Z = {"lhs": "A", "rhs": {"kind": "atom", "name": "Z"}}
+_Z = {"kind": "atom", "name": "Z"}
+_A_IS_Z = {"lhs": "A", "rhs": _Z}
 
 
 _ZR = AtomRef("ZR")
@@ -47,8 +55,13 @@ def _nested(depth):
     (lambda: expr_from_node({"kind": "ref", "name": ""}, {}),
      "malformed ref node: {'kind': 'ref', 'name': ''}"),
     (lambda: spec_from_dict(_nested(3000)), "specification document nested too deeply"),
-    (lambda: spec_to_json(make_spec([Equation("A", deep_expr(3000))])),
-     "specification nested too deeply for JSON"),
+    # an index names a node listed before it, and a boolean is no index
+    (lambda: spec_from_dict({**_doc(0), "nodes": [{"kind": "product", "factors": [1, 1]}, _Z]}),
+     "node index 1 names no node read before it"),
+    (lambda: spec_from_dict(_doc(-1)), "node index -1 names no node read before it"),
+    (lambda: spec_from_dict({**_doc(True), "nodes": [_Z]}), "malformed expression node: True"),
+    (lambda: spec_from_dict({"root": "A", "nodes": 5, "equations": [_A_IS_Z]}),
+     "malformed specification document: field 'nodes' must be an array, found number"),
     # each part of a JSON document is refused by its name and its field
     (lambda: spec_from_dict([]),
      "malformed specification document: expected an object, found array"),
@@ -92,6 +105,12 @@ def test_specification_refusals(build, text):
     with pytest.raises(SpecError) as info:
         build()
     assert str(info.value) == text
+
+
+def test_json_of_a_deeply_nested_system_reads_back():
+    """JSON lists each node once, so no depth is refused on writing."""
+    spec = make_spec([Equation("A", deep_expr(3000))])
+    assert spec_from_json(spec_to_json(spec)) == spec
 
 
 @pytest.mark.parametrize("call, text", [
