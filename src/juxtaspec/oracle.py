@@ -8,21 +8,23 @@ n on a generating tree, deciding each child by one greedy cut.  Members that
 share their open block and open cell share their subtree, so it counts each
 level by distinct state: its cost follows the states, not the members.  A
 basis cell decides a grown block from its one-point deletions, which are
-members with memoized verdicts, so no pattern search runs there.
-``count_class`` is the count of one size.  The tests check both against
-exhaustive ``juxt_membership`` counting and a per-member walk.  Sizes are
-capped at MAX_LENGTH; the largest class the tests and the benchmark use,
-separable|inc, takes about 0.1 s at n = 9 (Python 3.11, one core).
+members with memoized verdicts, so no pattern search runs there.  Open
+blocks are byte strings, so each shift, deletion and re-ranking of a block
+is one ``bytes.translate``.  ``count_class`` is the count of one size.  The
+tests check both against exhaustive ``juxt_membership`` counting and a
+per-member walk.  Sizes are capped at MAX_LENGTH; the largest class the
+tests and the benchmark use, separable|inc, takes about 0.1 s at n = 10 and
+3.4 s with 154 MB peak RSS at n = 12 (Python 3.11, one core).
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement, permutations
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 Perm = Tuple[int, ...]
 
-MAX_LENGTH = 10
+MAX_LENGTH = 12
 
 INC = "inc"
 DEC = "dec"
@@ -139,20 +141,31 @@ def juxt_membership(perm: Sequence[int], cells: Sequence[Cell]) -> bool:
     return False
 
 
-def _extension_test(cell: Cell) -> Callable[[Perm], int]:
+# Open blocks are byte strings: a block's entries are its bytes, so every
+# relabeling is one bytes.translate through a table.  _UP[lo] moves each
+# value at or above lo up by one, _DOWN[a] each value above a down by one,
+# and _BYTE[v] is the one-entry block v.
+_ALL = bytes(range(256))
+_UP = [_ALL[:lo] + _ALL[lo + 1 :] + b"\xff" for lo in range(MAX_LENGTH + 2)]
+_DOWN = [_ALL[: a + 1] + _ALL[a:-1] for a in range(MAX_LENGTH + 2)]
+_BYTE = [_ALL[v : v + 1] for v in range(MAX_LENGTH + 2)]
+
+
+def _extension_test(cell: Cell) -> Callable[[bytes], int]:
     """Verdicts of a cell on its block extended by one entry, by the entry's rank.
 
-    The test takes a block the cell accepts and returns a bit mask whose bit r
-    (r = 0..len(block)) is set when the cell accepts the block followed by an
-    entry with r entries of the block below it.  An increasing block takes
-    only an entry above its last one, a decreasing block only one below.  A
-    basis cell needs no pattern search: the block avoids the basis, so an
-    occurrence in the grown block uses the new entry and either is the whole
-    grown block or misses an old entry a.  The grown block is accepted
-    exactly when it is not a basis pattern and, for every old entry a, the
-    block without a (a member, as the cell is closed under deletion) accepts
-    the new entry at its rank there, r - (a <= r).  Verdicts are memoized on
-    the standardized block for the life of the test.
+    The test takes a block the cell accepts, as a byte string of distinct
+    values, and returns a bit mask whose bit r (r = 0..len(block)) is set
+    when the cell accepts the block followed by an entry with r entries of
+    the block below it.  An increasing block takes only an entry above its
+    last one, a decreasing block only one below.  A basis cell needs no
+    pattern search: the block avoids the basis, so an occurrence in the
+    grown block uses the new entry and either is the whole grown block or
+    misses an old entry a.  The grown block is accepted exactly when it is
+    not a basis pattern and, for every old entry a, the block without a (a
+    member, as the cell is closed under deletion) accepts the new entry at
+    its rank there, r - (a <= r).  Verdicts are memoized on the
+    standardized block for the life of the test.
     """
     if cell == INC:
         return lambda block: 1 << len(block)
@@ -160,31 +173,37 @@ def _extension_test(cell: Cell) -> Callable[[Perm], int]:
         return lambda block: 1
     if not isinstance(cell, Basis):
         raise ValueError(f"unknown cell {cell!r}")
-    patterns = set(cell.patterns)
+    # a pattern longer than MAX_LENGTH never occurs in a block
+    patterns = {bytes(p) for p in cell.patterns if len(p) <= MAX_LENGTH}
     lengths = {len(p) for p in patterns}
-    memo: Dict[Perm, int] = {}
+    memo: Dict[bytes, int] = {}
 
-    def verdicts(std: Perm) -> int:
+    def verdicts(std: bytes) -> int:
         found = memo.get(std)
         if found is None:
             m = len(std)
             found = (1 << (m + 1)) - 1
             if m + 1 in lengths:
                 for r in range(m + 1):
-                    if tuple(x + (x > r) for x in std) + (r + 1,) in patterns:
+                    if std.translate(_UP[r + 1]) + _BYTE[r + 1] in patterns:
                         found &= ~(1 << r)
             for i, a in enumerate(std):
                 if not found:
                     break
-                rest = verdicts(tuple(x - (x > a) for x in std[:i] + std[i + 1 :]))
+                less = (std[:i] + std[i + 1 :]).translate(_DOWN[a])
+                rest = memo.get(less)
+                if rest is None:
+                    rest = verdicts(less)
                 # bit r of the grown block is bit r - (a <= r) of rest
                 found &= (rest & ((1 << a) - 1)) | (rest >> (a - 1) << a)
             memo[std] = found
         return found
 
-    def test(block: Perm) -> int:
-        rank = {x: i for i, x in enumerate(sorted(block), 1)}
-        return verdicts(tuple(rank[x] for x in block))
+    def test(block: bytes) -> int:
+        m = len(block)
+        if m and max(block) != m:  # not yet a permutation of 1..m: rank it
+            block = block.translate(bytes.maketrans(bytes(sorted(block)), _ALL[1 : m + 1]))
+        return verdicts(block)
 
     return test
 
@@ -203,8 +222,12 @@ def class_counts(cells: Sequence[Cell], max_len: int) -> List[int]:
     opens the next cell that accepts a one-entry block.  A node is therefore
     (open block, open cell), and its subtree depends only on that state and
     its depth, so each level maps each distinct state to its number of
-    members and grows it once.  The last level is counted without being
-    built, by the rank of the new entry among the open block.
+    members and grows it once.  A new entry of rank r takes a value v in
+    lo..hi, the gap between the block's r-th and (r + 1)-th smallest values;
+    no block value lies in [lo, hi), so every such v moves the same entries
+    up and the shifted block is built once per gap.  The last level is
+    counted without being built, by the rank of the new entry among the open
+    block.
     """
     if max_len > MAX_LENGTH:
         raise ValueError(f"size {max_len} exceeds the configured maximum {MAX_LENGTH}")
@@ -220,35 +243,47 @@ def class_counts(cells: Sequence[Cell], max_len: int) -> List[int]:
     # the first cell at or after j that accepts a one-entry block, k if none
     opens = [k] * (k + 1)
     for j in reversed(range(k)):
-        opens[j] = j if tests[j](()) & 1 else opens[j + 1]
-
-    def ranks(block: Perm, j: int, m: int) -> Iterator[Tuple[int, int, int]]:
-        # For each rank of the new entry: its values lo..hi among 1..m + 1 and
-        # the cell that holds it (k: the child is no member).
-        verdicts = tests[j](block)
-        lo = 1
-        for r, hi in enumerate(sorted(block) + [m + 1]):
-            yield lo, hi, j if verdicts >> r & 1 else opens[j + 1]
-            lo = hi + 1
+        opens[j] = j if tests[j](b"") & 1 else opens[j + 1]
 
     counts = [1]
-    level: Dict[Tuple[Perm, int], int] = {((), 0): 1}  # members of length m by state
+    # members of length m by state: level[j] maps each open block of cell j
+    # to its number of members
+    level: List[Dict[bytes, int]] = [{b"": 1}] + [{} for _ in range(k - 1)]
     for m in range(max_len - 1):
-        grown: Dict[Tuple[Perm, int], int] = {}
-        for (block, j), mult in level.items():
-            for lo, hi, cell in ranks(block, j, m):
-                if cell < k:
-                    for v in range(lo, hi + 1):
-                        kept = tuple(x + (x >= v) for x in block) if cell == j else ()
-                        state = (kept + (v,), cell)
-                        grown[state] = grown.get(state, 0) + mult
-        counts.append(sum(grown.values()))
+        grown: List[Dict[bytes, int]] = [{} for _ in range(k)]
+        for j, blocks in enumerate(level):
+            # the cell a new entry opens when j does not take it (None: no member)
+            other = grown[opens[j + 1]] if opens[j + 1] < k else None
+            test, same = tests[j], grown[j]
+            for block, mult in blocks.items():
+                verdicts = test(block)
+                lo = 1
+                for r, hi in enumerate(sorted(block) + [m + 1]):
+                    # the new entry takes a value in lo..hi
+                    if verdicts >> r & 1:
+                        kept = block.translate(_UP[lo])
+                        for v in range(lo, hi + 1):
+                            child = kept + _BYTE[v]
+                            same[child] = same.get(child, 0) + mult
+                    elif other is not None:
+                        for v in range(lo, hi + 1):
+                            child = _BYTE[v]
+                            other[child] = other.get(child, 0) + mult
+                    lo = hi + 1
         level = grown
+        counts.append(sum(sum(blocks.values()) for blocks in level))
     last = 0  # the children of the last level, counted without being built
-    for (block, j), mult in level.items():
-        # with a later cell to open, every child is a member: no verdicts needed
-        spans = [(1, max_len, j)] if opens[j + 1] < k else ranks(block, j, max_len - 1)
-        last += mult * sum(hi - lo + 1 for lo, hi, cell in spans if cell < k)
+    for j, blocks in enumerate(level):
+        if opens[j + 1] < k:  # a later cell to open: every child is a member
+            last += max_len * sum(blocks.values())
+            continue
+        for block, mult in blocks.items():
+            verdicts = tests[j](block)
+            lo = 1
+            for r, hi in enumerate(sorted(block) + [max_len]):
+                if verdicts >> r & 1:
+                    last += mult * (hi - lo + 1)
+                lo = hi + 1
     return counts + [last]
 
 

@@ -554,15 +554,15 @@ def tree_walk(exprs):
 def reference_class_counts(cells, max_len):
     """What oracle.class_counts returns, by a depth-first walk that visits
     every member of each length up to max_len as its own node (open block,
-    open cell, length); no two members are merged.  Only the cells' one-entry
-    extension tests are shared with the library."""
-    from juxtaspec.oracle import _extension_test
+    open cell, length); no two members are merged.  Each child's open block
+    is decided by the naive avoids_cell, so nothing of the counter's
+    verdicts is shared."""
+    from juxtaspec.oracle import avoids_cell
 
     k = len(cells)
-    tests = [_extension_test(cell) for cell in cells]
     opens = [k] * (k + 1)  # the first cell at or after j that takes one entry
     for j in reversed(range(k)):
-        opens[j] = j if tests[j](()) & 1 else opens[j + 1]
+        opens[j] = j if avoids_cell((1,), cells[j]) else opens[j + 1]
     counts = [0] * (max_len + 1)
     stack = [((), 0, 0)]
     while stack:
@@ -570,15 +570,16 @@ def reference_class_counts(cells, max_len):
         counts[m] += 1
         if m == max_len:
             continue
-        verdicts = tests[j](block)
         for v in range(1, m + 2):
-            cell = j if verdicts >> sum(x < v for x in block) & 1 else opens[j + 1]
+            kept = tuple(x + (x >= v) for x in block)
+            cell = j
+            if not avoids_cell(kept + (v,), cells[j]):
+                cell, kept = opens[j + 1], ()
             if cell == k:
                 continue
             if m + 1 == max_len:
                 counts[max_len] += 1  # a leaf: counted, not visited
             else:
-                kept = tuple(x + (x >= v) for x in block) if cell == j else ()
                 stack.append((kept + (v,), cell, m + 1))
     return counts
 

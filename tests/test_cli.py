@@ -8,6 +8,7 @@ from juxtaspec.builtins import builtin_spec
 from juxtaspec.cli import MAX_TERMS, main
 from juxtaspec.dsl import parse_spec, render_spec, spec_from_json
 from juxtaspec.juxtapose import build_grid, juxtapose
+from juxtaspec.oracle import MAX_LENGTH
 from juxtaspec.series import count_series, format_series
 from juxtaspec.spec import Equation, make_spec
 from helpers import deep_expr
@@ -227,9 +228,10 @@ def test_verify_detects_corruption(tmp_path, capsys):
 
 def test_verify_size_limit(capsys):
     code, _, err = run(
-        capsys, "verify", "--builtin", "monotone", "--cells", "inc", "--max-len", "12"
+        capsys, "verify", "--builtin", "monotone", "--cells", "inc", "--max-len", str(MAX_LENGTH + 1)
     )
     assert code == 2
+    assert err == f"error: --max-len may be at most {MAX_LENGTH}\n"
 
 
 def test_verify_bad_cells(capsys):

@@ -68,6 +68,12 @@ def test_count_class_frozen_values():
     assert count_class([B321], 5) == 42
 
 
+def test_basis_pattern_longer_than_any_block():
+    # a pattern that no block of a counted size can hold is never met
+    longest = Basis((tuple(range(300, 0, -1)),))
+    assert class_counts([longest], 5) == [1, 1, 2, 6, 24, 120]
+
+
 def test_count_class_small_sizes():
     assert count_class([B321, INC], 0) == 1
     assert count_class([B321, INC], 1) == 1
@@ -133,8 +139,8 @@ def test_count_class_rejects_negative_size():
 
 
 def test_count_class_size_limit():
-    with pytest.raises(ValueError, match="maximum"):
-        count_class([B321], 11)
+    # two increasing runs: 2^n - n permutations of length n >= 1
+    assert class_counts([INC, INC], MAX_LENGTH) == [1] + [2**n - n for n in range(1, MAX_LENGTH + 1)]
     with pytest.raises(ValueError) as info:
         count_class([B321], MAX_LENGTH + 1)
     assert str(info.value) == f"size {MAX_LENGTH + 1} exceeds the configured maximum {MAX_LENGTH}"

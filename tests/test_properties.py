@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st  #
 
 import juxtaspec.series as series_module  # noqa: E402
 import juxtaspec.spec as spec_module  # noqa: E402
-from juxtaspec.builtins import builtin_names, builtin_spec, builtin_text  # noqa: E402
+from juxtaspec.builtins import BUILTIN_BASES, builtin_names, builtin_spec, builtin_text  # noqa: E402
 from juxtaspec.cli import main as cli_main  # noqa: E402
 from juxtaspec.dsl import (  # noqa: E402
     parse_spec,
@@ -394,6 +394,21 @@ def test_count_class_property_on_random_rows(row, n):
     ]
     assert class_counts(row, n) == members
     assert count_class(row, n) == members[n]
+
+
+@given(st.sampled_from(builtin_names()), st.lists(st.sampled_from((INC, DEC)), max_size=3), st.data())
+def test_grid_counts_match_the_oracle(name, others, data):
+    """A one-row grid of up to four cells around a builtin core counts what
+    the oracle counts on the same row of cells, at every size up to 8."""
+    position = data.draw(st.integers(0, len(others)))
+    core = builtin_spec(name)
+    kind = core.root_tracking()
+    # build_grid refuses a core that does not track the side its cells lie on
+    assume(kind.has_l or position == 0)
+    assume(kind.has_r or position == len(others))
+    pattern = others[:position] + ["core"] + others[position:]
+    cells = others[:position] + [BUILTIN_BASES[name]] + others[position:]
+    assert count_series(build_grid(core, pattern), 8) == class_counts(cells, 8), pattern
 
 
 # The CLI's own vocabulary.  No junk word is a prefix of --spec or --out,

@@ -16,7 +16,7 @@ from juxtaspec.dsl import (
 from juxtaspec.expr import ZERO, Z_EXPR, AtomRef, ClassRef, Product, Seq, SpecError, Sum
 from juxtaspec.juxtapose import parse_grid_pattern
 from juxtaspec.operators import apply_atom, expand
-from juxtaspec.oracle import Basis, avoids_cell, class_counts, greedy_unique
+from juxtaspec.oracle import MAX_LENGTH, Basis, avoids_cell, class_counts, greedy_unique
 from juxtaspec.series import ProductivityReport, compare_series
 from juxtaspec.spec import Equation, make_spec
 from helpers import deep_expr
@@ -130,8 +130,8 @@ def test_operation_refusals(call, text):
 @pytest.mark.parametrize("call, error, text", [
     (lambda: builtin_spec("nope"), KeyError,
      "unknown builtin 'nope' (known: av312, av321, monotone, separable)"),
-    (lambda: greedy_unique([Basis(((2, 1),)), "inc"], 11), ValueError,
-     "size 11 exceeds the configured maximum 10"),
+    (lambda: greedy_unique([Basis(((2, 1),)), "inc"], MAX_LENGTH + 1), ValueError,
+     f"size {MAX_LENGTH + 1} exceeds the configured maximum {MAX_LENGTH}"),
     (lambda: avoids_cell((1,), "bogus"), ValueError, "unknown cell 'bogus'"),
     (lambda: class_counts(["inc", "bogus"], 3), ValueError, "unknown cell 'bogus'"),
 ])
