@@ -39,6 +39,7 @@ from .expr import (
     SpecError,
     Sum,
     ZERO,
+    Table,
     ZeroExpr,
     evaluate,
     fold,
@@ -47,7 +48,7 @@ from .expr import (
     make_sum,
     postorder,
 )
-from .spec import NAME, RESERVED_NAMES, Equation, Specification, TrackingError, _close
+from .spec import NAME, RESERVED_NAMES, Specification, TrackingError, _close
 
 
 class ParseError(SpecError):
@@ -86,10 +87,10 @@ class _Line:
     ``memo`` are shared by every line of one :func:`parse_spec` call: the
     parser builds through the canonical constructors, hash-consing into
     ``table``, and ``memo`` maps a name, or the tokens of a parenthesized
-    group from ``(`` to its matching ``)``, to the node it parsed to, so
-    each distinct group is parsed once."""
+    group from ``(`` to its matching ``)``, to the position it parsed to,
+    so each distinct group is parsed once."""
 
-    def __init__(self, tokens: list, table: dict, memo: dict):
+    def __init__(self, tokens: list, table: Table, memo: dict):
         self.tokens = tokens + [""]
         self.table = table
         self.memo = memo
@@ -103,7 +104,8 @@ class _Line:
                 elif tok == ")" and opened:
                     self.closing[opened.pop()] = i
 
-    def equation(self) -> Equation:
+    def equation(self) -> tuple:
+        """The line's symbol and the position of its right-hand side."""
         name, equals = self.tokens[:2]
         if name[0] not in _LETTERS:
             raise _Refused(f"expected NAME, found {_found(name)}", 0)
@@ -116,22 +118,22 @@ class _Line:
         trailing = self.tokens[self.pos]
         if trailing:
             raise _Refused(f"unexpected {trailing!r}", self.pos)
-        return Equation(name, rhs)
+        return name, rhs
 
-    def expr(self) -> Expr:
+    def expr(self) -> int:
         parts = [self.term()]
         while self.tokens[self.pos] == "+":
             self.pos += 1
             parts.append(self.term())
         return make_sum(parts, self.table)
 
-    def term(self) -> Expr:
+    def term(self) -> int:
         factors = [self.factor()]
         while self.tokens[self.pos] not in _TERM_END:
             factors.append(self.factor())
         return make_product(factors, self.table)
 
-    def factor(self) -> Expr:
+    def factor(self) -> int:
         tok = self.tokens[self.pos]
         if tok == "(":
             return self.group()
@@ -140,33 +142,32 @@ class _Line:
         self.pos += 1
         if tok == "Seq":
             return make_seq(self.group(), self.table)
-        node = self.memo.get(tok)
-        if node is None:
-            node = AtomRef(tok) if tok in ATOM_KINDS else ClassRef(tok)
-            node = self.memo[tok] = self.table.setdefault(node, node)
-        return node
+        at = self.memo.get(tok)
+        if at is None:
+            at = self.memo[tok] = self.table.leaf(AtomRef(tok) if tok in ATOM_KINDS else ClassRef(tok))
+        return at
 
-    def group(self) -> Expr:
+    def group(self) -> int:
         # "(" expr ")": a group already parsed elsewhere is skipped.  Only
         # successful parses are stored, so errors are found and reported
         # exactly where a full parse finds them.
         tokens, start = self.tokens, self.pos
         end = self.closing.get(start)
         key = None if end is None else tuple(tokens[start : end + 1])
-        node = self.memo.get(key)
-        if node is not None:
+        at = self.memo.get(key)
+        if at is not None:
             self.pos = end + 1
-            return node
+            return at
         if tokens[start] != "(":
             raise _Refused(f"expected (, found {_found(tokens[start])}", start)
         self.pos += 1
-        node = self.expr()
+        at = self.expr()
         if tokens[self.pos] != ")":
             raise _Refused(f"expected ), found {_found(tokens[self.pos])}", self.pos)
         self.pos += 1
         if key is not None:
-            self.memo[key] = node
-        return node
+            self.memo[key] = at
+        return at
 
 
 def _column(text: str, lineno: int, index: int) -> int:
@@ -190,7 +191,7 @@ def parse_spec(text: str) -> Specification:
 
     The root is the first equation's symbol.
     """
-    equations, table, memo, lines = [], {}, {}, {}
+    equations, table, memo, lines = [], Table(), {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = _WORD.findall(raw.partition("#")[0])
         if not tokens:
@@ -203,11 +204,11 @@ def parse_spec(text: str) -> Specification:
             _column(raw, lineno, 0)  # a bad character is refused first
             raise ParseError("expression nested too deeply", lineno, 1) from None
         equations.append(eq)
-        lines.setdefault(eq.lhs, lineno)
+        lines.setdefault(eq[0], lineno)
     if not equations:
         raise SpecError("empty input: no equations found")
     try:
-        return _close(equations, equations[0].lhs, table)
+        return _close(equations, equations[0][0], table)
     except TrackingError as exc:
         raise TrackingError(exc.problem, exc.symbol, exc.term, lines.get(exc.symbol)) from None
 
@@ -298,11 +299,12 @@ def _field(obj: dict, name: str, what: str, array: bool = False):
     return value
 
 
-def expr_from_node(node, table: dict, nodes=()) -> Expr:
+def expr_from_node(node, table: Table, nodes=()) -> int:
     """Read a JSON node through the canonical constructors, hash-consing into
-    ``table``; one table passed to several calls makes equal subexpressions
-    of all their results one object.  An integer k, wherever a node may
-    stand, is the expression ``nodes[k]`` already read."""
+    ``table``, to its position there; one table passed to several calls
+    makes equal subexpressions of all their results one object.  An integer
+    k, wherever a node may stand, is the position ``nodes[k]`` already
+    read."""
     if type(node) is int:  # a bool is not an index
         if not 0 <= node < len(nodes):
             raise SpecError(f"node index {node} names no node read before it")
@@ -311,7 +313,7 @@ def expr_from_node(node, table: dict, nodes=()) -> Expr:
         raise SpecError(f"malformed expression node: {node!r}")
     kind = node["kind"]
     if kind == "zero":
-        return ZERO
+        return table.leaf(ZERO)
     if kind == "sum":
         terms = _field(node, "terms", "sum node", array=True)
         return make_sum([expr_from_node(t, table, nodes) for t in terms], table)
@@ -329,7 +331,7 @@ def expr_from_node(node, table: dict, nodes=()) -> Expr:
         leaf = ClassRef(name)
     else:
         raise SpecError(f"unknown node kind {kind!r}")
-    return table.setdefault(leaf, leaf)
+    return table.leaf(leaf)
 
 
 def spec_to_dict(spec: Specification) -> dict:
@@ -348,7 +350,7 @@ def spec_to_dict(spec: Specification) -> dict:
 
 def spec_from_dict(doc: dict) -> Specification:
     what = "specification document"
-    table, nodes, equations = {}, [], []
+    table, nodes, equations = Table(), [], []
     try:
         doc = _object(doc, what)
         for node in _field(doc, "nodes", what, array=True) if "nodes" in doc else ():
@@ -357,7 +359,7 @@ def spec_from_dict(doc: dict) -> Specification:
             part = f"equation {i}"
             eq = _object(eq, part)
             lhs = _field(eq, "lhs", part)
-            equations.append(Equation(lhs, expr_from_node(_field(eq, "rhs", part), table, nodes)))
+            equations.append((lhs, expr_from_node(_field(eq, "rhs", part), table, nodes)))
     except RecursionError:
         raise SpecError("specification document nested too deeply") from None
     root = _field(doc, "root", what)

@@ -6,20 +6,22 @@ stand for ("bottom to top"), so products are never reordered except by the
 explicit symmetry operators.
 
 Expressions are immutable and compared structurally.  The canonical
-constructors always hash-cons what they build into the table passed to
-them (Filliatre & Conchon, "Type-safe modular hash-consing", 2006): the
-readers and :func:`rewrite` use one table per specification, so equal
-subexpressions of one specification are one object.  The table keys a leaf
-by its value and a compound node by its type and the identities of its
-children, so a lookup hashes no node, and a compound node computes its
-structural hash only when something asks for it (a comparison across
-tables), then caches it.  A table lists its nodes in the order they were
-built, each after its children, so :func:`_table_plan` reads the plan of
-what was built from it in one pass.  Every traversal is a plan of the
-distinct nodes, then one :func:`evaluate` of it: iterative, each node
-visited once.  :func:`fold` plans and evaluates an expression from outside
-a table; a specification keeps the plan of its equations, so its analyses
-only evaluate, and a per-symbol analysis is one
+constructors always hash-cons what they build into the :class:`Table`
+passed to them (Filliatre & Conchon, "Type-safe modular hash-consing",
+2006), and take and return positions in it: the readers, the operators and
+:func:`rewrite` use one table per specification, so equal subexpressions of
+one specification are one object.  The table keys a leaf by its value and a
+compound node by its type and its child positions, so a lookup hashes no
+node, and a compound node computes its structural hash only when something
+asks for it (a comparison across tables), then caches it.  A table is a
+plan of what was built in it: it lists its nodes in the order they were
+built, each after its children, so the plan of some of them is the steps
+they reach, which :func:`_reached` finds and :func:`_compacted` renumbers
+only when the table holds steps they do not reach.  Every traversal is a
+plan of the distinct nodes, then one :func:`evaluate` of it: iterative,
+each node visited once.  :func:`fold` plans and evaluates an expression
+from outside a table; a specification keeps the plan of its equations, so
+its analyses only evaluate, and a per-symbol analysis is one
 :func:`least_fixpoint`, which repeats the analysis's pass over the plan: a
 flat loop that dispatches on each node's type and writes its value in
 place, reading its operands by position (a reference reads its symbol's
@@ -30,6 +32,8 @@ references or along the series schedule's zero-lag reads, is one
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import itemgetter
 from typing import Mapping
 
 # Atom kinds.  EMPTY is the neutral object of size 0; the other four all have
@@ -125,7 +129,7 @@ class ClassRef(Expr):
 
 # Compound nodes compute their structural hash on the first ``hash`` call,
 # not when they are built: the canonical constructors hash-cons by child
-# identity, so building never needs it.  It is cached in the node's
+# position, so building never needs it.  It is cached in the node's
 # ``_hash`` slot, written once: two threads that race to write it write the
 # same value.  Nodes compare their hashes first, so unequal nodes differ at
 # once and equal shared children compare by identity.  The hash is only
@@ -379,103 +383,142 @@ def nodes(expr: Expr) -> list:
     return [node for node, _ in plan((expr,))[0]]
 
 
-def _cons_key(node) -> tuple:
-    """The key under which the canonical constructors hash-cons a compound
-    node: its type and the identities of its children."""
-    return (type(node), *map(id, children(node)))
+class Table:
+    """A hash-consing table that is a plan of what was built in it: step
+    ``i`` is ``(nodes[i], kids[i])``, a distinct node and its child
+    positions, appended when the node is first built, so each after its
+    children; ``index`` maps a node's key to its position.  A leaf's key is
+    itself, a compound node's its type and its child positions, so a lookup
+    hashes no node."""
+
+    __slots__ = ("nodes", "kids", "index")
+
+    def __init__(self):
+        self.nodes = []
+        self.kids = []
+        self.index = {}
+
+    def leaf(self, node) -> int:
+        """The position of the leaf ``node``, entered on first use."""
+        new = len(self.nodes)
+        at = self.index.setdefault(node, new)
+        if at == new:
+            self.nodes.append(node)
+            self.kids.append(())
+        return at
 
 
-def _hash_consed(cls, kids, table) -> Expr:
-    # a compound node is looked up by its type and the identities of its
-    # children (a Seq's one argument) before it is built, so a lookup hashes
-    # no node and a node found is never built again.  An identity stays
-    # valid while its key is in the table: the node stored under the key
-    # holds those children alive, so no other object can take their ids.
-    key = (cls, id(kids)) if cls is Seq else (cls, *map(id, kids))
-    node = table.get(key)
-    if node is None:
-        node = table[key] = cls(kids)
-    return node
+def _consed(cls, kids: tuple, table: Table, node=None) -> int:
+    # a compound node is looked up by its type and its child positions
+    # before it is built, so a node found is never built again; ``node``,
+    # when given, is entered as it is instead of a new one.  A Seq's one
+    # child is what itemgetter of one position gives.
+    nodes = table.nodes
+    new = len(nodes)
+    at = table.index.setdefault((cls, kids), new)
+    if at == new:
+        nodes.append(cls(itemgetter(*kids)(nodes)) if node is None else node)
+        table.kids.append(kids)
+    return at
 
 
-def _table_plan(table: dict, roots) -> tuple:
-    """The plan of ``roots``, as :func:`plan` returns it, read from the
-    hash-consing ``table`` they were built in: the table lists each of its
-    nodes once, in the order they were built, so each after its children;
-    one pass from its end keeps the nodes that ``roots`` reach and one pass
-    over those numbers them.  Every root must be in the table."""
-    reached, kept = {id(root) for root in roots}, []
-    for node in reversed(table.values()):
-        if id(node) in reached:
-            kids = children(node)
-            kept.append((node, kids))
-            reached.update(map(id, kids))
-    steps, position = [], {}
-    for node, kids in reversed(kept):
-        position[id(node)] = len(steps)
-        steps.append((node, tuple([position[id(k)] for k in kids])))
-    return steps, position
+def _reached(kids: list, roots) -> bytearray | None:
+    """Which steps of a table, given by their child positions ``kids``,
+    ``roots`` reach, or None when every one is.
+
+    Every step is reached when each is a root or a child of another: the
+    last one is then a root, and each one below it a child of a reached one
+    above it.  That check runs in C; only when it fails does one backward
+    pass over the positions mark the reached steps."""
+    listed = set(roots)
+    listed.update(*kids)
+    if len(listed) == len(kids):
+        return None
+    reached = bytearray(len(kids))
+    for at in roots:
+        reached[at] = 1
+    for i in range(len(kids) - 1, -1, -1):
+        if reached[i]:
+            for k in kids[i]:
+                reached[k] = 1
+    return reached
 
 
-# Canonical constructors.  Their arguments must already be canonical; the
-# result is too: no Sum directly inside a Sum, no Product inside a Product,
+def _compacted(table: Table, roots, reached) -> tuple:
+    """``(plan steps, root positions)`` of the steps of ``table`` that
+    ``reached`` marks (every step when it is None), in table order: the
+    table's own steps when nothing is dropped, else the kept ones renumbered."""
+    nodes, kids = table.nodes, table.kids
+    if reached is None:
+        return tuple(zip(nodes, kids)), tuple(roots)
+    kept = list(compress(range(len(nodes)), reached))
+    renumbered = dict(zip(kept, range(len(kept)))).__getitem__
+    plan = tuple([(nodes[i], tuple(map(renumbered, kids[i]))) for i in kept])
+    return plan, tuple(map(renumbered, roots))
+
+
+# Canonical constructors.  They take and return positions in ``table``, of
+# canonical nodes: no Sum directly inside a Sum, no Product inside a Product,
 # no Zero term in a Sum, no Empty factor in a Product, no Sum/Product of fewer
 # than two children, no Seq of Zero.
 
 
-def make_sum(terms, table: dict) -> Expr:
-    flat = []
+def make_sum(terms, table: Table) -> int:
+    nodes, flat = table.nodes, []
     for t in terms:
-        kind = type(t)
+        kind = type(nodes[t])
         if kind is Sum:
-            flat.extend(t.terms)
+            flat.extend(table.kids[t])
         elif kind is not ZeroExpr:
             flat.append(t)
     if len(flat) < 2:
-        return flat[0] if flat else ZERO
-    return _hash_consed(Sum, tuple(flat), table)
+        return flat[0] if flat else table.leaf(ZERO)
+    return _consed(Sum, tuple(flat), table)
 
 
-def make_product(factors, table: dict) -> Expr:
-    flat = []
+def make_product(factors, table: Table) -> int:
+    nodes, flat = table.nodes, []
     for f in factors:
-        kind = type(f)
+        node = nodes[f]
+        kind = type(node)
         if kind is Product:
-            flat.extend(f.factors)
+            flat.extend(table.kids[f])
         elif kind is AtomRef:
-            if f.atom != EMPTY:
+            if node.atom != EMPTY:
                 flat.append(f)
         elif kind is ZeroExpr:
-            return ZERO
+            return f
         else:
             flat.append(f)
     if len(flat) < 2:
-        return flat[0] if flat else table.setdefault(E_EXPR, E_EXPR)
-    return _hash_consed(Product, tuple(flat), table)
+        return flat[0] if flat else table.leaf(E_EXPR)
+    return _consed(Product, tuple(flat), table)
 
 
-def make_seq(arg, table: dict) -> Expr:
-    if type(arg) is ZeroExpr:
+def make_seq(arg: int, table: Table) -> int:
+    if type(table.nodes[arg]) is ZeroExpr:
         # sequences over the empty class: only the empty sequence remains
-        return table.setdefault(E_EXPR, E_EXPR)
-    return _hash_consed(Seq, arg, table)
+        return table.leaf(E_EXPR)
+    return _consed(Seq, (arg,), table)
 
 
-def rewrite(exprs, leaf: Mapping = {}, table=None) -> list:
+def rewrite(exprs, leaf: Mapping = {}) -> list:
     """Rebuild expressions bottom-up through the canonical constructors.
 
-    ``leaf`` maps an atom or class reference to its canonical replacement
-    (a leaf it does not name stays).  The results are hash-consed together
-    in ``table`` (a fresh one by default): equal subexpressions of all of
-    them, and of anything else built through the same table, are one object.
+    ``leaf`` maps an atom or class reference to its canonical replacement,
+    a leaf (a leaf it does not name stays).  The results are hash-consed
+    together in one table: equal subexpressions of all of them are one
+    object.
     """
-    return fold(exprs, _rebuilder({} if table is None else table, leaf))
+    table = Table()
+    return [table.nodes[at] for at in fold(exprs, _rebuilder(table, leaf))]
 
 
-def _rebuilder(table: dict, leaf: Mapping = {}, flip: bool = False):
+def _rebuilder(table: Table, leaf: Mapping = {}, flip: bool = False):
     """The fold function of :func:`rewrite`: evaluating a plan with it
-    rebuilds the planned nodes, hash-consed into ``table``, each leaf as
-    ``leaf.get(node, node)``: the one place a leaf map is read."""
+    rebuilds the planned nodes into ``table``, each to its position, each
+    leaf as ``leaf.get(node, node)``, a leaf or a position of ``table``: the
+    one place a leaf map is read."""
 
     def build(node, kids):
         kind = type(node)
@@ -488,9 +531,7 @@ def _rebuilder(table: dict, leaf: Mapping = {}, flip: bool = False):
         if kind not in (ZeroExpr, AtomRef, ClassRef):
             raise SpecError(f"not an expression: {node!r}")
         new = leaf.get(node, node)
-        # a leaf may map onto a compound node of the table (SZ onto Seq(Z)),
-        # looked up as the constructors key it, so that nothing is hashed
-        return table.setdefault(_cons_key(new) if type(new) in _COMPOUND else new, new)
+        return new if type(new) is int else table.leaf(new)
 
     return build
 

@@ -18,7 +18,6 @@ from .expr import AtomRef, ClassRef, Z, ZL, ZLR, ZR, E_EXPR, SpecError, make_sum
 from .operators import _REVERSE_ATOMS, _Insertion, _expand_equations
 from .series import _productive_valuations
 from .spec import (
-    Equation,
     Specification,
     SZ_NAME,
     TrackingError,
@@ -117,12 +116,11 @@ def juxtapose(
         master += [(ClassRef(f"{root}.i"),), (ClassRef(f"{root}.ii"),),
                    (ClassRef(f"{root}.io"), sz, zr)]
         needed = [(root, "i"), (root, "ii"), (root, "io")]
-    images = _Insertion(spec, {}, atoms, flip)
-    table = images.table
-    eqs = [Equation(new_root, make_sum(map(images.product, master), table))]
+    images = _Insertion(spec, atoms, flip)
+    eqs = [(new_root, make_sum(map(images.product, master), images.table))]
     eqs += _expand_equations(images, needed)
     try:
-        out = _close(eqs, new_root, table, prune=True)
+        out = _close(eqs, new_root, images.table, prune=True)
     except TrackingError:
         # an unproductive input can leave marker counts that no tracking
         # fits; the refusal then names its unproductive symbols

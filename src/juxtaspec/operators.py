@@ -51,13 +51,13 @@ from .expr import (
     ZL,
     ZLR,
     ZR,
+    Table,
     evaluate,
     make_product,
     make_seq,
     make_sum,
 )
 from .spec import (
-    Equation,
     Specification,
     _SZ_REF,
     _atom_map,
@@ -127,14 +127,15 @@ def apply_atom(op: str, kind: str) -> Expr:
 class _Insertion:
     """Images of expressions under the insertion operators.
 
-    A job ``(op, node, k)`` is the image under ``op`` of the node or, for a
-    product, of its factors from the k-th on: a product is scanned right to
-    left through the suffix images its rule uses.  Jobs run in one
-    iterative depth-first walk, each after the jobs its terms use, and
-    their images are kept by ``(op, id(node), k)`` for the life of the
-    instance, so each image is built once, canonical and hash-consed into
-    ``table``.  The class references met are recorded in the ``needed`` set
-    of the :meth:`apply` call that builds them, as (symbol, operator) pairs.
+    A job ``(op, position, k)`` is the image under ``op`` of the step at
+    ``position`` of the specification's plan or, for a product, of its
+    factors from the k-th on: a product is scanned right to left through the
+    suffix images its rule uses.  Jobs run in one iterative depth-first
+    walk, each after the jobs its terms use, and their images, positions in
+    the instance's ``table``, are kept by job for the life of the instance,
+    so each image is built once, canonical and hash-consed into it.  The class
+    references met are recorded in the ``needed`` set of the :meth:`apply`
+    call that builds them, as (symbol, operator) pairs.
 
     ``atoms`` and ``flip`` build the image of a symmetric input directly in
     the orientation of the original one: :meth:`product` maps each factor
@@ -144,8 +145,7 @@ class _Insertion:
     evaluation of the specification's plan, made here.
     """
 
-    def __init__(self, spec: Specification, table: dict,
-                 atoms: Mapping[str, str] = {}, flip: bool = False):
+    def __init__(self, spec: Specification, atoms: Mapping[str, str] = {}, flip: bool = False):
         def tracks_r(node, kids) -> bool:
             if isinstance(node, AtomRef):
                 return node.atom in R_ATOMS
@@ -153,75 +153,76 @@ class _Insertion:
                 return spec.tracking[node.name].has_r
             return isinstance(node, (Product, Sum)) and any(kids)  # Seq: False
 
-        steps = spec._plan[0]
-        flags = evaluate(steps, tracks_r)
-        self.tracks_r = {id(node): flag for (node, _), flag in zip(steps, flags)}
-        self.spec, self.table, self.leaf, self.flip = spec, table, _atom_map(atoms), flip
+        self.steps, roots = spec._plan
+        self.tracks_r = evaluate(self.steps, tracks_r)
+        self.at = dict(zip(spec.symbols, roots))
+        self.table, self.leaf, self.flip = Table(), _atom_map(atoms), flip
         self.images = {}
 
-    def product(self, leaves) -> Expr:
+    def product(self, leaves) -> int:
         """The product of ``leaves``, atoms renamed and reversed if ``flip``,
         built into the table: an atom's image or a master-equation term."""
         table, leaf = self.table, self.leaf
-        factors = [table.setdefault(f, f) for f in map(leaf.get, leaves, leaves)]
+        factors = [table.leaf(f) for f in map(leaf.get, leaves, leaves)]
         return make_product(factors[::-1] if self.flip else factors, table)
 
-    def apply(self, op: str, expr: Expr, needed: set) -> Expr:
+    def apply(self, op: str, symbol: str, needed: set) -> int:
+        """The image under ``op`` of the right-hand side of ``symbol``."""
+        if symbol not in self.at:
+            raise SpecError(f"undefined symbol {symbol!r}")
         images = self.images
-        top = (op, id(expr), 0)
-        stack = [(top, expr, None)]
+        top = (op, self.at[symbol], 0)
+        stack = [(top, None)]
         while stack:
-            key, node, terms = stack.pop()
+            job, terms = stack.pop()
             if terms is not None:
-                images[key] = self._build(key[0], node, terms, needed)
-            elif key not in images:  # a job pushed twice is built once
-                terms = self._terms(key[0], node, key[2])
-                stack.append((key, node, terms))  # built after the jobs its terms use
+                images[job] = self._build(job, terms, needed)
+            elif job not in images:  # a job pushed twice is built once
+                terms = self._terms(*job)
+                stack.append((job, terms))  # built after the jobs its terms use
                 for term in terms:
-                    for _, job, n in term:
-                        if job not in images:
-                            stack.append((job, n, None))
+                    for _, used in term:
+                        if used not in images:
+                            stack.append((used, None))
         return images[top]
 
-    def _terms(self, op: str, node, k: int) -> list:
-        """Terms of a job's image: lists of (inside Seq, job key, job node)
-        factors."""
+    def _terms(self, op: str, at: int, k: int) -> list:
+        """Terms of a job's image: lists of (inside Seq, job) factors."""
+        node, kids = self.steps[at]
         kind = type(node)
         if kind is Sum:
-            return [[(False, (op, id(t), 0), t)] for t in node.terms]
+            return [[(False, (op, t, 0))] for t in kids]
         if kind is Seq:
-            arg = node.arg
-            return [[(seq, (o, id(arg), 0), arg) for seq, o in t] for t in _SEQ_RULE[op]]
+            arg = kids[0]
+            return [[(seq, (o, arg, 0)) for seq, o in t] for t in _SEQ_RULE[op]]
         if kind is Product:
-            factors = node.factors
             if op in ("o", "oo"):
-                return [[(False, (op, id(f), 0), f) for f in factors[k:]]]
-            head = factors[k]
+                return [[(False, (op, f, 0)) for f in kids[k:]]]
+            head = kids[k]
             rule = _PRODUCT_RULE[op]
-            if op in _ZR_SENSITIVE and self.tracks_r[id(head)]:
+            if op in _ZR_SENSITIVE and self.tracks_r[head]:
                 rule = rule[:-1]
-            rest, j = (factors[-1], 0) if k + 2 == len(factors) else (node, k + 1)
-            return [[(False, (h, id(head), 0), head), (False, (r, id(rest), j), rest)]
-                    for h, r in rule]
+            rest, j = (kids[-1], 0) if k + 2 == len(kids) else (at, k + 1)
+            return [[(False, (h, head, 0)), (False, (r, rest, j))] for h, r in rule]
         return []  # an atom or a class reference
 
-    def _build(self, op: str, node, terms: list, needed: set) -> Expr:
+    def _build(self, job: tuple, terms: list, needed: set) -> int:
         """The image of a job whose terms' jobs are built."""
-        table = self.table
+        table, op = self.table, job[0]
+        node = self.steps[job[1]][0]
         kind = type(node)
         if kind is AtomRef:
             image = apply_atom(op, node.atom)  # a product of leaves, or a leaf
             return self.product(image.factors if type(image) is Product else (image,))
         if kind is ClassRef:
             needed.add((node.name, op))
-            ref = ClassRef(f"{node.name}.{op}")
-            return table.setdefault(ref, ref)
+            return table.leaf(ClassRef(f"{node.name}.{op}"))
         images = self.images
         if kind is Sum:
             return make_sum([images[term[0][1]] for term in terms], table)
         products = []
         for term in terms:
-            factors = [make_seq(images[key], table) if seq else images[key] for seq, key, _ in term]
+            factors = [make_seq(images[used], table) if seq else images[used] for seq, used in term]
             if self.flip:
                 factors.reverse()
             products.append(make_product(factors, table))
@@ -230,8 +231,9 @@ class _Insertion:
 
 def _expand_equations(images: _Insertion, needed: Sequence[Tuple[str, str]]) -> list:
     """Equations for the transitive closure of the requested decorated
-    symbols of ``images.spec``, built by ``images`` into its table; some
-    may define the empty class."""
+    symbols of the specification of ``images``, built by ``images`` into its
+    table, as pairs of a symbol and the position of its right-hand side;
+    some may define the empty class."""
     queue = deque(needed)
     seen = set(needed)
     out = []
@@ -240,8 +242,7 @@ def _expand_equations(images: _Insertion, needed: Sequence[Tuple[str, str]]) -> 
         # images memoized by an earlier equation add no pair that is not
         # already seen, so the queue order matches a fresh expansion's
         discovered: set = set()
-        rhs = images.apply(tag, images.spec.rhs(base), discovered)
-        out.append(Equation(f"{base}.{tag}", rhs))
+        out.append((f"{base}.{tag}", images.apply(tag, base, discovered)))
         for pair in sorted(discovered):
             if pair not in seen:
                 seen.add(pair)
@@ -263,7 +264,7 @@ def expand(spec: Specification, needed: Iterable) -> Specification:
             raise SpecError(f"unknown insertion operator {tag!r}")
     if not pairs:
         raise SpecError("expand requires at least one decorated symbol")
-    images = _Insertion(spec, {})
+    images = _Insertion(spec)
     eqs = _expand_equations(images, pairs)
     return _close(eqs, f"{pairs[0][0]}.{pairs[0][1]}", images.table, prune=True)
 

@@ -10,6 +10,7 @@ the equations, never declared.
 from __future__ import annotations
 
 import re
+from itertools import compress
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .expr import (
@@ -27,22 +28,22 @@ from .expr import (
     Sum,
     ZERO,
     Z_EXPR,
+    Table,
     ZeroExpr,
-    _cons_key,
+    _compacted,
+    _consed,
     _flat_form,
     _from_flat_form,
     _operands,
+    _reached,
     _rebuilder,
     _set,
-    _table_plan,
-    children,
+    fold,
     least_fixpoint,
     make_product,
     make_seq,
     make_sum,
     postorder,
-    rewrite,
-    terms,
 )
 
 SZ_NAME = "SZ"
@@ -81,7 +82,8 @@ class Equation(NamedTuple):
 
 def sz_equation() -> Equation:
     """The reserved sequence-of-atoms symbol: SZ = E + SZ Z."""
-    return Equation(SZ_NAME, _sz_rhs({}))
+    table = Table()
+    return Equation(SZ_NAME, table.nodes[_sz_rhs(table)])
 
 
 class Specification:
@@ -94,9 +96,9 @@ class Specification:
     rebuilding, the symmetries and :func:`inline_seq` map one.  ``_plan``,
     made as it is built, is ``(steps, roots)``: steps in the form that
     :func:`~juxtaspec.expr.plan` gives, of the distinct nodes of all
-    right-hand sides, each after its children (in the order the table they
-    were built in made them), and the step of each right-hand side, in
-    equation order.  Every analysis evaluates it.  Two
+    right-hand sides, each after its children (the steps of the table they
+    were built in that they reach, in its order), and the step of each
+    right-hand side, in equation order.  Every analysis evaluates it.  Two
     specifications are equal when their equations and roots are.
     """
 
@@ -159,134 +161,150 @@ def make_spec(equations: Iterable[Equation], root: Optional[str] = None) -> Spec
     equation's left-hand side and its equation is moved first.
     """
     equations = list(equations)
-    table = {}
-    rhs = rewrite([eq.rhs for eq in equations], table=table)
-    return _close([Equation(eq.lhs, expr) for eq, expr in zip(equations, rhs)], root, table)
+    table = Table()
+    rhs = fold([eq.rhs for eq in equations], _rebuilder(table))
+    return _close([(eq.lhs, at) for eq, at in zip(equations, rhs)], root, table)
 
 
-def _sz_rhs(table: dict) -> Expr:
-    """The reserved SZ right-hand side, built canonical into ``table``."""
-    leaf = table.setdefault
-    run = make_product((leaf(_SZ_REF, _SZ_REF), leaf(Z_EXPR, Z_EXPR)), table)
-    return make_sum((leaf(E_EXPR, E_EXPR), run), table)
+def _sz_rhs(table: Table) -> int:
+    """The position of the reserved SZ right-hand side, built canonical
+    into ``table``."""
+    leaf = table.leaf
+    run = make_product((leaf(_SZ_REF), leaf(Z_EXPR)), table)
+    return make_sum((leaf(E_EXPR), run), table)
 
 
-def _close(eqs: list, root: Optional[str], table: dict, prune: bool = False) -> Specification:
+def _close(eqs: list, root: Optional[str], table: Table, prune: bool = False) -> Specification:
     """Validate and classify-track equations that are already canonical and
-    hash-consed in ``table``; what :func:`make_spec` does after its rewrite.
+    hash-consed in ``table``, each a pair of its symbol and the position of
+    its right-hand side; what :func:`make_spec` does after its rebuild.
 
     With ``prune`` (the equations of an expansion, ``root`` given), symbols
     of the empty class are substituted by Zero and dropped first, then the
     symbols unreachable from the root.  Without it, an equation whose
     right-hand side is Zero is an error.  The plan of the kept equations,
     which serves every check below and, kept on the result, every later
-    analysis, is read from ``table`` (:func:`~juxtaspec.expr._table_plan`).
+    analysis, is the steps of ``table`` that they reach.
     """
+    nodes = table.nodes
     if prune:
-        eqs, steps, position = _prune(eqs, root, table)
+        eqs, reached = _prune(eqs, root, table)
     if not eqs:
         raise SpecError("specification has no equations")
 
     seen = set()
-    for eq in eqs:
-        if not isinstance(eq.lhs, str) or not NAME.fullmatch(eq.lhs):
-            raise SpecError(f"invalid symbol name {eq.lhs!r}")
-        if eq.lhs in RESERVED_NAMES:
-            raise SpecError(f"{eq.lhs!r} is reserved and cannot be defined")
-        if eq.lhs in seen:
-            raise SpecError(f"duplicate definition of {eq.lhs!r}")
-        seen.add(eq.lhs)
-        if isinstance(eq.rhs, ZeroExpr):
-            raise SpecError(f"{eq.lhs!r} defines an empty class; such equations are not representable")
+    for lhs, at in eqs:
+        if not isinstance(lhs, str) or not NAME.fullmatch(lhs):
+            raise SpecError(f"invalid symbol name {lhs!r}")
+        if lhs in RESERVED_NAMES:
+            raise SpecError(f"{lhs!r} is reserved and cannot be defined")
+        if lhs in seen:
+            raise SpecError(f"duplicate definition of {lhs!r}")
+        seen.add(lhs)
+        if type(nodes[at]) is ZeroExpr:
+            raise SpecError(f"{lhs!r} defines an empty class; such equations are not representable")
 
     if not prune:
-        steps, position = _table_plan(table, [eq.rhs for eq in eqs])
-    used = {node.name for node, _ in steps if type(node) is ClassRef}
-    defined = {eq.lhs for eq in eqs}
-    undefined = used - defined
+        reached = _reached(table.kids, [at for _, at in eqs])
+    used = {node.name for node in (nodes if reached is None else compress(nodes, reached))
+            if type(node) is ClassRef}
+    undefined = used - seen
     if SZ_NAME in undefined:
-        sz_rhs = _sz_rhs(table)
-        eqs.append(Equation(SZ_NAME, sz_rhs))
-        defined.add(SZ_NAME)
+        sz = _sz_rhs(table)
+        eqs.append((SZ_NAME, sz))
+        seen.add(SZ_NAME)
         undefined.discard(SZ_NAME)
-        for node in (*sz_rhs.terms[1].factors, *sz_rhs.terms, sz_rhs):  # children first
-            if id(node) not in position:
-                position[id(node)] = len(steps)
-                steps.append((node, tuple([position[id(k)] for k in children(node)])))
+        if reached is not None:  # mark the steps of SZ's right-hand side
+            reached += bytes(len(nodes) - len(reached))
+            stack = [sz]
+            while stack:
+                i = stack.pop()
+                if not reached[i]:
+                    reached[i] = 1
+                    stack.extend(table.kids[i])
     if undefined:
         missing = ", ".join(sorted(undefined))
         raise SpecError(f"undefined symbol(s): {missing}")
-    if SZ_NAME in defined:
-        given = next(eq.rhs for eq in eqs if eq.lhs == SZ_NAME)
+    if SZ_NAME in seen:
+        given = next(at for lhs, at in eqs if lhs == SZ_NAME)
         if given != _sz_rhs(table):
             raise SpecError(f"{SZ_NAME} is reserved and must equal E + {SZ_NAME} Z")
 
     if root is None:
-        root = eqs[0].lhs
-    if root not in defined:
+        root = eqs[0][0]
+    if root not in seen:
         raise SpecError(f"root symbol {root!r} has no equation")
-    eqs.sort(key=lambda eq: 0 if eq.lhs == root else 1)
+    eqs.sort(key=lambda eq: 0 if eq[0] == root else 1)
 
-    r_counts = _marker_fixpoint(eqs, steps, position, R_ATOMS, "rightmost")
-    l_counts = _marker_fixpoint(eqs, steps, position, L_ATOMS, "leftmost")
-    tracking = {eq.lhs: TrackingKind(r_counts[eq.lhs] == 1, l_counts[eq.lhs] == 1) for eq in eqs}
-    if any(type(node) is Seq for node, _ in steps):  # else no Seq content to check
-        _check_seq_content(eqs, steps, position, tracking)
-    return _planned_spec(eqs, root, tracking, steps, position)
-
-
-def _planned_spec(eqs, root: str, tracking: dict, steps, position: dict) -> Specification:
-    """The specification of ``eqs`` and their plan (``steps``, ``position``)."""
-    by_name, roots = {eq.lhs: eq.rhs for eq in eqs}, tuple(position[id(eq.rhs)] for eq in eqs)
-    return Specification(tuple(eqs), root, tracking, by_name, (tuple(steps), roots))
+    plan = _compacted(table, [at for _, at in eqs], reached)
+    equations = [Equation(lhs, nodes[at]) for lhs, at in eqs]
+    r_counts = _marker_fixpoint(equations, plan, R_ATOMS, "rightmost")
+    l_counts = _marker_fixpoint(equations, plan, L_ATOMS, "leftmost")
+    tracking = {lhs: TrackingKind(r_counts[lhs] == 1, l_counts[lhs] == 1) for lhs, _ in eqs}
+    if any(type(node) is Seq for node, _ in plan[0]):  # else no Seq content to check
+        _check_seq_content(equations, plan, tracking)
+    return Specification(tuple(equations), root, tracking, dict(equations), plan)
 
 
-def _prune(eqs: list, root: str, table: dict) -> tuple:
+def _table_spec(eqs, root: str, tracking: dict, table: Table) -> Specification:
+    """The specification of ``eqs``, pairs of a symbol and a position of
+    ``table``, whose plan is the steps of ``table`` they reach."""
+    roots = [at for _, at in eqs]
+    equations = [Equation(lhs, table.nodes[at]) for lhs, at in eqs]
+    plan = _compacted(table, roots, _reached(table.kids, roots))
+    return Specification(tuple(equations), root, tracking, dict(equations), plan)
+
+
+def _prune(eqs: list, root: str, table: Table) -> tuple:
     """Drop the empty-class symbols of an expansion and the symbols
-    unreachable from ``root``; returns the kept equations and their plan,
-    read from ``table``.
+    unreachable from ``root``; returns the kept equations and which steps
+    of ``table`` they reach.
 
-    The empty symbols are a least fixpoint over the plan: a Sum is empty
+    The empty symbols are a least fixpoint over the table: a Sum is empty
     when all of its terms are, a Product when any factor is, a reference
     when its symbol is; Seq and atoms never are.  That is exactly when
     canonical rebuilding turns a node into Zero, so the walk from the root's
     step, along the operands that the fixpoint reads, never enters an empty
-    step.  It keeps the symbols that the references it reaches name (two
-    may share one step).  Only when it drops a symbol are the kept equations
-    rebuilt, Zero for the empty symbols, in one :func:`_rebuilt` of the
-    plan, and their plan read again.
+    step.  The steps it enters are the plan of the kept equations, and it
+    keeps the symbols that the references it reaches name (two may share
+    one step).  Only when it drops a symbol are the kept equations rebuilt,
+    Zero for the empty symbols, in one :func:`_rebuilt` of their plan.
     """
-    has_empty = any(type(eq.rhs) is ZeroExpr for eq in eqs)
+    nodes, kids, at = table.nodes, table.kids, dict(eqs)
+    has_empty = any(type(nodes[i]) is ZeroExpr for i in at.values())
+    visited = bytearray(len(nodes))
     if has_empty:
-        table.setdefault(ZERO, ZERO)  # the constructors return Zero without entering it
-    steps, position = _table_plan(table, [eq.rhs for eq in eqs])
-    at = {eq.lhs: position[id(eq.rhs)] for eq in eqs}
-    visited = bytearray(len(steps))
-    if has_empty:
+        steps = list(zip(nodes, kids))
         empty, values = least_fixpoint(steps, at.items(), _empty_pass, False)
         if empty[root]:
             raise SpecError(f"expansion of {root} is the empty class")
         visited = bytearray(values)  # the empty steps are never entered
 
-    # one walk from the root's step, each step of the plan entered at most once
-    operands, keep, stack = _operands(steps, at), {root}, [at[root]]
+    # one walk from the root's step, each step of the table entered at most once
+    keep, stack = {root}, [at[root]]
     while stack:
         i = stack.pop()
         if visited[i]:
             continue
         visited[i] = 1
-        node = steps[i][0]
-        if type(node) is ClassRef and node.name in at:
-            keep.add(node.name)
-        stack.extend(operands[i])
-    if len(keep) == len(eqs):
-        return eqs, steps, position
-    eqs = [eq for eq in eqs if eq.lhs in keep]
-    if has_empty:
+        node = nodes[i]
+        if type(node) is ClassRef:
+            if node.name in at:
+                keep.add(node.name)
+                stack.append(at[node.name])
+        else:
+            stack.extend(kids[i])
+    if len(keep) == len(eqs):  # so no symbol is empty
+        return eqs, visited
+    eqs = [(lhs, i) for lhs, i in eqs if lhs in keep]
+    if has_empty:  # the walk skipped the empty steps, which its plan holds
         zero = {ClassRef(name): ZERO for name, is_empty in empty.items() if is_empty}
-        values = _rebuilt(steps, table, zero)
-        eqs = [Equation(eq.lhs, values[position[id(eq.rhs)]]) for eq in eqs]
-    return (eqs, *_table_plan(table, [eq.rhs for eq in eqs]))
+        roots = [i for _, i in eqs]
+        plan, roots = _compacted(table, roots, _reached(kids, roots))
+        values = _rebuilt(plan, table, zero)
+        eqs = [(lhs, values[i]) for (lhs, _), i in zip(eqs, roots)]
+        visited = _reached(kids, [i for _, i in eqs])
+    return eqs, visited
 
 
 def _empty_pass(steps: list, operands: list, values: list) -> None:
@@ -305,8 +323,15 @@ def _empty_pass(steps: list, operands: list, values: list) -> None:
             values[i] = kind is ZeroExpr
 
 
-def _marker_fixpoint(eqs, steps: list, position: dict, markers: frozenset, label: str) -> dict:
-    """Least fixpoint of per-symbol marker counts, and their exactness.
+def _terms_at(steps, at: int) -> tuple:
+    """The positions of the top-level terms of the plan step ``at``."""
+    node, kids = steps[at]
+    return kids if type(node) is Sum else (at,)
+
+
+def _marker_fixpoint(eqs, plan: tuple, markers: frozenset, label: str) -> dict:
+    """Least fixpoint of per-symbol marker counts, and their exactness, for
+    the equations ``eqs`` and their plan ``(steps, roots)``.
 
     A term that is literally E describes the empty object and is exempt from
     the count (the empty permutation carries no markers); every other term of
@@ -318,6 +343,7 @@ def _marker_fixpoint(eqs, steps: list, position: dict, markers: frozenset, label
     itself included, has terms that count differently; the last pass reads
     only settled counts, so its exact counts give the refusals.
     """
+    steps, roots = plan
     if not any(type(node) is AtomRef and node.atom in markers for node, _ in steps):
         return {eq.lhs: 0 for eq in eqs}  # every count and every term is 0
 
@@ -354,12 +380,13 @@ def _marker_fixpoint(eqs, steps: list, position: dict, markers: frozenset, label
             values[i] = v
             record(e)
 
-    counts, _ = least_fixpoint(steps, [(eq.lhs, position[id(eq.rhs)]) for eq in eqs], upper, 0)
-    for eq in eqs:
-        for i, t in enumerate(terms(eq.rhs), 1):
-            if type(t) is AtomRef and t.atom == EMPTY:
+    counts, _ = least_fixpoint(steps, [(eq.lhs, at) for eq, at in zip(eqs, roots)], upper, 0)
+    for eq, at in zip(eqs, roots):
+        for i, t in enumerate(_terms_at(steps, at), 1):
+            node = steps[t][0]
+            if type(node) is AtomRef and node.atom == EMPTY:
                 continue
-            value = exact[position[id(t)]]
+            value = exact[t]
             if value < 0:
                 problem = f"mixed {label}-marker counts inside a factor"
             elif value > 1:
@@ -372,13 +399,14 @@ def _marker_fixpoint(eqs, steps: list, position: dict, markers: frozenset, label
     return counts
 
 
-def _check_seq_content(eqs, steps: list, position: dict, tracking: Mapping) -> None:
+def _check_seq_content(eqs, plan: tuple, tracking: Mapping) -> None:
     """Refuse a marked atom, or a class that carries a marker, inside Seq.
 
     One flat loop over the plan finds, per step, the first such leaf in
     preorder and the first Seq with one in its argument; the refusal names
     the first term, in equation order, that holds such a Seq.
     """
+    steps, roots = plan
     atoms = R_ATOMS | L_ATOMS
     carriers = {name for name, kind in tracking.items() if kind.has_r or kind.has_l}
     marked, inside = [], []  # per step: that leaf under it, and under a Seq under it
@@ -399,9 +427,9 @@ def _check_seq_content(eqs, steps: list, position: dict, tracking: Mapping) -> N
                     s = inside[k]
         marked.append(m)
         inside.append(s)
-    for eq in eqs:
-        for i, t in enumerate(terms(eq.rhs), 1):
-            leaf = inside[position[id(t)]]
+    for eq, at in zip(eqs, roots):
+        for i, t in enumerate(_terms_at(steps, at), 1):
+            leaf = inside[t]
             if leaf is None:
                 continue
             if type(leaf) is AtomRef:
@@ -448,23 +476,33 @@ def _atom_map(atoms: Mapping[str, str]) -> dict:
     return {AtomRef(old): AtomRef(new) for old, new in atoms.items()}
 
 
-def _rebuilt(steps, table: dict, leaf: Mapping, flip: bool = False) -> list:
-    """The value of every step of a canonical plan rebuilt through
-    :func:`~juxtaspec.expr._rebuilder`: leaves mapped by the dict ``leaf``,
-    products reversed if ``flip``.  A compound node whose rebuilt children
-    are its own children is kept and entered in ``table`` as the canonical
-    constructors enter it, so no node that a map leaves alone is built
-    again; a product under ``flip`` is always rebuilt.  ``table`` holds the
-    plan's leaves, so a leaf mapped onto one of them finds it and the nodes
-    over it are kept."""
-    build, values, same = _rebuilder(table, leaf, flip), [], []  # same: value is node
+def _leaf_table(steps) -> Table:
+    """A table that holds the leaves of the plan ``steps``, in its order."""
+    table = Table()
+    for node, kids in steps:
+        if not kids:
+            table.leaf(node)
+    return table
+
+
+def _rebuilt(steps, table: Table, leaf: Mapping, flip: bool = False) -> list:
+    """The position in ``table`` of every step of a canonical plan rebuilt
+    through :func:`~juxtaspec.expr._rebuilder`: leaves mapped by the dict
+    ``leaf``, products reversed if ``flip``.  A compound node whose rebuilt
+    children are its own children is kept and entered in ``table`` as the
+    canonical constructors enter it, so no node that a map leaves alone is
+    built again; a product under ``flip`` is always rebuilt.  ``table``
+    holds the plan's leaves, so a leaf mapped onto one of them finds it and
+    the nodes over it are kept."""
+    build, built = _rebuilder(table, leaf, flip), table.nodes
+    values, same = [], []  # same: the value's node is the step's node
     for node, kids in steps:
         if kids and not (flip and type(node) is Product) and all(map(same.__getitem__, kids)):
-            value = table.setdefault(_cons_key(node), node)
+            value = _consed(type(node), tuple([values[k] for k in kids]), table, node)
         else:
             value = build(node, [values[k] for k in kids])
         values.append(value)
-        same.append(value is node)
+        same.append(built[value] is node)
     return values
 
 
@@ -489,21 +527,21 @@ def _map_spec(spec: Specification, atoms: Mapping[str, str], flip: bool,
     by every symmetry.  Each symbol's tracking is :func:`_tracking_through`
     the atom map (SZ and Seq(Z) carry no marker, so inlining changes no
     count): the result is what :func:`make_spec` would return, with its
-    plan read from the table of the map.
+    plan the steps of the map's table that its equations reach.
     """
     steps, roots = spec._plan
-    table, leaf = {node: node for node, kids in steps if not kids}, _atom_map(atoms)
-    if inline:  # Seq(Z) is built into the table first, as the rebuild looks it up
-        leaf[_SZ_REF] = make_seq(table.setdefault(Z_EXPR, Z_EXPR), table)
+    table, leaf = _leaf_table(steps), _atom_map(atoms)
+    if inline:  # SZ maps onto the position of Seq(Z)
+        leaf[_SZ_REF] = make_seq(table.leaf(Z_EXPR), table)
     values = _rebuilt(steps, table, leaf, flip)
     rhs = [values[at] for at in roots]
     if SZ_NAME in spec._by_name and not inline:
         sz_rhs = _sz_rhs(table)
         rhs = [sz_rhs if eq.lhs == SZ_NAME else new for eq, new in zip(spec.equations, rhs)]
-    eqs = [Equation(eq.lhs, new) for eq, new in zip(spec.equations, rhs)
+    eqs = [(eq.lhs, new) for eq, new in zip(spec.equations, rhs)
            if not (inline and eq.lhs == SZ_NAME)]
-    tracking = {eq.lhs: _tracking_through(atoms, spec.tracking[eq.lhs]) for eq in eqs}
-    return _planned_spec(eqs, spec.root, tracking, *_table_plan(table, [eq.rhs for eq in eqs]))
+    tracking = {lhs: _tracking_through(atoms, spec.tracking[lhs]) for lhs, _ in eqs}
+    return _table_spec(eqs, spec.root, tracking, table)
 
 
 def _merge_equivalent(spec: Specification) -> Specification:
@@ -519,8 +557,8 @@ def _merge_equivalent(spec: Specification) -> Specification:
     tracking: equivalent symbols count alike, so the result is what
     :func:`make_spec` would return for its equations.  One :func:`_rebuilt`
     of the carried plan renames the references, keeping every node with no
-    renamed reference under it, and the result's plan is read from the
-    table of that rebuild.
+    renamed reference under it, and the result's plan is the steps of the
+    table of that rebuild that its equations reach.
     """
     by_name = spec._by_name
 
@@ -570,11 +608,11 @@ def _merge_equivalent(spec: Specification) -> Specification:
     first = {}
     rename = {name: first.setdefault(block[canon[name]], name) for name in spec.symbols}
     leaf = {ClassRef(old): ClassRef(new) for old, new in rename.items() if old != new}
-    table = {node: node for node, kids in steps if not kids}
+    table = _leaf_table(steps)
     values = _rebuilt(steps, table, leaf)
-    eqs = [Equation(name, values[at[canon[name]]]) for name in first.values()]
-    tracking = {eq.lhs: spec.tracking[eq.lhs] for eq in eqs}
-    return _planned_spec(eqs, spec.root, tracking, *_table_plan(table, [eq.rhs for eq in eqs]))
+    eqs = [(name, values[at[canon[name]]]) for name in first.values()]
+    tracking = {name: spec.tracking[name] for name, _ in eqs}
+    return _table_spec(eqs, spec.root, tracking, table)
 
 
 def inline_seq(spec: Specification) -> Specification:

@@ -35,6 +35,7 @@ from juxtaspec.expr import (
     SpecError,
     Sum,
     Z_EXPR,
+    Table,
     ZeroExpr,
     make_product,
     make_seq,
@@ -761,7 +762,7 @@ class _ReferenceLine:
         trailing = self.peek()
         if trailing[0] != "EOL":
             raise ParseError(f"unexpected {trailing[1]!r}", self.lineno, trailing[2])
-        return Equation(name_tok[1], rhs)
+        return name_tok[1], rhs
 
     def parse_expr(self):
         parts = [self.parse_term()]
@@ -779,16 +780,16 @@ class _ReferenceLine:
     def parse_group(self):
         end = self.closing.get(self.pos)
         key = None if end is None else self.text[self.tokens[self.pos][2] - 1 : self.tokens[end][2]]
-        node = self.memo.get(key)
-        if node is not None:
+        at = self.memo.get(key)
+        if at is not None:
             self.pos = end + 1
-            return node
+            return at
         self.take("(")
-        node = self.parse_expr()
+        at = self.parse_expr()
         self.take(")")
         if key is not None:
-            self.memo[key] = node
-        return node
+            self.memo[key] = at
+        return at
 
     def parse_factor(self):
         tok = self.peek()
@@ -800,17 +801,17 @@ class _ReferenceLine:
         name = tok[1]
         if name == "Seq":
             return make_seq(self.parse_group(), self.table)
-        node = self.memo.get(name)
-        if node is None:
-            node = AtomRef(name) if name in ATOM_KINDS else ClassRef(name)
-            node = self.memo[name] = self.table.setdefault(node, node)
-        return node
+        at = self.memo.get(name)
+        if at is None:
+            at = self.memo[name] = self.table.leaf(AtomRef(name) if name in ATOM_KINDS else ClassRef(name))
+        return at
 
 
-def reference_equations(text):
+def _reference_read(text):
     """``(equations, their lines by symbol, the table they are hash-consed
-    into)`` of DSL text, read by the reference reader."""
-    equations, lines, table, memo = [], {}, {}, {}
+    into)`` of DSL text, read by the reference reader; an equation is its
+    symbol and the position of its right-hand side in the table."""
+    equations, lines, table, memo = [], {}, Table(), {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = reference_tokens(raw, lineno)
         if not tokens:
@@ -819,17 +820,23 @@ def reference_equations(text):
             equations.append(_ReferenceLine(tokens, lineno, raw, table, memo).parse_equation())
         except RecursionError:
             raise ParseError("expression nested too deeply", lineno, 1) from None
-        lines.setdefault(equations[-1].lhs, lineno)
+        lines.setdefault(equations[-1][0], lineno)
     return equations, lines, table
+
+
+def reference_equations(text):
+    """The equations of DSL text, read by the reference reader."""
+    equations, _, table = _reference_read(text)
+    return [Equation(lhs, table.nodes[at]) for lhs, at in equations]
 
 
 def reference_parse_spec(text):
     """What parse_spec returns or raises, by the reference reader."""
-    equations, lines, table = reference_equations(text)
+    equations, lines, table = _reference_read(text)
     if not equations:
         raise SpecError("empty input: no equations found")
     try:
-        return _close(equations, equations[0].lhs, table)
+        return _close(equations, equations[0][0], table)
     except TrackingError as exc:
         raise TrackingError(exc.problem, exc.symbol, exc.term, lines.get(exc.symbol)) from None
 
@@ -1063,8 +1070,14 @@ def _terms(expr):
     return expr.terms if isinstance(expr, Sum) else (expr,)
 
 
-def reference_marker_fixpoint(eqs, steps, position, markers, label):
+def _positions(steps) -> dict:
+    """The step of each node of a plan, by identity."""
+    return {id(node): i for i, (node, _) in enumerate(steps)}
+
+
+def reference_marker_fixpoint(eqs, plan, markers, label):
     """What spec._marker_fixpoint returns or raises, by marker_callbacks."""
+    steps, position = plan[0], _positions(plan[0])
     if not any(isinstance(node, AtomRef) and node.atom in markers for node, _ in steps):
         return {eq.lhs: 0 for eq in eqs}
     _, upper, exact = marker_callbacks(markers)
@@ -1114,9 +1127,10 @@ def marked_content(tracking):
     return visit
 
 
-def reference_check_seq_content(eqs, steps, position, tracking):
+def reference_check_seq_content(eqs, plan, tracking):
     """What spec._check_seq_content raises, by marked_content: the first
     term, in equation order, whose tree holds a Seq over marked content."""
+    steps, position = plan[0], _positions(plan[0])
     marks = _reference_evaluate(steps, marked_content(tracking))
     for eq in eqs:
         for i, t in enumerate(_terms(eq.rhs), 1):

@@ -59,7 +59,8 @@ def test_build_is_shared_when_built(core, pattern):
 
 def _reference_expand(spec, pairs):
     root = f"{pairs[0][0]}.{pairs[0][1]}"
-    named = [(eq.lhs, eq.rhs) for eq in _expand_equations(_Insertion(spec, {}), pairs)]
+    images = _Insertion(spec)
+    named = [(lhs, images.table.nodes[at]) for lhs, at in _expand_equations(images, pairs)]
     kept, rounds = eliminate_empty_symbols(named, root)
     if kept is None:
         return f"expansion of {root} is the empty class", rounds
@@ -94,8 +95,8 @@ def test_pruning_plans_the_pruned_system_once(monkeypatch):
     they were built in, and the Zero substitution evaluates the plan it
     holds.  The pruned system's plan is exactly its equations' nodes."""
     spec = parse_spec("A = B ZR + Z ZR\nB = C C\nC = E\n")
-    table = {}
-    eqs = _expand_equations(_Insertion(spec, table), [("A", "i")])
+    images = _Insertion(spec)
+    eqs = _expand_equations(images, [("A", "i")])
     sizes = []
 
     def recording_plan(*args, **kwargs):
@@ -104,7 +105,7 @@ def test_pruning_plans_the_pruned_system_once(monkeypatch):
         return steps, position
 
     monkeypatch.setattr(expr_module, "plan", recording_plan)
-    out = _close(eqs, "A.i", table, prune=True)
+    out = _close(eqs, "A.i", images.table, prune=True)
     monkeypatch.undo()
     assert out.symbols == ("A.i", "B.o", "C.o")
     assert sizes == []

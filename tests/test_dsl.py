@@ -263,7 +263,7 @@ def test_readers_build_the_shared_dag(monkeypatch, reader):
     handed = []
 
     def recording_close(equations, root, table, prune=False):
-        handed.extend(equations)
+        handed.extend(table.nodes[at] for _, at in equations)
         return close(equations, root, table, prune)
 
     monkeypatch.setattr(dsl, "_close", recording_close)
@@ -272,7 +272,7 @@ def test_readers_build_the_shared_dag(monkeypatch, reader):
     else:
         back = spec_from_json(spec_to_json(grid))
     assert back == grid
-    for exprs in ([eq.rhs for eq in handed], [eq.rhs for eq in back.equations]):
+    for exprs in (handed, [eq.rhs for eq in back.equations]):
         tree, distinct, objects = tree_walk(exprs)
         assert objects == distinct
         assert tree > 5 * distinct

@@ -230,8 +230,7 @@ def test_hash_agrees_with_a_recursive_reference():
 
 
 def test_nodes_are_hashed_on_first_use_only():
-    table = {}
-    expr = rewrite([Sum((E_EXPR, Product((ClassRef("A"), Seq(Z_EXPR)))))], table=table)[0]
+    expr = rewrite([Sum((E_EXPR, Product((ClassRef("A"), Seq(Z_EXPR)))))])[0]
     compound = [n for n in nodes(expr) if isinstance(n, (Sum, Product, Seq))]
     assert len(compound) == 3
     assert not any(hasattr(n, "_hash") for n in compound)  # building hashes nothing

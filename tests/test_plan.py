@@ -2,8 +2,11 @@
 be a plan of exactly the specification's equations, however the
 specification was made, and no analysis may plan the system again."""
 
+import ast
 import importlib
+import json
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +16,7 @@ import juxtaspec.operators as operators_module
 import juxtaspec.series as series_module
 import juxtaspec.spec as spec_module
 from juxtaspec.builtins import builtin_names, builtin_spec, builtin_text
-from juxtaspec.dsl import parse_spec, render_spec, spec_from_json, spec_to_json
+from juxtaspec.dsl import parse_spec, render_spec, spec_from_dict, spec_from_json, spec_to_json
 from juxtaspec.expr import (
     ZR,
     AtomRef,
@@ -117,6 +120,75 @@ def test_carried_steps_are_the_plan_of_the_equations():
 
 def _outputs(spec):
     return classify(spec), render_spec(spec), spec_to_json(spec)
+
+
+# DSL texts whose parse tables hold entries that no equation reaches (a
+# group that flattens into the sum or product around it, an E factor), and
+# whether they do.  The last ones inject SZ, whose right-hand side reuses an
+# entry built before it and not reached until then.
+UNREACHED = [
+    ("A = (Z Z) Z + E\n", True),
+    ("A = (Z + E) + Z A\n", True),
+    ("A = Z Seq((Z Z))\n", False),
+    ("A = ((Z Z) (Z Z)) Z + (E + (Z + E))\n", True),
+    ("A = E Z + Z A\n", True),
+    ("A = Z (B Z) + E\nB = (Z Z) Seq((Z Z)) + E\n", True),
+    ("A = Z (B + E) Seq(Z (Z Z)) + E\nB = (Z + Z) + B Z\n", True),
+    ("A = (SZ Z) Z + E\n", True),
+    ("A = Z ((SZ Z) Z) + E\n", True),
+    ("A = E Z SZ + Z\n", True),
+]
+
+
+@pytest.fixture
+def renumbered(monkeypatch):
+    """Whether each plan that spec.py reads from a table is renumbered."""
+    flags, real = [], spec_module._compacted
+
+    def compacted(table, roots, reached):
+        flags.append(reached is not None)
+        return real(table, roots, reached)
+
+    monkeypatch.setattr(spec_module, "_compacted", compacted)
+    return flags
+
+
+@pytest.mark.parametrize("text, unreached", UNREACHED)
+def test_plans_of_tables_with_unreached_entries(renumbered, text, unreached):
+    """The carried plan of a table whose steps the equations do not all
+    reach is renumbered, and is still the plan of the equations; the JSON
+    writer lists only its nodes."""
+    spec = parse_spec(text)
+    assert renumbered == [unreached]
+    _assert_plan_of_equations(spec)
+    distinct = plan([eq.rhs for eq in spec.equations])[0]
+    assert len(json.loads(spec_to_json(spec))["nodes"]) == len(distinct)
+    assert _outputs(spec) == _outputs(make_spec(spec.equations))
+    assert parse_spec(render_spec(spec)) == spec
+
+
+def test_writer_output_parses_to_a_table_that_is_its_plan(renumbered):
+    """Every step of the table that the DSL writer's output parses into is
+    reached, so the table's steps are the plan as they stand."""
+    texts = [render_spec(spec) for spec in _built_specs()]
+    del renumbered[:]
+    for text in texts:
+        parse_spec(text)
+    assert len(renumbered) == len(texts) and not any(renumbered)
+
+
+def test_a_reference_only_a_zero_term_holds_is_not_read():
+    """A reference under a product with a Zero factor is entered in the
+    table but reached by nothing: it needs no equation, and it is neither
+    planned nor written."""
+    doc = {"root": "A", "equations": [{"lhs": "A", "rhs": {"kind": "sum", "terms": [
+        {"kind": "atom", "name": "Z"},
+        {"kind": "product", "factors": [{"kind": "ref", "name": "X"}, {"kind": "zero"}]},
+    ]}}]}
+    spec = spec_from_dict(doc)
+    _assert_plan_of_equations(spec)
+    assert render_spec(spec) == "A = Z\n"
+    assert json.loads(spec_to_json(spec))["nodes"] == [{"kind": "atom", "name": "Z"}]
 
 
 @pytest.mark.parametrize("name", builtin_names())
@@ -305,9 +377,9 @@ def test_closing_pass_runs_at_most_three_fixpoints(monkeypatch, fixpoint_calls):
     and then the leftmost marker counts, each at most once."""
     real_close, zero_rhs = spec_module._close, []
 
-    def close(eqs, *args, **kwargs):
-        zero_rhs.append(any(isinstance(eq.rhs, ZeroExpr) for eq in eqs))
-        return real_close(eqs, *args, **kwargs)
+    def close(eqs, root, table, *args, **kwargs):
+        zero_rhs.append(any(isinstance(table.nodes[at], ZeroExpr) for _, at in eqs))
+        return real_close(eqs, root, table, *args, **kwargs)
 
     for module in LIBRARY_MODULES:
         if hasattr(module, "_close"):
@@ -335,9 +407,9 @@ def test_expansion_builds_each_image_once(monkeypatch):
     planned, built, evaluated, instances = [], [], [], []
     real_terms, real_build, real_init = Insertion._terms, Insertion._build, Insertion.__init__
 
-    def terms(self, op, node, k):
-        planned.append((id(self), op, id(node), k))
-        return real_terms(self, op, node, k)
+    def terms(self, op, at, k):
+        planned.append((id(self), op, at, k))
+        return real_terms(self, op, at, k)
 
     def build(self, *args):
         built.append(id(self))
@@ -364,6 +436,33 @@ def test_expansion_builds_each_image_once(monkeypatch):
         assert len(set(planned)) == len(planned) == len(built) > 0
         assert len(evaluated) == len(instances) > 0
         assert sum(len(step.images) for step in instances) == len(built)
+
+
+# ---------------------------------------------------------------------------
+# positions, not identities
+
+
+# the modules that build and read tables and plans
+POSITIONAL = ("spec.py", "operators.py", "dsl.py", "series.py", "juxtapose.py")
+
+
+def _identity_reads(tree: ast.Module) -> list:
+    """The lines that read the builtin ``id``, called or passed."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "id")
+
+
+@pytest.mark.parametrize("name", POSITIONAL)
+def test_no_identity_bookkeeping(name):
+    """Tables and plans tell nodes apart by position, so these modules
+    never key anything by ``id``."""
+    path = Path(spec_module.__file__).parent / name
+    assert _identity_reads(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_an_identity_read_is_found():
+    tree = ast.parse("a = {id(x): 1}\nb = list(map(id, xs))\nc = node.id\n")
+    assert _identity_reads(tree) == [1, 2]
 
 
 # ---------------------------------------------------------------------------

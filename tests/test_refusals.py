@@ -16,7 +16,7 @@ from juxtaspec.dsl import (
 from juxtaspec.expr import ZERO, Z_EXPR, AtomRef, ClassRef, Product, Seq, SpecError, Sum
 from juxtaspec.juxtapose import parse_grid_pattern
 from juxtaspec.operators import apply_atom, expand
-from juxtaspec.oracle import MAX_LENGTH, Basis, avoids_cell, class_counts, greedy_unique
+from juxtaspec.oracle import GREEDY_MAX_LENGTH, MAX_LENGTH, Basis, avoids_cell, class_counts, greedy_unique
 from juxtaspec.series import ProductivityReport, compare_series
 from juxtaspec.spec import Equation, make_spec
 from helpers import deep_expr
@@ -130,7 +130,9 @@ def test_operation_refusals(call, text):
 @pytest.mark.parametrize("call, error, text", [
     (lambda: builtin_spec("nope"), KeyError,
      "unknown builtin 'nope' (known: av312, av321, monotone, separable)"),
-    (lambda: greedy_unique([Basis(((2, 1),)), "inc"], MAX_LENGTH + 1), ValueError,
+    (lambda: greedy_unique([Basis(((2, 1),)), "inc"], GREEDY_MAX_LENGTH + 1), ValueError,
+     f"size {GREEDY_MAX_LENGTH + 1} exceeds the configured maximum {GREEDY_MAX_LENGTH}"),
+    (lambda: class_counts(["inc"], MAX_LENGTH + 1), ValueError,
      f"size {MAX_LENGTH + 1} exceeds the configured maximum {MAX_LENGTH}"),
     (lambda: avoids_cell((1,), "bogus"), ValueError, "unknown cell 'bogus'"),
     (lambda: class_counts(["inc", "bogus"], 3), ValueError, "unknown cell 'bogus'"),
@@ -139,6 +141,13 @@ def test_library_argument_refusals(call, error, text):
     with pytest.raises(error) as info:
         call()
     assert info.value.args[0] == text
+
+
+def test_greedy_cap_is_below_the_counting_cap():
+    """greedy_unique walks every permutation, so its cap is lower; the
+    generating-tree count still accepts sizes up to MAX_LENGTH."""
+    assert GREEDY_MAX_LENGTH < MAX_LENGTH
+    assert class_counts(["inc"], MAX_LENGTH) == [1] * (MAX_LENGTH + 1)
 
 
 def test_report_texts():

@@ -47,7 +47,7 @@ def test_mixed_nested_sum_rejected():
 def test_refusals_name_the_term(text, message):
     """The texts name the term; parse_spec adds the equation's DSL line."""
     with pytest.raises(TrackingError) as refused:
-        make_spec(reference_equations(text)[0])
+        make_spec(reference_equations(text))
     assert str(refused.value) == message
     assert (refused.value.symbol, refused.value.line) == ("A", None)
     with pytest.raises(TrackingError) as refused:

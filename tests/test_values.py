@@ -114,7 +114,7 @@ def test_nodes_of_different_tables_are_equal_and_hash_equal():
         assert all(x is not y for x, y in pairs if isinstance(x, (Product, Sum, Seq)))
         for x, y in pairs:
             assert x == y and hash(x) == hash(y)
-    rebuilt = rewrite([eq.rhs for eq in first.equations], table={})
+    rebuilt = rewrite([eq.rhs for eq in first.equations])
     assert rebuilt == [eq.rhs for eq in first.equations]
     assert AtomRef(Z) != ClassRef(Z) and Sum((AtomRef(Z), ZERO)) != Product((AtomRef(Z), ZERO))
 
