@@ -255,9 +255,9 @@ def render_expr(expr: Expr) -> str:
 
 def render_spec(spec: Specification) -> str:
     """DSL text for a specification; parse_spec inverts it exactly."""
-    steps, roots = spec._plan
+    steps, at = spec._plan
     ropes = evaluate(steps, _render_node)
-    return "".join(f"{eq.lhs} = {_flatten(ropes[at])}\n" for eq, at in zip(spec.equations, roots))
+    return "".join(f"{lhs} = {_flatten(ropes[i])}\n" for lhs, i in at.items())
 
 
 def _json_node(node, kids) -> dict:
@@ -338,13 +338,13 @@ def spec_to_dict(spec: Specification) -> dict:
     """The JSON document of a specification: each distinct node once in
     ``nodes``, children first in the order a walk of the equations meets
     them, so equal specifications give equal documents."""
-    steps, roots = spec._plan
-    order, _ = postorder([kids for _, kids in steps], roots)
-    index = {at: i for i, at in enumerate(order)}
+    steps, at = spec._plan
+    order, _ = postorder([kids for _, kids in steps], at.values())
+    index = {step: i for i, step in enumerate(order)}
     return {
         "root": spec.root,
-        "nodes": [_json_node(steps[at][0], [index[k] for k in steps[at][1]]) for at in order],
-        "equations": [{"lhs": eq.lhs, "rhs": index[at]} for eq, at in zip(spec.equations, roots)],
+        "nodes": [_json_node(steps[s][0], [index[k] for k in steps[s][1]]) for s in order],
+        "equations": [{"lhs": lhs, "rhs": index[i]} for lhs, i in at.items()],
     }
 
 

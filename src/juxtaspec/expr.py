@@ -321,11 +321,11 @@ def _operands(steps: list, at: dict, undefined=()) -> list:
             for node, kids in steps]
 
 
-def least_fixpoint(steps: list, symbols, run_pass, bottom) -> tuple:
+def least_fixpoint(steps: list, at: dict, run_pass, bottom) -> tuple:
     """Least fixpoint of a per-symbol analysis over the plan ``steps``.
 
-    ``symbols`` pairs each symbol with its right-hand side's step; two may
-    share one.  ``run_pass(steps, operands, values)`` is one pass of the
+    ``at`` maps each symbol to its right-hand side's step; two may share
+    one.  ``run_pass(steps, operands, values)`` is one pass of the
     analysis: a flat loop that writes each step's value over ``values``,
     reading every operand by position (:func:`_operands`), so a reference
     reads its symbol's step: this pass's value when that step comes
@@ -337,7 +337,6 @@ def least_fixpoint(steps: list, symbols, run_pass, bottom) -> tuple:
     fall), so any order of updates reaches the same least fixpoint and
     stops.  Returns ``(value of each symbol, the last pass's step values)``.
     """
-    at = dict(symbols)
     operands = _operands(steps, at, (len(steps),))
     values = [bottom] * (len(steps) + 1)  # the last: what an undefined reference reads
     read = values.__getitem__
@@ -444,17 +443,18 @@ def _reached(kids: list, roots) -> bytearray | None:
     return reached
 
 
-def _compacted(table: Table, roots, reached) -> tuple:
-    """``(plan steps, root positions)`` of the steps of ``table`` that
-    ``reached`` marks (every step when it is None), in table order: the
-    table's own steps when nothing is dropped, else the kept ones renumbered."""
+def _compacted(table: Table, at: dict, reached) -> tuple:
+    """``(plan steps, at)`` of the steps of ``table`` that ``reached`` marks
+    (every step when it is None), in table order, and of ``at``, which maps
+    each symbol to its step: the table's own steps when nothing is dropped,
+    else the kept ones renumbered."""
     nodes, kids = table.nodes, table.kids
     if reached is None:
-        return tuple(zip(nodes, kids)), tuple(roots)
+        return tuple(zip(nodes, kids)), at
     kept = list(compress(range(len(nodes)), reached))
     renumbered = dict(zip(kept, range(len(kept)))).__getitem__
     plan = tuple([(nodes[i], tuple(map(renumbered, kids[i]))) for i in kept])
-    return plan, tuple(map(renumbered, roots))
+    return plan, {name: renumbered(i) for name, i in at.items()}
 
 
 # Canonical constructors.  They take and return positions in ``table``, of

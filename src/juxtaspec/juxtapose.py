@@ -91,7 +91,7 @@ def juxtapose(
     # the far side's markers erased when they are not kept, and with SZ as
     # Seq(Z) when it is regular, so that the sequence rules keep it regular
     # (a context-free input keeps SZ, whose expansion stays Seq-free)
-    inline = SZ_NAME in spec._by_name and classify(spec).regular
+    inline = SZ_NAME in spec._plan[1] and classify(spec).regular
     flip = (side == SIDE_LEFT) == (direction == DIR_INC)
     forget = track_mode == TRACK_RIGHT and kind.has_l
     into = {**atoms, (ZR if side == SIDE_LEFT else ZL): Z, ZLR: ZR} if forget else atoms

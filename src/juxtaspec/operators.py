@@ -153,9 +153,8 @@ class _Insertion:
                 return spec.tracking[node.name].has_r
             return isinstance(node, (Product, Sum)) and any(kids)  # Seq: False
 
-        self.steps, roots = spec._plan
+        self.steps, self.at = spec._plan
         self.tracks_r = evaluate(self.steps, tracks_r)
-        self.at = dict(zip(spec.symbols, roots))
         self.table, self.leaf, self.flip = Table(), _atom_map(atoms), flip
         self.images = {}
 

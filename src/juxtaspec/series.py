@@ -80,15 +80,15 @@ def _valuations(spec: Specification) -> tuple:
     """``(unproductive symbols, the minimal object size of every plan step or
     None where it has no objects)``: the least fixpoint of
     :func:`_valuation_pass`, one flat loop over the carried plan per pass."""
-    steps, roots = spec._plan
-    vals, values = least_fixpoint(steps, zip(spec.symbols, roots), _valuation_pass, None)
-    return tuple(name for name in spec.symbols if vals[name] is None), values
+    steps, at = spec._plan
+    vals, values = least_fixpoint(steps, at, _valuation_pass, None)
+    return tuple(name for name, v in vals.items() if v is None), values
 
 
 def _seq_argument_problems(spec: Specification, values: list) -> list:
     """One problem per Seq occurrence whose argument contains the empty
     object; ``values`` are the valuations of the plan's steps."""
-    steps, roots = spec._plan
+    steps, at = spec._plan
     if not any(isinstance(node, Seq) and values[kids[0]] == 0 for node, kids in steps):
         return []
     bad = []  # per step: bad Seq occurrences in its expression tree
@@ -98,8 +98,8 @@ def _seq_argument_problems(spec: Specification, values: list) -> list:
             count += 1
         bad.append(count)
     problems = []
-    for eq, at in zip(spec.equations, roots):
-        problems += [f"{eq.lhs}: Seq argument has nonzero constant term"] * bad[at]
+    for lhs, i in at.items():
+        problems += [f"{lhs}: Seq argument has nonzero constant term"] * bad[i]
     return problems
 
 
@@ -143,6 +143,7 @@ def _productive_valuations(spec: Specification) -> list:
 
 
 _SUM, _PRODUCT, _SHIFT, _RUN, _SEQ = "sum", "product", "shift", "run", "seq"
+_BINARY = (_PRODUCT, _SHIFT, _RUN)
 
 
 def _schedule(spec: Specification, values: list, order: int) -> tuple:
@@ -169,42 +170,46 @@ def _schedule(spec: Specification, values: list, order: int) -> tuple:
     coefficient n - 1 plus the other operand's n - v.  Only the remaining
     products convolve.
     """
-    symbols = spec.symbols
+    steps, at = spec._plan
+    symbols = list(at)  # the first cells are the symbols'
     index = {name: i for i, name in enumerate(symbols)}
-    steps, roots = spec._plan
     # per cell: [operation, operand cells, valuation, zero-lag operands, series]
-    cells = [[None, None, values[r], None, None] for r in roots]
+    cells = [[None, None, values[r], None, None] for r in at.values()]
     geometric = {index[SZ_NAME]} if SZ_NAME in index else set()
-    at, pairs = [], {}  # the cell of each plan step; binary products by operands
+    cell_of, pairs = [], {}  # the cell of each plan step; binary products by operands
     for (node, kids), v in zip(steps, values):
         kind = type(node)
         if kind is ClassRef:
-            at.append(index[node.name])
+            cell_of.append(index[node.name])
         elif kind is Product:
-            left = at[kids[0]]
+            left = cell_of[kids[0]]
             for i in range(1, len(kids)):
-                right = at[kids[i]]
+                right = cell_of[kids[i]]
                 cell = pairs.get((left, right))
                 if cell is None:
                     (l_op, _, vl, _, _), (r_op, _, vr, _, _) = cells[left], cells[right]
                     zero_lag = [c for c, w in ((left, vr), (right, vl)) if w == 0]
+                    # an atom operand second, else a geometric one
+                    a, b = left, right
+                    if type(l_op) is AtomRef or (left in geometric and type(r_op) is not AtomRef):
+                        a, b = right, left
+                    op = (_SHIFT if type(cells[b][0]) is AtomRef
+                          else _RUN if b in geometric else _PRODUCT)
                     cell = pairs[left, right] = len(cells)
-                    cells.append([_PRODUCT, (left, right), vl + vr, zero_lag, []])
-                    if (left in geometric and type(r_op) is AtomRef) or (
-                        right in geometric and type(l_op) is AtomRef
-                    ):
+                    cells.append([op, (a, b), vl + vr, zero_lag, []])
+                    if op is _SHIFT and a in geometric:
                         geometric.add(cell)  # a shifted run
                 left = cell
-            at.append(left)
+            cell_of.append(left)
         elif kind is AtomRef:
             out = [0] * (order + 1)  # an atom's series is 1 at its size
             if v <= order:
                 out[v] = 1
-            at.append(len(cells))
+            cell_of.append(len(cells))
             cells.append([node, (), v, (), out])
         else:  # Sum, Seq
-            operands = [at[k] for k in kids]
-            at.append(len(cells))
+            operands = [cell_of[k] for k in kids]
+            cell_of.append(len(cells))
             if kind is Sum:
                 cells.append([_SUM, operands, v, operands, []])
             elif type(steps[kids[0]][0]) is AtomRef and values[kids[0]] == 1:
@@ -212,8 +217,8 @@ def _schedule(spec: Specification, values: list, order: int) -> tuple:
                 cells.append([node, operands, v, operands, [1] * (order + 1)])
             else:
                 cells.append([_SEQ, operands, v, operands, []])
-    for i, r in enumerate(roots):
-        cells[i][3] = [at[r]]
+    for i, r in enumerate(at.values()):
+        cells[i][3] = [cell_of[r]]
     ordered, cycle = postorder([cell[3] for cell in cells], range(len(cells)))
     if cycle:
         name = next(symbols[c] for c in cycle if c < len(symbols))
@@ -226,19 +231,9 @@ def _schedule(spec: Specification, values: list, order: int) -> tuple:
         op, operands, _, _, out = cells[c]
         if op is _SUM:
             schedule.append((op, out, [cells[k][4] for k in operands], None, 0, 0))
-        elif op is _PRODUCT:
-            left, right = operands
-            if right in geometric:
-                left, right = right, left  # a geometric operand first
-            a, b = cells[left], cells[right]
-            if type(b[0]) is AtomRef:
-                a, b = b, a
-            if type(a[0]) is AtomRef:
-                schedule.append((_SHIFT, out, b[4], None, a[2], 0))
-            elif left in geometric:  # a is cells[left]
-                schedule.append((_RUN, out, b[4], None, a[2], 0))
-            else:
-                schedule.append((op, out, a[4], b[4], a[2], b[2]))
+        elif op in _BINARY:
+            a, b = cells[operands[0]], cells[operands[1]]
+            schedule.append((op, out, a[4], b[4], a[2], b[2]))
         elif op is _SEQ:
             a = cells[operands[0]]
             schedule.append((op, out, a[4], out, a[2], 0))
@@ -272,9 +267,9 @@ def count_series(spec: Specification, order: int) -> Series:
                     else 0
                 )
             elif op is _SHIFT:
-                out.append(a[n - va] if n >= va else 0)
-            elif op is _RUN:  # times x^va/(1 - x): the running sum of a, shifted
-                out.append(out[-1] + a[n - va] if n > va else a[0] if n == va else 0)
+                out.append(a[n - vb] if n >= vb else 0)
+            elif op is _RUN:  # times x^vb/(1 - x): the running sum of a, shifted
+                out.append(out[-1] + a[n - vb] if n > vb else a[0] if n == vb else 0)
             elif op is _SUM:
                 out.append(sum([t[n] for t in a]))
             else:  # Seq: s[n] = sum of a[j] s[n - j] over j >= va >= 1

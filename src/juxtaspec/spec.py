@@ -93,23 +93,23 @@ class Specification:
     the operations of the library, which all return canonical, hash-consed
     equations (root first) with the tracking that :func:`make_spec` infers
     for them: the readers and each expansion step close theirs without
-    rebuilding, the symmetries and :func:`inline_seq` map one.  ``_plan``,
-    made as it is built, is ``(steps, roots)``: steps in the form that
-    :func:`~juxtaspec.expr.plan` gives, of the distinct nodes of all
-    right-hand sides, each after its children (the steps of the table they
-    were built in that they reach, in its order), and the step of each
-    right-hand side, in equation order.  Every analysis evaluates it.  Two
-    specifications are equal when their equations and roots are.
+    rebuilding (SZ injected when they reference it), the symmetries and
+    :func:`inline_seq` map one.  A specification is its plan plus one
+    symbol→step map: ``_plan``, made as it is built, is ``(steps, at)``,
+    steps in the form that :func:`~juxtaspec.expr.plan` gives, of the
+    distinct nodes of all right-hand sides, each after its children (the
+    steps of the table they were built in that they reach, in its order),
+    and ``at``, each symbol's right-hand side's step, in equation order.
+    ``symbols``, ``equations`` and :meth:`rhs` are views of it; every
+    analysis evaluates it.  Two specifications are equal when their
+    equations and roots are.
     """
 
-    __slots__ = ("equations", "root", "tracking", "_by_name", "_plan")
+    __slots__ = ("root", "tracking", "_plan")
 
-    def __init__(self, equations: tuple, root: str, tracking: Mapping[str, TrackingKind],
-                 _by_name: Mapping[str, Expr], _plan: tuple):
-        _set(self, "equations", equations)
+    def __init__(self, root: str, tracking: Mapping[str, TrackingKind], _plan: tuple):
         _set(self, "root", root)
         _set(self, "tracking", tracking)
-        _set(self, "_by_name", _by_name)
         _set(self, "_plan", _plan)
 
     __setattr__ = Expr.__setattr__
@@ -129,27 +129,30 @@ class Specification:
 
     @property
     def symbols(self) -> tuple:
-        return tuple(eq.lhs for eq in self.equations)
+        return tuple(self._plan[1])
+
+    @property
+    def equations(self) -> tuple:
+        steps, at = self._plan
+        return tuple([Equation(lhs, steps[i][0]) for lhs, i in at.items()])
 
     def __reduce__(self):
-        steps, roots = self._plan
-        return _unpickled, (_flat_form(steps), roots, self.symbols, self.root, self.tracking)
+        steps, at = self._plan
+        return _unpickled, (_flat_form(steps), at, self.root, self.tracking)
 
     def rhs(self, name: str) -> Expr:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise SpecError(f"undefined symbol {name!r}") from None
+        steps, at = self._plan
+        if name not in at:
+            raise SpecError(f"undefined symbol {name!r}")
+        return steps[at[name]][0]
 
     def root_tracking(self) -> TrackingKind:
         return self.tracking[self.root]
 
 
-def _unpickled(flat, roots, symbols, root, tracking) -> Specification:
+def _unpickled(flat, at, root, tracking) -> Specification:
     """The specification that :meth:`Specification.__reduce__` flattened."""
-    steps = tuple(_from_flat_form(flat))
-    eqs = tuple(Equation(lhs, steps[at][0]) for lhs, at in zip(symbols, roots))
-    return Specification(eqs, root, tracking, {eq.lhs: eq.rhs for eq in eqs}, (steps, roots))
+    return Specification(root, tracking, (tuple(_from_flat_form(flat)), at))
 
 
 def make_spec(equations: Iterable[Equation], root: Optional[str] = None) -> Specification:
@@ -182,9 +185,12 @@ def _close(eqs: list, root: Optional[str], table: Table, prune: bool = False) ->
     With ``prune`` (the equations of an expansion, ``root`` given), symbols
     of the empty class are substituted by Zero and dropped first, then the
     symbols unreachable from the root.  Without it, an equation whose
-    right-hand side is Zero is an error.  The plan of the kept equations,
-    which serves every check below and, kept on the result, every later
-    analysis, is the steps of ``table`` that they reach.
+    right-hand side is Zero is an error.  SZ is injected here when the
+    kept equations reference it, for a reader and an expansion alike, and
+    their reach is taken once more.  The result is the plan of the kept
+    equations, the steps of ``table`` that they reach, and one map from
+    each symbol to its right-hand side's step: it serves every check below
+    and every later analysis.
     """
     nodes = table.nodes
     if prune:
@@ -210,18 +216,10 @@ def _close(eqs: list, root: Optional[str], table: Table, prune: bool = False) ->
             if type(node) is ClassRef}
     undefined = used - seen
     if SZ_NAME in undefined:
-        sz = _sz_rhs(table)
-        eqs.append((SZ_NAME, sz))
+        eqs.append((SZ_NAME, _sz_rhs(table)))
         seen.add(SZ_NAME)
         undefined.discard(SZ_NAME)
-        if reached is not None:  # mark the steps of SZ's right-hand side
-            reached += bytes(len(nodes) - len(reached))
-            stack = [sz]
-            while stack:
-                i = stack.pop()
-                if not reached[i]:
-                    reached[i] = 1
-                    stack.extend(table.kids[i])
+        reached = _reached(table.kids, [at for _, at in eqs])
     if undefined:
         missing = ", ".join(sorted(undefined))
         raise SpecError(f"undefined symbol(s): {missing}")
@@ -236,23 +234,19 @@ def _close(eqs: list, root: Optional[str], table: Table, prune: bool = False) ->
         raise SpecError(f"root symbol {root!r} has no equation")
     eqs.sort(key=lambda eq: 0 if eq[0] == root else 1)
 
-    plan = _compacted(table, [at for _, at in eqs], reached)
-    equations = [Equation(lhs, nodes[at]) for lhs, at in eqs]
-    r_counts = _marker_fixpoint(equations, plan, R_ATOMS, "rightmost")
-    l_counts = _marker_fixpoint(equations, plan, L_ATOMS, "leftmost")
+    plan = _compacted(table, dict(eqs), reached)
+    r_counts = _marker_fixpoint(plan, R_ATOMS, "rightmost")
+    l_counts = _marker_fixpoint(plan, L_ATOMS, "leftmost")
     tracking = {lhs: TrackingKind(r_counts[lhs] == 1, l_counts[lhs] == 1) for lhs, _ in eqs}
     if any(type(node) is Seq for node, _ in plan[0]):  # else no Seq content to check
-        _check_seq_content(equations, plan, tracking)
-    return Specification(tuple(equations), root, tracking, dict(equations), plan)
+        _check_seq_content(plan, tracking)
+    return Specification(root, tracking, plan)
 
 
-def _table_spec(eqs, root: str, tracking: dict, table: Table) -> Specification:
-    """The specification of ``eqs``, pairs of a symbol and a position of
-    ``table``, whose plan is the steps of ``table`` they reach."""
-    roots = [at for _, at in eqs]
-    equations = [Equation(lhs, table.nodes[at]) for lhs, at in eqs]
-    plan = _compacted(table, roots, _reached(table.kids, roots))
-    return Specification(tuple(equations), root, tracking, dict(equations), plan)
+def _table_spec(at: dict, root: str, tracking: dict, table: Table) -> Specification:
+    """The specification of ``at``, each symbol's position in ``table``,
+    whose plan is the steps of ``table`` they reach."""
+    return Specification(root, tracking, _compacted(table, at, _reached(table.kids, at.values())))
 
 
 def _prune(eqs: list, root: str, table: Table) -> tuple:
@@ -275,7 +269,7 @@ def _prune(eqs: list, root: str, table: Table) -> tuple:
     visited = bytearray(len(nodes))
     if has_empty:
         steps = list(zip(nodes, kids))
-        empty, values = least_fixpoint(steps, at.items(), _empty_pass, False)
+        empty, values = least_fixpoint(steps, at, _empty_pass, False)
         if empty[root]:
             raise SpecError(f"expansion of {root} is the empty class")
         visited = bytearray(values)  # the empty steps are never entered
@@ -299,10 +293,10 @@ def _prune(eqs: list, root: str, table: Table) -> tuple:
     eqs = [(lhs, i) for lhs, i in eqs if lhs in keep]
     if has_empty:  # the walk skipped the empty steps, which its plan holds
         zero = {ClassRef(name): ZERO for name, is_empty in empty.items() if is_empty}
-        roots = [i for _, i in eqs]
-        plan, roots = _compacted(table, roots, _reached(kids, roots))
-        values = _rebuilt(plan, table, zero)
-        eqs = [(lhs, values[i]) for (lhs, _), i in zip(eqs, roots)]
+        at = dict(eqs)
+        steps, at = _compacted(table, at, _reached(kids, at.values()))
+        values = _rebuilt(steps, table, zero)
+        eqs = [(lhs, values[i]) for lhs, i in at.items()]
         visited = _reached(kids, [i for _, i in eqs])
     return eqs, visited
 
@@ -329,9 +323,9 @@ def _terms_at(steps, at: int) -> tuple:
     return kids if type(node) is Sum else (at,)
 
 
-def _marker_fixpoint(eqs, plan: tuple, markers: frozenset, label: str) -> dict:
+def _marker_fixpoint(plan: tuple, markers: frozenset, label: str) -> dict:
     """Least fixpoint of per-symbol marker counts, and their exactness, for
-    the equations ``eqs`` and their plan ``(steps, roots)``.
+    the equations of the plan ``(steps, at)``.
 
     A term that is literally E describes the empty object and is exempt from
     the count (the empty permutation carries no markers); every other term of
@@ -343,9 +337,9 @@ def _marker_fixpoint(eqs, plan: tuple, markers: frozenset, label: str) -> dict:
     itself included, has terms that count differently; the last pass reads
     only settled counts, so its exact counts give the refusals.
     """
-    steps, roots = plan
+    steps, at = plan
     if not any(type(node) is AtomRef and node.atom in markers for node, _ in steps):
-        return {eq.lhs: 0 for eq in eqs}  # every count and every term is 0
+        return dict.fromkeys(at, 0)  # every count and every term is 0
 
     exact = []  # of the latest pass
 
@@ -380,9 +374,9 @@ def _marker_fixpoint(eqs, plan: tuple, markers: frozenset, label: str) -> dict:
             values[i] = v
             record(e)
 
-    counts, _ = least_fixpoint(steps, [(eq.lhs, at) for eq, at in zip(eqs, roots)], upper, 0)
-    for eq, at in zip(eqs, roots):
-        for i, t in enumerate(_terms_at(steps, at), 1):
+    counts, _ = least_fixpoint(steps, at, upper, 0)
+    for lhs, root in at.items():
+        for i, t in enumerate(_terms_at(steps, root), 1):
             node = steps[t][0]
             if type(node) is AtomRef and node.atom == EMPTY:
                 continue
@@ -390,23 +384,23 @@ def _marker_fixpoint(eqs, plan: tuple, markers: frozenset, label: str) -> dict:
             if value < 0:
                 problem = f"mixed {label}-marker counts inside a factor"
             elif value > 1:
-                problem = f"term of {eq.lhs!r} carries the {label} marker more than once"
-            elif value != counts[eq.lhs]:
-                problem = f"mixed terms in {eq.lhs!r}: some carry the {label} marker, others do not"
+                problem = f"term of {lhs!r} carries the {label} marker more than once"
+            elif value != counts[lhs]:
+                problem = f"mixed terms in {lhs!r}: some carry the {label} marker, others do not"
             else:
                 continue
-            raise TrackingError(problem, eq.lhs, i)
+            raise TrackingError(problem, lhs, i)
     return counts
 
 
-def _check_seq_content(eqs, plan: tuple, tracking: Mapping) -> None:
+def _check_seq_content(plan: tuple, tracking: Mapping) -> None:
     """Refuse a marked atom, or a class that carries a marker, inside Seq.
 
     One flat loop over the plan finds, per step, the first such leaf in
     preorder and the first Seq with one in its argument; the refusal names
     the first term, in equation order, that holds such a Seq.
     """
-    steps, roots = plan
+    steps, at = plan
     atoms = R_ATOMS | L_ATOMS
     carriers = {name for name, kind in tracking.items() if kind.has_r or kind.has_l}
     marked, inside = [], []  # per step: that leaf under it, and under a Seq under it
@@ -427,8 +421,8 @@ def _check_seq_content(eqs, plan: tuple, tracking: Mapping) -> None:
                     s = inside[k]
         marked.append(m)
         inside.append(s)
-    for eq, at in zip(eqs, roots):
-        for i, t in enumerate(_terms_at(steps, at), 1):
+    for lhs, root in at.items():
+        for i, t in enumerate(_terms_at(steps, root), 1):
             leaf = inside[t]
             if leaf is None:
                 continue
@@ -436,7 +430,7 @@ def _check_seq_content(eqs, plan: tuple, tracking: Mapping) -> None:
                 problem = f"marked atom {leaf.atom} cannot appear inside Seq"
             else:
                 problem = f"class {leaf.name!r} carries a marker and cannot appear inside Seq"
-            raise TrackingError(f"Seq argument in {eq.lhs!r}: {problem}", eq.lhs, i)
+            raise TrackingError(f"Seq argument in {lhs!r}: {problem}", lhs, i)
 
 
 class Classification(NamedTuple):
@@ -463,11 +457,11 @@ def classify(spec: Specification) -> Classification:
     along the operands that :func:`~juxtaspec.expr.least_fixpoint` reads
     (a reference leads to its symbol's step), looks for the cycle.
     """
-    steps, roots = spec._plan
-    at = dict(zip(spec.symbols, roots))
-    if spec.root != SZ_NAME:
-        at.pop(SZ_NAME, None)  # a leaf
-    regular = postorder(_operands(steps, at), (roots[0],))[1] is None
+    steps, at = spec._plan
+    start = at[spec.root]
+    if spec.root != SZ_NAME and SZ_NAME in at:
+        at = {name: i for name, i in at.items() if name != SZ_NAME}  # SZ: a leaf
+    regular = postorder(_operands(steps, at), (start,))[1] is None
     return Classification(regular, not any(type(node) is Seq for node, _ in steps))
 
 
@@ -529,19 +523,16 @@ def _map_spec(spec: Specification, atoms: Mapping[str, str], flip: bool,
     count): the result is what :func:`make_spec` would return, with its
     plan the steps of the map's table that its equations reach.
     """
-    steps, roots = spec._plan
+    steps, at = spec._plan
     table, leaf = _leaf_table(steps), _atom_map(atoms)
     if inline:  # SZ maps onto the position of Seq(Z)
         leaf[_SZ_REF] = make_seq(table.leaf(Z_EXPR), table)
     values = _rebuilt(steps, table, leaf, flip)
-    rhs = [values[at] for at in roots]
-    if SZ_NAME in spec._by_name and not inline:
-        sz_rhs = _sz_rhs(table)
-        rhs = [sz_rhs if eq.lhs == SZ_NAME else new for eq, new in zip(spec.equations, rhs)]
-    eqs = [(eq.lhs, new) for eq, new in zip(spec.equations, rhs)
-           if not (inline and eq.lhs == SZ_NAME)]
-    tracking = {lhs: _tracking_through(atoms, spec.tracking[lhs]) for lhs, _ in eqs}
-    return _table_spec(eqs, spec.root, tracking, table)
+    at = {lhs: values[i] for lhs, i in at.items() if not (inline and lhs == SZ_NAME)}
+    if SZ_NAME in at:
+        at[SZ_NAME] = _sz_rhs(table)
+    tracking = {lhs: _tracking_through(atoms, spec.tracking[lhs]) for lhs in at}
+    return _table_spec(at, spec.root, tracking, table)
 
 
 def _merge_equivalent(spec: Specification) -> Specification:
@@ -560,16 +551,16 @@ def _merge_equivalent(spec: Specification) -> Specification:
     renamed reference under it, and the result's plan is the steps of the
     table of that rebuild that its equations reach.
     """
-    by_name = spec._by_name
+    steps, at = spec._plan
 
     def alias_of(name: str):
-        rhs = by_name[name]
+        rhs = steps[at[name]][0]
         return rhs.name if isinstance(rhs, ClassRef) and rhs.name != SZ_NAME else None
 
     # canon: each symbol's alias chain followed to its end; the symbols of a
     # cycle of aliases keep their equations
     canon = {}
-    for name in spec.symbols:
+    for name in at:
         chain, on_chain = [], set()
         while name not in canon and name not in on_chain and alias_of(name) is not None:
             chain.append(name)
@@ -581,9 +572,7 @@ def _merge_equivalent(spec: Specification) -> Specification:
         for m in chain:
             canon.setdefault(m, end)
 
-    steps, roots = spec._plan
-    at = dict(zip(spec.symbols, roots))
-    members = [name for name in spec.symbols if canon[name] == name]
+    members = [name for name in at if canon[name] == name]
     ids = {}  # the number of each set, by what sets it apart
     block = {name: ids.setdefault(name if name == SZ_NAME else spec.tracking[name], len(ids))
              for name in members}
@@ -602,22 +591,22 @@ def _merge_equivalent(spec: Specification) -> Specification:
         block = {name: ids.setdefault((block[name], of_step[at[name]]), len(ids)) for name in members}
         if len(ids) in (count, len(members)):  # no set split, or every set is alone
             break
-    if len(ids) == len(by_name):
+    if len(ids) == len(at):
         return spec
 
     first = {}
-    rename = {name: first.setdefault(block[canon[name]], name) for name in spec.symbols}
+    rename = {name: first.setdefault(block[canon[name]], name) for name in at}
     leaf = {ClassRef(old): ClassRef(new) for old, new in rename.items() if old != new}
     table = _leaf_table(steps)
     values = _rebuilt(steps, table, leaf)
-    eqs = [(name, values[at[canon[name]]]) for name in first.values()]
-    tracking = {name: spec.tracking[name] for name, _ in eqs}
-    return _table_spec(eqs, spec.root, tracking, table)
+    merged = {name: values[at[canon[name]]] for name in first.values()}
+    tracking = {name: spec.tracking[name] for name in merged}
+    return _table_spec(merged, spec.root, tracking, table)
 
 
 def inline_seq(spec: Specification) -> Specification:
     """Replace every SZ reference by Seq(Z) and drop the SZ equation: one
     :func:`_map_spec`, which renames no atom, so the tracking carries over."""
-    if SZ_NAME not in spec._by_name or spec.root == SZ_NAME:
+    if SZ_NAME not in spec._plan[1] or spec.root == SZ_NAME:
         return spec
     return _map_spec(spec, {}, False, inline=True)

@@ -849,11 +849,11 @@ def nested_spec_dict(spec):
     """The JSON document of ``spec`` as a tree without ``nodes``: each
     shared node written out at every use, as the JSON writer did before it
     listed each node once; the reader still takes this form."""
-    steps, roots = spec._plan
+    steps, at = spec._plan
     nodes = _reference_evaluate(steps, _json_node)
     return {
         "root": spec.root,
-        "equations": [{"lhs": eq.lhs, "rhs": nodes[at]} for eq, at in zip(spec.equations, roots)],
+        "equations": [{"lhs": lhs, "rhs": nodes[i]} for lhs, i in at.items()],
     }
 
 
@@ -952,8 +952,8 @@ def _valuation_step(node, kids, vals):
 
 def reference_valuations(spec):
     """What series._valuations returns, by _valuation_step."""
-    steps, roots = spec._plan
-    vals, values, _ = reference_fixpoint(steps, zip(spec.symbols, roots), _valuation_step, None)
+    steps, at = spec._plan
+    vals, values, _ = reference_fixpoint(steps, at.items(), _valuation_step, None)
     return tuple(name for name in spec.symbols if vals[name] is None), values
 
 
@@ -964,7 +964,8 @@ def reference_count_series(spec, order):
     reads by Kahn's algorithm, and every product and every Seq a
     convolution.  A ValueError for a zero-lag cycle; only for productive
     systems without bad Seq arguments."""
-    steps, roots = spec._plan
+    steps, at = spec._plan
+    roots = list(at.values())
     _, values = reference_valuations(spec)
     index = {name: i for i, name in enumerate(spec.symbols)}
     # per cell: kind, operand cells, valuation
@@ -1075,9 +1076,15 @@ def _positions(steps) -> dict:
     return {id(node): i for i, (node, _) in enumerate(steps)}
 
 
-def reference_marker_fixpoint(eqs, plan, markers, label):
+def _equations(plan) -> list:
+    """The equations of a plan ``(steps, at)``, in its symbol order."""
+    steps, at = plan
+    return [Equation(lhs, steps[i][0]) for lhs, i in at.items()]
+
+
+def reference_marker_fixpoint(plan, markers, label):
     """What spec._marker_fixpoint returns or raises, by marker_callbacks."""
-    steps, position = plan[0], _positions(plan[0])
+    eqs, steps, position = _equations(plan), plan[0], _positions(plan[0])
     if not any(isinstance(node, AtomRef) and node.atom in markers for node, _ in steps):
         return {eq.lhs: 0 for eq in eqs}
     _, upper, exact = marker_callbacks(markers)
@@ -1127,10 +1134,10 @@ def marked_content(tracking):
     return visit
 
 
-def reference_check_seq_content(eqs, plan, tracking):
+def reference_check_seq_content(plan, tracking):
     """What spec._check_seq_content raises, by marked_content: the first
     term, in equation order, whose tree holds a Seq over marked content."""
-    steps, position = plan[0], _positions(plan[0])
+    eqs, steps, position = _equations(plan), plan[0], _positions(plan[0])
     marks = _reference_evaluate(steps, marked_content(tracking))
     for eq in eqs:
         for i, t in enumerate(_terms(eq.rhs), 1):

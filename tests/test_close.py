@@ -109,10 +109,10 @@ def test_pruning_plans_the_pruned_system_once(monkeypatch):
     monkeypatch.undo()
     assert out.symbols == ("A.i", "B.o", "C.o")
     assert sizes == []
-    steps, roots = out._plan
+    steps, at = out._plan
     want, position = plan([eq.rhs for eq in out.equations])
     assert {id(node) for node, _ in steps} == {id(node) for node, _ in want}
-    assert all(steps[at][0] is eq.rhs for eq, at in zip(out.equations, roots))
+    assert all(steps[at[eq.lhs]][0] is eq.rhs for eq in out.equations)
 
 
 def test_pruning_keeps_the_named_one_of_two_symbols_sharing_a_step():

@@ -132,7 +132,7 @@ def _fixpoint(steps, symbols, fn, bottom):
         passes.append(1)
         return run(*args)
 
-    value, values = least_fixpoint(steps, symbols, counted, bottom)
+    value, values = least_fixpoint(steps, dict(symbols), counted, bottom)
     assert (value, values, len(passes)) == reference_fixpoint(steps, symbols, fn, bottom)
     return value, values
 

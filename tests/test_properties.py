@@ -202,16 +202,16 @@ def _checked_against_references():
     real_fixpoint = spec_module.least_fixpoint
     real_markers, real_seq = spec_module._marker_fixpoint, spec_module._check_seq_content
 
-    def fixpoint(steps, symbols, run_pass, bottom):
-        symbols, passes = list(symbols), []
+    def fixpoint(steps, at, run_pass, bottom):
+        passes = []
         name, fn = _step_function(run_pass)
 
         def counted(*args):
             passes.append(1)
             return run_pass(*args)
 
-        value, values = real_fixpoint(steps, symbols, counted, bottom)
-        want = reference_fixpoint(steps, symbols, fn, bottom)
+        value, values = real_fixpoint(steps, at, counted, bottom)
+        want = reference_fixpoint(steps, at.items(), fn, bottom)
         assert (value, values, len(passes)) == want, name
         checked.add(name)
         return value, values

@@ -12,7 +12,7 @@ import pytest
 import juxtaspec
 from juxtaspec.builtins import builtin_names, builtin_spec, builtin_text
 from juxtaspec.dsl import parse_spec
-from juxtaspec.expr import ZERO, AtomRef, ClassRef, Product, Seq, Sum, Z, ZR, nodes, rewrite
+from juxtaspec.expr import ZERO, AtomRef, ClassRef, Product, Seq, Sum, Z, ZR, nodes, plan, rewrite
 from juxtaspec.oracle import Basis
 from juxtaspec.series import compare_series, productivity_check
 from juxtaspec.spec import Equation, Specification, TrackingKind, classify
@@ -89,10 +89,14 @@ def test_reprs():
 
 def test_specification_equality_ignores_tracking_and_plan():
     spec = parse_spec(TEXT)
-    other = Specification(spec.equations, spec.root, {}, {}, ((), ()))
+    # the same equations over a plan of another step order
+    steps, position = plan([eq.rhs for eq in reversed(spec.equations)])
+    reordered = (steps, {eq.lhs: position[id(eq.rhs)] for eq in spec.equations})
+    assert [node for node, _ in steps] != [node for node, _ in spec._plan[0]]
+    other = Specification(spec.root, {}, reordered)
     assert other == spec and hash(other) == hash(spec)
     assert other.tracking != spec.tracking
-    assert Specification(spec.equations, "B", spec.tracking, {}, ((), ())) != spec
+    assert Specification("B", spec.tracking, reordered) != spec
     assert parse_spec(TEXT) == spec and parse_spec(TEXT) is not spec
 
 
